@@ -57,23 +57,6 @@ func registry() []experiment {
 		chunkedRes = r
 		return r, nil
 	}
-	// The kernels A/B reruns both arms several times; memoize so -csv reuses
-	// the run, and gate the acceptance bar exactly like the chunked bench.
-	var kernelsRes *experiments.KernelsResult
-	kernels := func() (*experiments.KernelsResult, error) {
-		if kernelsRes != nil {
-			return kernelsRes, nil
-		}
-		r, err := experiments.KernelsBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.CheckAcceptance(); err != nil {
-			return nil, err
-		}
-		kernelsRes = r
-		return r, nil
-	}
 	return []experiment{
 		{name: "fig3", run: func() (string, error) {
 			r, err := experiments.Figure3()
@@ -296,19 +279,6 @@ func registry() []experiment {
 			return r.Format(), nil
 		}, csv: func() (string, error) {
 			r, err := chunked()
-			if err != nil {
-				return "", err
-			}
-			return r.CSV(), nil
-		}},
-		{name: "kernels", run: func() (string, error) {
-			r, err := kernels()
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}, csv: func() (string, error) {
-			r, err := kernels()
 			if err != nil {
 				return "", err
 			}

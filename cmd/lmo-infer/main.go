@@ -48,7 +48,6 @@ func main() {
 	ckptFile := flag.String("checkpoint", "", "write the final snapshot to this file (requires -ckpt-every)")
 	resumeFile := flag.String("resume", "", "resume generation from a checkpoint file instead of starting fresh")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
-	quantKernels := flag.Bool("quant-kernels", false, "fused quantized-domain compute kernels: consume packed weight/KV blocks directly instead of dequantize-then-matmul (bit-identical tokens)")
 	flag.Parse()
 
 	var cfg model.Config
@@ -76,7 +75,6 @@ func main() {
 		pol.QuantWeights = true
 		pol.WeightCfg = quant.Config{Bits: *wBits, GroupSize: 32}
 	}
-	pol.QuantKernels = *quantKernels
 
 	rng := rand.New(rand.NewSource(*seed))
 	work := trace.Workload{PromptLen: *prompt, GenLen: *gen, GPUBatch: *batch, NumBatches: 1}

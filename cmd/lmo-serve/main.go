@@ -98,7 +98,6 @@ func main() {
 	fairShare := flag.Bool("fair-share", false, "enable weighted fair-share scheduling (requires -tenants)")
 	latencySamples := flag.Int("latency-samples", 0, "TTFT/TPOT latency reservoir capacity per ring (0 = default 4096)")
 	adaptOn := flag.Bool("adapt", false, "online self-tuning: drift detection, background re-search, guarded policy hot-swap with canary rollback (requires -admission)")
-	quantKernels := flag.Bool("quant-kernels", false, "fused quantized-domain compute kernels: consume packed weight/KV blocks directly instead of dequantize-then-matmul (bit-identical tokens)")
 	flag.Parse()
 
 	if *fairShare != (*tenants != "") {
@@ -131,7 +130,6 @@ func main() {
 		pol.QuantKV = true
 		pol.KVCfg = quant.Config{Bits: *kvBits, GroupSize: 32}
 	}
-	pol.QuantKernels = *quantKernels
 
 	m, err := model.NewModel(rand.New(rand.NewSource(*seed)), cfg)
 	if err != nil {

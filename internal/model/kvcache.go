@@ -17,31 +17,6 @@ type KVCache struct {
 	// keys[layer][seq] and values[layer][seq] are [tokens, hidden] tensors.
 	keys   [][]*tensor.Tensor
 	values [][]*tensor.Tensor
-	// packed[layer][seq] is the staged packed KV history for the fused
-	// quantized-domain attention path (see SetPacked); empty on the dense
-	// path.
-	packed [][][]PackedKV
-}
-
-// PackedKV is one offloaded KV chunk staged for the fused quantized-domain
-// attention path: either a pair of packed views (K and V non-nil, still in
-// their group-wise quantized form) or an already-dense pair (RawK/RawV, used
-// for chunks stored raw or as float16 under a pressure-ladder slot
-// override). A slot's staged history may mix both forms chunk by chunk.
-type PackedKV struct {
-	K, V       *tensor.QMat
-	RawK, RawV *tensor.Tensor
-}
-
-// Rows returns the chunk's token count.
-func (p PackedKV) Rows() int {
-	if p.K != nil {
-		return p.K.Rows
-	}
-	if p.RawK != nil {
-		return p.RawK.Dim(0)
-	}
-	return 0
 }
 
 // NewKVCache creates an empty cache for the given geometry.
@@ -52,51 +27,26 @@ func NewKVCache(layers, batch, hidden int) *KVCache {
 	kc := &KVCache{layers: layers, batch: batch, hidden: hidden}
 	kc.keys = make([][]*tensor.Tensor, layers)
 	kc.values = make([][]*tensor.Tensor, layers)
-	kc.packed = make([][][]PackedKV, layers)
 	for l := 0; l < layers; l++ {
 		kc.keys[l] = make([]*tensor.Tensor, batch)
 		kc.values[l] = make([]*tensor.Tensor, batch)
-		kc.packed[l] = make([][]PackedKV, batch)
 	}
 	return kc
 }
 
-// SetPacked stages the offloaded KV history for (layer, seq) in packed form
-// for the fused attention path, in ascending token order. The slot's dense
-// tensors then hold only rows appended after the staged history (the new
-// token's K/V), and attention computes over staged-then-dense. Staged packed
-// history is transient — it lives for one compute batch and is not part of
-// the rollback surface (TruncateTo only rewinds dense rows).
-func (kc *KVCache) SetPacked(layer, seq int, chunks []PackedKV) {
-	kc.packed[layer][seq] = chunks
-}
-
-// Packed returns the staged packed history for (layer, seq), or nil.
-func (kc *KVCache) Packed(layer, seq int) []PackedKV { return kc.packed[layer][seq] }
-
-// PackedRows returns the token count of the staged packed history.
-func (kc *KVCache) PackedRows(layer, seq int) int {
-	var n int
-	for _, c := range kc.packed[layer][seq] {
-		n += c.Rows()
-	}
-	return n
-}
-
 // Append adds one layer's new key/value rows for sequence seq. k and v must
 // be [t, hidden] tensors (t ≥ 1; the prefill appends the whole prompt at
-// once, decode steps append one row).
+// once, decode steps append one row). The rows are copied in after the
+// slot's history, in place when its storage has spare capacity (a fetched
+// history carries one spare row for the decode step's token), so an append
+// does not copy the history. Tensors returned by Keys/Values earlier keep
+// their rows.
 func (kc *KVCache) Append(layer, seq int, k, v *tensor.Tensor) {
 	if k.Dim(1) != kc.hidden || v.Dim(1) != kc.hidden {
 		panic(fmt.Sprintf("model: KV append width %d/%d, want %d", k.Dim(1), v.Dim(1), kc.hidden))
 	}
-	if kc.keys[layer][seq] == nil {
-		kc.keys[layer][seq] = k.Clone()
-		kc.values[layer][seq] = v.Clone()
-		return
-	}
-	kc.keys[layer][seq] = tensor.ConcatRows(kc.keys[layer][seq], k)
-	kc.values[layer][seq] = tensor.ConcatRows(kc.values[layer][seq], v)
+	kc.keys[layer][seq] = tensor.AppendRows(kc.keys[layer][seq], k)
+	kc.values[layer][seq] = tensor.AppendRows(kc.values[layer][seq], v)
 }
 
 // Keys returns the [tokens, hidden] key matrix for (layer, seq), or nil if
@@ -107,7 +57,9 @@ func (kc *KVCache) Keys(layer, seq int) *tensor.Tensor { return kc.keys[layer][s
 func (kc *KVCache) Values(layer, seq int) *tensor.Tensor { return kc.values[layer][seq] }
 
 // SetKV replaces the stored tensors for (layer, seq); the offloading runtime
-// uses this to install dequantized copies fetched from host memory.
+// uses this to install dequantized copies fetched from host memory. The
+// cache takes ownership: later appends may grow k and v in place, so the
+// caller must not append to them itself or hand them to another cache.
 func (kc *KVCache) SetKV(layer, seq int, k, v *tensor.Tensor) {
 	kc.keys[layer][seq] = k
 	kc.values[layer][seq] = v
@@ -154,7 +106,9 @@ func (kc *KVCache) TruncateTo(lens [][]int) {
 	}
 }
 
-// truncRows copies the first n rows of a [rows, hidden] tensor.
+// truncRows copies the first n rows of a [rows, hidden] tensor. A copy, not
+// a view: appending in place past row n of the old storage would overwrite
+// rows that views taken before the rollback still show.
 func truncRows(t *tensor.Tensor, n int) *tensor.Tensor {
 	w := t.Dim(1)
 	return tensor.FromSlice(append([]float32(nil), t.Data()[:n*w]...), n, w)

@@ -16,23 +16,6 @@ type LayerWeights struct {
 	W2             *tensor.Tensor // [ffn, hidden]
 	LN1Gain        *tensor.Tensor // [hidden]
 	LN2Gain        *tensor.Tensor // [hidden]
-
-	// Packed views for the fused quantized-domain kernels (QuantKernels
-	// policy): when a view is non-nil the corresponding matmul consumes the
-	// packed blocks directly via tensor.MatMulQ instead of a dense tensor,
-	// and the dense field may be nil. Outputs are bit-identical to
-	// dequantizing first.
-	QWQ, QWK, QWV, QWO *tensor.QMat
-	QW1, QW2           *tensor.QMat
-}
-
-// mulW dispatches one weight matmul to the fused quantized-domain kernel
-// when a packed view is present.
-func mulW(pool *threadpool.Pool, width int, x *tensor.Tensor, w *tensor.Tensor, qw *tensor.QMat) *tensor.Tensor {
-	if qw != nil {
-		return tensor.MatMulQ(pool, width, x, *qw)
-	}
-	return tensor.MatMul(pool, width, x, w)
 }
 
 // NewLayerWeights draws random weights with 1/sqrt(fanin) scaling, which
@@ -113,47 +96,41 @@ func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights,
 		norm := xs.Clone()
 		tensor.LayerNormRows(norm, lw.LN1Gain, nil, 1e-5)
 
-		q := mulW(pool, width, norm, lw.WQ, lw.QWQ) // [t, h]
-		k := mulW(pool, width, norm, lw.WK, lw.QWK)
-		v := mulW(pool, width, norm, lw.WV, lw.QWV)
+		q := tensor.MatMul(pool, width, norm, lw.WQ) // [t, h]
+		k := tensor.MatMul(pool, width, norm, lw.WK)
+		v := tensor.MatMul(pool, width, norm, lw.WV)
 		cache.Append(layer, seqBase+s, k, v)
 		out.NewK[s], out.NewV[s] = k, v
 
 		t := q.Dim(0)
-		var attnOut *tensor.Tensor
-		if packed := cache.Packed(layer, seqBase+s); len(packed) > 0 {
-			attnOut = fusedAttention(pool, width, cfg, packed,
-				cache.Keys(layer, seqBase+s), cache.Values(layer, seqBase+s), q, scale)
-		} else {
-			keys := cache.Keys(layer, seqBase+s) // [T, h]
-			values := cache.Values(layer, seqBase+s)
-			T := keys.Dim(0)
-			attnOut = tensor.New(t, h)
+		keys := cache.Keys(layer, seqBase+s) // [T, h]
+		values := cache.Values(layer, seqBase+s)
+		T := keys.Dim(0)
+		attnOut := tensor.New(t, h)
 
-			// Per-head attention with causal masking for prefill rows.
-			for head := 0; head < heads; head++ {
-				off := head * dk
-				qh := sliceCols(q, off, dk)                   // [t, dk]
-				kh := sliceCols(keys, off, dk)                // [T, dk]
-				vh := sliceCols(values, off, dk)              // [T, dk]
-				scores := tensor.MatMulT(pool, width, qh, kh) // [t, T]
-				tensor.Scale(scores, scale)
-				// Causal mask: query row i (absolute position T - t + i) may only
-				// attend to keys 0..T-t+i.
-				base := T - t
-				for i := 0; i < t; i++ {
-					row := scores.Row(i)
-					for j := base + i + 1; j < T; j++ {
-						row[j] = float32(math.Inf(-1))
-					}
+		// Per-head attention with causal masking for prefill rows.
+		for head := 0; head < heads; head++ {
+			off := head * dk
+			qh := sliceCols(q, off, dk)                   // [t, dk]
+			kh := sliceCols(keys, off, dk)                // [T, dk]
+			vh := sliceCols(values, off, dk)              // [T, dk]
+			scores := tensor.MatMulT(pool, width, qh, kh) // [t, T]
+			tensor.Scale(scores, scale)
+			// Causal mask: query row i (absolute position T - t + i) may only
+			// attend to keys 0..T-t+i.
+			base := T - t
+			for i := 0; i < t; i++ {
+				row := scores.Row(i)
+				for j := base + i + 1; j < T; j++ {
+					row[j] = float32(math.Inf(-1))
 				}
-				tensor.SoftmaxRows(pool, width, scores)
-				ctx := tensor.MatMul(pool, width, scores, vh) // [t, dk]
-				copyCols(attnOut, ctx, off)
 			}
+			tensor.SoftmaxRows(pool, width, scores)
+			ctx := tensor.MatMul(pool, width, scores, vh) // [t, dk]
+			copyCols(attnOut, ctx, off)
 		}
 
-		proj := mulW(pool, width, attnOut, lw.WO, lw.QWO)
+		proj := tensor.MatMul(pool, width, attnOut, lw.WO)
 		tensor.AddInPlace(proj, xs) // residual
 		// xs is updated in place so prefill (t > 1) carries every position to
 		// the next layer; Hidden collects the last position per sequence,
@@ -164,91 +141,14 @@ func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights,
 	return out
 }
 
-// fusedAttention computes multi-head attention when the KV history is
-// staged in packed quantized form (see KVCache.SetPacked): per head, the
-// score matrix is assembled segment by segment — each packed chunk via
-// MatMulQTSegInto (dequantizing per tile, never materializing the float32
-// history), dense chunks and the slot's fresh rows via MatMulT — and the
-// context accumulates probs·V chunk by chunk the same way. Segments are
-// visited in ascending token order with the reference kernels' exact
-// arithmetic and skip semantics, so the result is bit-identical to
-// dequantizing the history, concatenating, and running the dense path.
-// rawK/rawV are the slot's dense rows appended after the staged history
-// (nil when the step appended nothing, which cannot happen in practice).
-func fusedAttention(pool *threadpool.Pool, width int, cfg Config, packed []PackedKV, rawK, rawV, q *tensor.Tensor, scale float32) *tensor.Tensor {
-	heads, dk := cfg.Heads, cfg.HeadDim()
-	t := q.Dim(0)
-	T := 0
-	for _, pc := range packed {
-		T += pc.Rows()
-	}
-	if rawK != nil {
-		T += rawK.Dim(0)
-	}
-	attnOut := tensor.New(t, cfg.Hidden)
-	for head := 0; head < heads; head++ {
-		off := head * dk
-		qh := sliceCols(q, off, dk)
-		scores := tensor.New(t, T)
-		col := 0
-		for _, pc := range packed {
-			if pc.K != nil {
-				tensor.MatMulQTSegInto(pool, width, qh, *pc.K, off, scores, col)
-				col += pc.K.Rows
-				continue
-			}
-			kh := sliceCols(pc.RawK, off, dk)
-			seg := tensor.MatMulT(pool, width, qh, kh)
-			for i := 0; i < t; i++ {
-				copy(scores.Row(i)[col:col+kh.Dim(0)], seg.Row(i))
-			}
-			col += kh.Dim(0)
-		}
-		if rawK != nil {
-			kh := sliceCols(rawK, off, dk)
-			seg := tensor.MatMulT(pool, width, qh, kh)
-			for i := 0; i < t; i++ {
-				copy(scores.Row(i)[col:col+kh.Dim(0)], seg.Row(i))
-			}
-		}
-		tensor.Scale(scores, scale)
-		base := T - t
-		for i := 0; i < t; i++ {
-			row := scores.Row(i)
-			for j := base + i + 1; j < T; j++ {
-				row[j] = float32(math.Inf(-1))
-			}
-		}
-		tensor.SoftmaxRows(pool, width, scores)
-		ctx := tensor.New(t, dk)
-		col = 0
-		for _, pc := range packed {
-			if pc.V != nil {
-				tensor.MatMulQSegAcc(pool, width, scores, col, *pc.V, off, ctx)
-				col += pc.V.Rows
-				continue
-			}
-			vh := sliceCols(pc.RawV, off, dk)
-			tensor.MatMulSegAcc(pool, width, scores, col, vh, ctx)
-			col += vh.Dim(0)
-		}
-		if rawV != nil {
-			vh := sliceCols(rawV, off, dk)
-			tensor.MatMulSegAcc(pool, width, scores, col, vh, ctx)
-		}
-		copyCols(attnOut, ctx, off)
-	}
-	return attnOut
-}
-
 // MLP runs the feed-forward block on a [batch, hidden] tensor in place:
 // LayerNorm → W1 → GELU → W2 → residual.
 func MLP(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, x *tensor.Tensor) {
 	norm := x.Clone()
 	tensor.LayerNormRows(norm, lw.LN2Gain, nil, 1e-5)
-	h1 := mulW(pool, width, norm, lw.W1, lw.QW1)
+	h1 := tensor.MatMul(pool, width, norm, lw.W1)
 	tensor.GELU(h1)
-	h2 := mulW(pool, width, h1, lw.W2, lw.QW2)
+	h2 := tensor.MatMul(pool, width, h1, lw.W2)
 	tensor.AddInPlace(x, h2)
 }
 

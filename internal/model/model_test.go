@@ -102,6 +102,37 @@ func TestKVCacheAppendIsDefensiveCopy(t *testing.T) {
 	}
 }
 
+// TestKVCacheTruncateAfterInPlaceAppend: rolling back appends that grew a
+// slot in place restores the exact rows, and appends after the rollback do
+// not overwrite rows that a view taken before it still shows.
+func TestKVCacheTruncateAfterInPlaceAppend(t *testing.T) {
+	const w = 4
+	row := func(x float32) *tensor.Tensor { return tensor.Full(x, 1, w) }
+	kc := NewKVCache(1, 1, w)
+	// A fetched history: 3 rows with a spare row of capacity.
+	hist := tensor.FromSlice(make([]float32, 3*w, 4*w), 3, w)
+	for i := range hist.Data() {
+		hist.Data()[i] = float32(i / w)
+	}
+	kc.SetKV(0, 0, hist, hist.Clone())
+	mark := kc.SeqLens()
+	for i := 0; i < 5; i++ {
+		kc.Append(0, 0, row(float32(10+i)), row(float32(20+i)))
+	}
+	grown := kc.Keys(0, 0)
+	kc.TruncateTo(mark)
+	if kc.SeqLen(0, 0) != 3 || !kc.Keys(0, 0).Equal(hist) {
+		t.Fatalf("truncated keys = %v, want the 3 fetched rows", kc.Keys(0, 0).Data())
+	}
+	kc.Append(0, 0, row(99), row(99))
+	if got := grown.At(3, 0); got != 10 {
+		t.Fatalf("append after rollback overwrote a pre-rollback view: row 3 = %g, want 10", got)
+	}
+	if got := kc.Keys(0, 0).At(3, 0); got != 99 || kc.SeqLen(0, 0) != 4 {
+		t.Fatalf("re-appended row = %g (%d rows), want 99 (4 rows)", got, kc.SeqLen(0, 0))
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Tiny()
 	m1, err := NewModel(rand.New(rand.NewSource(42)), cfg)

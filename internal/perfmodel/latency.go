@@ -52,9 +52,6 @@ func (e *Estimator) Parts() StepParts {
 		p.GPUCompute += attnFlops / g.Flops
 	}
 
-	// Fused quantized-domain kernels dequantize inside the matmul, so their
-	// surviving arithmetic belongs to the compute resource, not GPUQuant.
-	p.GPUCompute += e.fusedDequanWork()
 	p.GPUQuant = e.gpuQuantWorkPerLayerToken()
 	return p
 }

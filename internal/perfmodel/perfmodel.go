@@ -145,15 +145,6 @@ type ExecProfile struct {
 	// FlexGen's unfused kernel chain, larger for fused implementations
 	// (DeepSpeed's 4-bit kernels).
 	QuantKernelScale float64
-	// FusedQuantKernels models a runtime whose matmuls consume packed
-	// quantized operands directly (the QuantKernels exec policy): the
-	// standalone weight and old-KV dequantization passes (Eqs. 16, 24)
-	// collapse — their PostProcess memory round-trips vanish because no
-	// float32 tensor is ever materialized — and only their Normalize
-	// arithmetic survives, folded into the compute term where the fused
-	// kernel performs it per cache-blocked tile. New-KV quantization
-	// (Eq. 7) is unaffected: the store side still compresses fresh rows.
-	FusedQuantKernels bool
 	// LinkEff is the achieved fraction of the interconnect's per-direction
 	// bandwidth (pageable vs pinned buffers, transfer granularity).
 	LinkEff float64

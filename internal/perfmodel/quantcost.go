@@ -71,9 +71,7 @@ func (e *Estimator) QuanPfWgt() QuantCost {
 // the pass repeats once per GPU batch in the block (FlexGen decompresses at
 // use); DequanWgtPerToken applies that multiplier.
 func (e *Estimator) DequanWgt() QuantCost {
-	if !e.Strat.QuantWeights || e.Exec.FusedQuantKernels {
-		// Fused kernels never run a standalone weight dequantization pass;
-		// the surviving arithmetic is accounted by fusedDequanWork.
+	if !e.Strat.QuantWeights {
 		return QuantCost{}
 	}
 	elems := e.weightElemsCompressed()
@@ -133,9 +131,7 @@ func (e *Estimator) QuanNewCache() QuantCost {
 // DequanOldCache models Eq. 24: dequantizing the uploaded old KV cache of
 // one layer (per-token average size, Eq. 18), added to load_cache by Eq. 6.
 func (e *Estimator) DequanOldCache() QuantCost {
-	if !e.Strat.QuantKV || e.Strat.AttnOnCPU || e.Exec.FusedQuantKernels {
-		// Under fused kernels the uploaded KV history stays packed and is
-		// dequantized per tile inside attention (see fusedDequanWork).
+	if !e.Strat.QuantKV || e.Strat.AttnOnCPU {
 		return QuantCost{}
 	}
 	bytes := e.oldKVBytesAvg() * (1 - e.Strat.CacheGPUPct)
@@ -145,33 +141,6 @@ func (e *Estimator) DequanOldCache() QuantCost {
 		Normalize:   elems / e.gpuQuantRate(),
 		PostProcess: bytes / g.MemBandwidth,
 	}
-}
-
-// fusedDequanWork is the per-layer, per-token dequantization arithmetic that
-// the fused quantized-domain kernels absorb into the compute term when
-// Exec.FusedQuantKernels is set: the Normalize phase (Eqs. 14/22 work) of the
-// collapsed weight and old-KV passes, now performed per cache-blocked tile
-// inside the matmul. The PostProcess memory round-trips of Eqs. 16/24 vanish
-// entirely — no float32 tensor is materialized. Weight work repeats per GPU
-// batch unless the runtime caches across batches (the same multiplier
-// DequanWgtPerToken applies to the unfused pass).
-func (e *Estimator) fusedDequanWork() float64 {
-	if !e.Exec.FusedQuantKernels {
-		return 0
-	}
-	var w float64
-	if e.Strat.QuantWeights {
-		wgt := e.weightElemsCompressed() / e.gpuQuantRate()
-		if !e.Exec.CacheDequantWeights {
-			wgt *= float64(e.Work.NumBatches)
-		}
-		w += wgt
-	}
-	if e.Strat.QuantKV && !e.Strat.AttnOnCPU {
-		elems := e.oldKVBytesAvg() * (1 - e.Strat.CacheGPUPct) / float64(e.Mod.BytesPerElem)
-		w += elems / e.gpuQuantRate()
-	}
-	return w
 }
 
 // gpuQuantWorkPerLayerToken is the total GPU-side (de)quantization time one

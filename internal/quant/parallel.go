@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -85,35 +86,36 @@ func QuantizeParallel(pool *threadpool.Pool, width int, t *tensor.Tensor, cfg Co
 	return q, nil
 }
 
-// DequantizeParallel reverses QuantizeParallel over the pool. Groups write
-// disjoint float32 output spans, but with a non-byte-aligned config
-// (AlignedForParallel() == false, e.g. Bits=3/GroupSize=10) adjacent groups
-// read shared packed bytes; like QuantizeParallel, those configs fall back
-// to the serial kernel, which is bit-exact with the parallel one.
+// DequantizeParallel reverses QuantizeParallel over the pool into a fresh
+// tensor; see DequantizeInto.
 func DequantizeParallel(pool *threadpool.Pool, width int, q *Tensor) *tensor.Tensor {
-	if pool == nil || width <= 1 || !q.cfg.AlignedForParallel() {
-		return Dequantize(q)
+	out := make([]float32, q.numel)
+	DequantizeInto(pool, width, out, q)
+	return tensor.FromSlice(out, q.shape...)
+}
+
+// parallelMinGroups is the smallest group count DequantizeInto spreads over
+// the pool: below it the fork-join costs more than the groups take to
+// dequantize serially (a one-row KV chunk of the Small model is 2 groups).
+const parallelMinGroups = 64
+
+// DequantizeInto writes q's reconstruction (Eq. 11) into dst, which must
+// hold exactly q's element count — the allocation-free form for staging
+// many tensors into one buffer. Groups write disjoint spans of dst, but with
+// a non-byte-aligned config (AlignedForParallel() == false, e.g.
+// Bits=3/GroupSize=10) adjacent groups read shared packed bytes; like
+// QuantizeParallel, those configs run the serial kernel, which is bit-exact
+// with the parallel one, as do tensors under parallelMinGroups groups.
+func DequantizeInto(pool *threadpool.Pool, width int, dst []float32, q *Tensor) {
+	if len(dst) != q.numel {
+		panic(fmt.Sprintf("quant: DequantizeInto destination holds %d elements, tensor has %d", len(dst), q.numel))
 	}
-	out := make([]float32, q.padded)
-	levels := float32(int(1)<<q.cfg.Bits - 1)
-	pool.ParallelRange(len(q.mins), width, func(lo, hi int) {
-		codes := make([]uint8, q.cfg.GroupSize)
-		for g := lo; g < hi; g++ {
-			unpackBits(q.packed, g*q.cfg.GroupSize, codes, q.cfg.Bits)
-			mn, scale := q.mins[g], q.scales[g]
-			dst := out[g*q.cfg.GroupSize : (g+1)*q.cfg.GroupSize]
-			if scale == 0 {
-				for i := range dst {
-					dst[i] = mn
-				}
-				continue
-			}
-			for i, c := range codes {
-				dst[i] = float32(c)/levels*scale + mn
-			}
-		}
-	})
-	return tensor.FromSlice(out[:q.numel], q.shape...)
+	groups := len(q.mins)
+	if pool == nil || width <= 1 || !q.cfg.AlignedForParallel() || groups < parallelMinGroups {
+		q.dequantGroups(dst, 0, groups)
+		return
+	}
+	pool.ParallelRange(groups, width, func(lo, hi int) { q.dequantGroups(dst, lo, hi) })
 }
 
 // AlignedForParallel reports whether cfg's packed group span is

@@ -11,7 +11,6 @@
 package quant
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -60,20 +59,30 @@ type Tensor struct {
 	crc    uint32    // CRC-32 (IEEE) over packed codes and group metadata
 }
 
-// checksum hashes the packed codes and the per-group dequantization
-// parameters. CRC-32 detects every burst error up to 32 bits, so any
-// single-byte corruption of the payload is caught.
+// checksum hashes the packed codes, then each group's min and scale as
+// little-endian IEEE-754 words, interleaved group by group. The codes go
+// through crc32.Update in one call; the interleaved words are folded into
+// the same CRC straight from the slices, with no per-float hash write and
+// no staging buffer (one would escape to the heap through crc32.Update).
+// CRC-32 detects every burst error up to 32 bits, so any single-byte
+// corruption of the payload is caught.
 func (q *Tensor) checksum() uint32 {
-	h := crc32.NewIEEE()
-	h.Write(q.packed)
-	var buf [4]byte
+	crc := ^crc32.Update(0, crc32.IEEETable, q.packed)
 	for i := range q.mins {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(q.mins[i]))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(q.scales[i]))
-		h.Write(buf[:])
+		crc = crcWord(crc, math.Float32bits(q.mins[i]))
+		crc = crcWord(crc, math.Float32bits(q.scales[i]))
 	}
-	return h.Sum32()
+	return ^crc
+}
+
+// crcWord folds the four little-endian bytes of w into a running IEEE CRC
+// held in its inverted form (crc32.Update's register between calls).
+func crcWord(crc, w uint32) uint32 {
+	for i := 0; i < 4; i++ {
+		crc = crc32.IEEETable[byte(crc)^byte(w)] ^ crc>>8
+		w >>= 8
+	}
+	return crc
 }
 
 // seal records the tensor's checksum; called once at quantization time.
@@ -246,24 +255,37 @@ func Quantize(t *tensor.Tensor, cfg Config) (*Tensor, error) {
 // Dequantize reconstructs a float32 tensor from q (Eq. 11). The padding tail
 // is dropped so the result has the original shape.
 func Dequantize(q *Tensor) *tensor.Tensor {
-	out := make([]float32, q.padded)
+	out := make([]float32, q.numel)
+	q.dequantGroups(out, 0, len(q.mins))
+	return tensor.FromSlice(out, q.shape...)
+}
+
+// dequantGroups reconstructs groups [lo, hi) into dst, which holds the
+// tensor's unpadded elements; the padding tail of the last group is
+// dropped. Codes unpack through a stack buffer, so it allocates nothing.
+func (q *Tensor) dequantGroups(dst []float32, lo, hi int) {
 	levels := float32(int(1)<<q.cfg.Bits - 1)
-	codes := make([]uint8, q.cfg.GroupSize)
-	for g := 0; g < len(q.mins); g++ {
-		unpackBits(q.packed, g*q.cfg.GroupSize, codes, q.cfg.Bits)
+	var codes [256]uint8
+	gs := q.cfg.GroupSize
+	for g := lo; g < hi; g++ {
+		start := g * gs
+		out := dst[start:min(start+gs, len(dst))]
 		mn, scale := q.mins[g], q.scales[g]
-		dst := out[g*q.cfg.GroupSize : (g+1)*q.cfg.GroupSize]
 		if scale == 0 {
-			for i := range dst {
-				dst[i] = mn
+			for i := range out {
+				out[i] = mn
 			}
 			continue
 		}
-		for i, c := range codes {
-			dst[i] = float32(c)/levels*scale + mn
+		for off := 0; off < len(out); off += len(codes) {
+			seg := out[off:min(off+len(codes), len(out))]
+			c := codes[:len(seg)]
+			unpackBits(q.packed, start+off, c, q.cfg.Bits)
+			for i, code := range c {
+				seg[i] = float32(code)/levels*scale + mn
+			}
 		}
 	}
-	return tensor.FromSlice(out[:q.numel], q.shape...)
 }
 
 // packBits writes codes (each < 2^bits) starting at element index start of

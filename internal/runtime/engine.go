@@ -63,15 +63,6 @@ type Policy struct {
 	// A step exceeding it is cancelled, rolled back, and retried — possibly
 	// under a degraded policy. Zero disables the deadline.
 	StepTimeout time.Duration
-	// QuantKernels routes quantized operands through the fused
-	// quantized-domain kernels: streamed weights compute via tensor.MatMulQ
-	// on their packed blocks and quantized KV history attends via the packed
-	// attention path, dequantizing per cache-blocked tile instead of
-	// materializing float32 copies. Outputs are bit-identical to the
-	// dequantize-first path, so the toggle is numerics-safe and
-	// hot-swappable (part of ExecPolicy). A no-op when neither weights nor
-	// KV are quantized.
-	QuantKernels bool
 }
 
 // Validate reports inconsistent policies.
@@ -757,9 +748,7 @@ func (e *Engine) loadLayerOnce(ctx context.Context, j int) (out loadedLayer) {
 			return loadedLayer{err: err}
 		}
 		lw := e.loadWeightsTraced(j)
-		if !e.policy.QuantKernels {
-			e.stats.addOps(0, 6)
-		}
+		e.stats.addOps(0, 6)
 		return loadedLayer{weights: lw, resident: scratch}
 	}
 	t0 := time.Now()
@@ -773,7 +762,7 @@ func (e *Engine) loadLayerOnce(ctx context.Context, j int) (out loadedLayer) {
 	}
 	e.stats.addBytes(&e.stats.WeightUpBytes, e.weights.TransferBytes(j))
 	lw := e.loadWeightsTraced(j)
-	if e.weights.Quantized() && !e.policy.QuantKernels {
+	if e.weights.Quantized() {
 		e.stats.addOps(0, 6) // six matrices dequantized
 	}
 	return loadedLayer{weights: lw, resident: resident}
@@ -781,14 +770,8 @@ func (e *Engine) loadLayerOnce(ctx context.Context, j int) (out loadedLayer) {
 
 // loadWeightsTraced materializes layer j's weights, recording the Eq. 12–16
 // dequantization as a dequant_weight span (nested in the enclosing
-// load_weight span) when the store is quantized and tracing is on. Under
-// the QuantKernels policy the packed blocks are staged as-is for the fused
-// kernels: no dequantization happens, so no span is recorded and the model
-// folds the work into the compute term instead.
+// load_weight span) when the store is quantized and tracing is on.
 func (e *Engine) loadWeightsTraced(j int) *model.LayerWeights {
-	if e.policy.QuantKernels && e.weights.Quantized() {
-		return e.weights.LoadPacked(j)
-	}
 	rec := e.tracer.Load()
 	if rec == nil || !e.weights.Quantized() {
 		return e.weights.Load(j)
@@ -939,31 +922,6 @@ func (e *Engine) loadCacheOnce(ctx context.Context, kvStore *KVStore, j, seqBase
 	out = fetchedKV{cache: model.NewKVCache(cfg.Layers, seqBase+batch, cfg.Hidden)}
 	if err := e.stallOrFail(ctx, faults.KVTransfer); err != nil {
 		out.err = err
-		return out
-	}
-	if e.policy.QuantKernels {
-		// Fused path: quantized chunks stage as packed views for the
-		// quantized-domain attention kernels — verified but never
-		// dequantized, so there is no dequant_kv span to record. The arena
-		// charge stays in dequantized-equivalent terms so admission
-		// estimates and peak tracking are invariant under the toggle.
-		for s := 0; s < batch; s++ {
-			chunks, rows, bytes, err := kvStore.FetchPacked(j, seqBase+s)
-			e.stats.addBytes(&e.stats.KVUpBytes, bytes)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			if rows > 0 {
-				kb := int64(rows) * int64(cfg.Hidden) * 4 * 2
-				if err := e.allocGPU(kb); err != nil {
-					out.err = err
-					return out
-				}
-				out.fetched += kb
-				out.cache.SetPacked(j, seqBase+s, chunks)
-			}
-		}
 		return out
 	}
 	// The dequant_kv span (Eqs. 12–16 applied to the old cache) carries only

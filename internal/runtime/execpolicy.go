@@ -22,10 +22,6 @@ type ExecPolicy struct {
 	Prefetch bool
 	// StepTimeout bounds each generation step (zero disables the deadline).
 	StepTimeout time.Duration
-	// QuantKernels selects the fused quantized-domain kernels for packed
-	// operands. Bit-identical outputs make it numerics-safe to flip between
-	// steps; it is included here so the adapt loop can A/B it online.
-	QuantKernels bool
 }
 
 // Validate reports malformed exec policies.
@@ -45,11 +41,10 @@ func (p ExecPolicy) Validate() error {
 // ExecPolicy returns the swappable subset of the engine's current policy.
 func (e *Engine) ExecPolicy() ExecPolicy {
 	return ExecPolicy{
-		IntraOp:      e.policy.IntraOp,
-		InterOp:      e.policy.InterOp,
-		Prefetch:     e.policy.Prefetch,
-		StepTimeout:  e.policy.StepTimeout,
-		QuantKernels: e.policy.QuantKernels,
+		IntraOp:     e.policy.IntraOp,
+		InterOp:     e.policy.InterOp,
+		Prefetch:    e.policy.Prefetch,
+		StepTimeout: e.policy.StepTimeout,
 	}
 }
 
@@ -67,7 +62,6 @@ func (e *Engine) ApplyExecPolicy(p ExecPolicy) error {
 	e.policy.InterOp = p.InterOp
 	e.policy.Prefetch = p.Prefetch
 	e.policy.StepTimeout = p.StepTimeout
-	e.policy.QuantKernels = p.QuantKernels
 	// The weight store dequantizes with its own cached width; keep it in
 	// lockstep with the compute operators.
 	e.weights.UsePool(e.pool, p.IntraOp)

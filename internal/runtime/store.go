@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 	"math"
 	"sync"
-
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/model"
@@ -124,35 +124,6 @@ func (ws *WeightStore) Load(i int) *model.LayerWeights {
 	return out
 }
 
-// LoadPacked materializes layer i for the fused quantized-domain kernels:
-// instead of dequantizing, the six matrices come back as packed views that
-// tensor.MatMulQ consumes tile by tile, so no float32 copy of the weights
-// is ever built. Falls back to Load when the store is not quantized (raw
-// and f16 stores have no packed form). The views alias the host payload,
-// which is immutable once ingested.
-func (ws *WeightStore) LoadPacked(i int) *model.LayerWeights {
-	if !ws.quantized {
-		return ws.Load(i)
-	}
-	src := ws.layers[i]
-	out := &model.LayerWeights{
-		LN1Gain: src.LN1Gain,
-		LN2Gain: src.LN2Gain,
-	}
-	dst := []**tensor.QMat{&out.QWQ, &out.QWK, &out.QWV, &out.QWO, &out.QW1, &out.QW2}
-	for j, q := range ws.packed[i] {
-		qm, err := q.QMat()
-		if err != nil {
-			// Weights are always rank-2; a failure here is a programming
-			// error and surfaces through the load path's panic recovery.
-			panic(err)
-		}
-		view := qm
-		*dst[j] = &view
-	}
-	return out
-}
-
 // NumLayers returns the layer count.
 func (ws *WeightStore) NumLayers() int { return len(ws.layers) }
 
@@ -168,17 +139,41 @@ type kvChunk struct {
 	crc    uint32
 }
 
-// floatsCRC hashes float32 payloads by their IEEE-754 bit patterns.
+// floatsCRC hashes float32 payloads by their little-endian IEEE-754 bit
+// patterns, one crc32.Update per payload.
 func floatsCRC(payloads ...[]float32) uint32 {
-	h := crc32.NewIEEE()
-	var buf [4]byte
+	var crc uint32
 	for _, xs := range payloads {
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(x))
-			h.Write(buf[:])
-		}
+		crc = crc32.Update(crc, crc32.IEEETable, leBytes(xs))
 	}
-	return h.Sum32()
+	return crc
+}
+
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// leBytes returns the little-endian encoding of xs: a view of its memory on
+// little-endian hosts, a copy elsewhere.
+func leBytes(xs []float32) []byte {
+	if littleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
+	}
+	b := make([]byte, 0, 4*len(xs))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	return b
+}
+
+// shape returns the chunk's [rows, cols].
+func (c kvChunk) shape() []int {
+	switch {
+	case c.qk != nil:
+		return c.qk.Shape()
+	case c.hk != nil:
+		return c.hk.Shape()
+	default:
+		return c.k.Shape()
+	}
 }
 
 func (c kvChunk) transferBytes() int64 {
@@ -332,125 +327,90 @@ func (st *KVStore) Fetch(layer, seq int) (k, v *tensor.Tensor, bytes int64, err 
 }
 
 // FetchTimed is Fetch that also reports the time spent purely inside the
-// dequantization kernels, excluding checksum verification, concatenation,
-// and every other staging overhead — the number the engine's dequant_kv
-// span must carry so trace attribution does not over-credit dequantization.
+// dequantization kernels, excluding checksum verification, copying, and
+// every other staging overhead — the number the engine's dequant_kv span
+// must carry so trace attribution does not over-credit dequantization.
+//
+// The history is staged in one pass: K and V each get one destination sized
+// from the chunks' row counts, and every chunk is verified and copied or
+// dequantized straight into its row range, so a fetch costs O(rows) however
+// many chunks the slot holds. Each destination has one spare row of
+// capacity, which the decode step's KV append fills in place (see
+// tensor.AppendRows); byte counts and arena charges see only the rows.
 func (st *KVStore) FetchTimed(layer, seq int) (k, v *tensor.Tensor, bytes int64, dequant time.Duration, err error) {
 	// Snapshot the chunk list under the read lock; chunks themselves are
 	// immutable once appended, so materialization proceeds unlocked.
 	st.mu.RLock()
 	chunks := st.chunks[layer][seq]
 	st.mu.RUnlock()
-	var ks, vs *tensor.Tensor
+	if len(chunks) == 0 {
+		return nil, nil, 0, 0, nil
+	}
+	rows, cols := 0, chunks[0].shape()[1]
+	for ci, c := range chunks {
+		if w := c.shape()[1]; w != cols {
+			return nil, nil, 0, 0, fmt.Errorf("runtime: KV chunk %d of (layer %d, seq %d) is %d wide, want %d", ci, layer, seq, w, cols)
+		}
+		rows += c.shape()[0]
+	}
+	kd := make([]float32, rows*cols, (rows+1)*cols)
+	vd := make([]float32, rows*cols, (rows+1)*cols)
+	off := 0
 	for ci, c := range chunks {
 		bytes += c.transferBytes()
-		ck, cv, d, cerr := st.materialize(c)
+		n := c.shape()[0] * cols
+		d, cerr := st.materialize(c, kd[off:off+n], vd[off:off+n])
 		dequant += d
 		if cerr != nil {
 			return nil, nil, bytes, dequant, fmt.Errorf("runtime: KV chunk %d of (layer %d, seq %d): %w", ci, layer, seq, cerr)
 		}
-		if ks == nil {
-			ks, vs = ck, cv
-			continue
-		}
-		ks = tensor.ConcatRows(ks, ck)
-		vs = tensor.ConcatRows(vs, cv)
+		off += n
 	}
-	return ks, vs, bytes, dequant, nil
+	return tensor.FromSlice(kd, rows, cols), tensor.FromSlice(vd, rows, cols), bytes, dequant, nil
 }
 
-// FetchPacked reconstructs (layer, seq)'s chunk list for the fused
-// quantized-domain attention path: quantized chunks come back as verified
-// packed views — checksummed exactly like Fetch, but never dequantized —
-// while raw and f16 chunks are materialized to float32. rows is the total
-// staged token count and bytes the same transfer charge Fetch reports. The
-// packed views alias the host payload (immutable once appended); they stay
-// valid for the compute batch that staged them.
-func (st *KVStore) FetchPacked(layer, seq int) (chunks []model.PackedKV, rows int, bytes int64, err error) {
-	st.mu.RLock()
-	list := st.chunks[layer][seq]
-	st.mu.RUnlock()
-	for ci, c := range list {
-		bytes += c.transferBytes()
-		if c.qk == nil {
-			ck, cv, _, cerr := st.materialize(c)
-			if cerr != nil {
-				return nil, 0, bytes, fmt.Errorf("runtime: KV chunk %d of (layer %d, seq %d): %w", ci, layer, seq, cerr)
-			}
-			chunks = append(chunks, model.PackedKV{RawK: ck, RawV: cv})
-			rows += ck.Dim(0)
-			continue
-		}
-		qk, qv := c.qk, c.qv
-		if st.inj.ShouldCorrupt(faults.KVCorruption) {
-			qk = qk.Clone()
-			qk.Corrupt(1, 0x10)
-		}
-		if verr := qk.Verify(); verr != nil {
-			return nil, 0, bytes, fmt.Errorf("runtime: KV chunk %d of (layer %d, seq %d): %w", ci, layer, seq, wrapCorruption(qk != c.qk, verr))
-		}
-		if verr := qv.Verify(); verr != nil {
-			return nil, 0, bytes, fmt.Errorf("runtime: KV chunk %d of (layer %d, seq %d): %w", ci, layer, seq, wrapCorruption(false, verr))
-		}
-		km, kerr := c.qk.QMat()
-		if kerr != nil {
-			return nil, 0, bytes, kerr
-		}
-		vm, verr2 := c.qv.QMat()
-		if verr2 != nil {
-			return nil, 0, bytes, verr2
-		}
-		chunks = append(chunks, model.PackedKV{K: &km, V: &vm})
-		rows += km.Rows
-	}
-	return chunks, rows, bytes, nil
-}
-
-// materialize reconstructs one chunk's float32 tensors, modeling the
-// host-to-device transfer: the injector may corrupt the in-flight copy, and
-// the chunk's checksum is verified on arrival. The returned tensors never
-// alias the stored payload. The duration covers only the dequantization
-// kernels (zero for raw and f16 chunks).
-func (st *KVStore) materialize(c kvChunk) (*tensor.Tensor, *tensor.Tensor, time.Duration, error) {
+// materialize reconstructs one chunk's float32 rows into dk and dv,
+// modeling the host-to-device transfer: the injector may corrupt the
+// in-flight copy, and the chunk's checksum is verified on arrival. The
+// stored payload is never modified. The duration covers only the
+// dequantization kernels (zero for raw and f16 chunks).
+func (st *KVStore) materialize(c kvChunk, dk, dv []float32) (time.Duration, error) {
 	corrupt := st.inj.ShouldCorrupt(faults.KVCorruption)
-	switch {
-	case c.qk != nil:
+	if c.qk != nil {
 		qk, qv := c.qk, c.qv
 		if corrupt {
 			qk = qk.Clone()
 			qk.Corrupt(1, 0x10)
 		}
 		if err := qk.Verify(); err != nil {
-			return nil, nil, 0, wrapCorruption(corrupt, err)
+			return 0, wrapCorruption(corrupt, err)
 		}
 		if err := qv.Verify(); err != nil {
-			return nil, nil, 0, wrapCorruption(corrupt, err)
+			return 0, wrapCorruption(corrupt, err)
 		}
 		t0 := time.Now()
-		dk := quant.DequantizeParallel(st.pool, st.width, qk)
-		dv := quant.DequantizeParallel(st.pool, st.width, qv)
-		return dk, dv, time.Since(t0), nil
-	case c.hk != nil:
-		ck, cv := c.hk.ToFloat32(), c.hv.ToFloat32()
-		if corrupt && ck.Numel() > 0 {
-			ck.Data()[0] += 1 // in-flight bit flip on the staged copy
-		}
-		if got := floatsCRC(ck.Data(), cv.Data()); got != c.crc {
-			return nil, nil, 0, wrapCorruption(corrupt,
-				fmt.Errorf("runtime: KV checksum mismatch (stored %08x, computed %08x)", c.crc, got))
-		}
-		return ck, cv, 0, nil
-	default:
-		ck, cv := c.k.Clone(), c.v.Clone()
-		if corrupt && ck.Numel() > 0 {
-			ck.Data()[0] += 1
-		}
-		if got := floatsCRC(ck.Data(), cv.Data()); got != c.crc {
-			return nil, nil, 0, wrapCorruption(corrupt,
-				fmt.Errorf("runtime: KV checksum mismatch (stored %08x, computed %08x)", c.crc, got))
-		}
-		return ck, cv, 0, nil
+		quant.DequantizeInto(st.pool, st.width, dk, qk)
+		quant.DequantizeInto(st.pool, st.width, dv, qv)
+		return time.Since(t0), nil
 	}
+	if c.hk != nil {
+		c.hk.DecodeInto(dk)
+		c.hv.DecodeInto(dv)
+	} else {
+		copy(dk, c.k.Data())
+		copy(dv, c.v.Data())
+	}
+	if corrupt {
+		// In-flight bit flip on the staged copy. Flipping a bit of the
+		// encoding (not adding to the value) changes every float, NaN, ±Inf
+		// and |x| ≥ 2^24 included, so the checksum always sees it.
+		dk[0] = math.Float32frombits(math.Float32bits(dk[0]) ^ 0x10)
+	}
+	if got := floatsCRC(dk, dv); got != c.crc {
+		return 0, wrapCorruption(corrupt,
+			fmt.Errorf("runtime: KV checksum mismatch (stored %08x, computed %08x)", c.crc, got))
+	}
+	return 0, nil
 }
 
 // wrapCorruption tags a checksum failure caused by injected corruption as a
@@ -522,14 +482,7 @@ func (st *KVStore) SeqLen(layer, seq int) int {
 	defer st.mu.RUnlock()
 	n := 0
 	for _, c := range st.chunks[layer][seq] {
-		switch {
-		case c.qk != nil:
-			n += c.qk.Shape()[0]
-		case c.hk != nil:
-			n += c.hk.Shape()[0]
-		default:
-			n += c.k.Dim(0)
-		}
+		n += c.shape()[0]
 	}
 	return n
 }

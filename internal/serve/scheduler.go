@@ -1279,8 +1279,10 @@ func (s *Scheduler) deliver(p *pending, tok int) {
 		delete(s.running, p.slot)
 		s.noteActive(p, -1)
 		s.traceEvent(xtrace.TaskRetire, xtrace.At(-1, -1, p.slot))
-		p.stream.finish(nil)
 		s.eng.Stats().RecordCompletion(p.tpot())
 		s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Completed++ })
+		// Finish last, so a caller woken by Wait already sees the
+		// completion in Metrics.
+		p.stream.finish(nil)
 	}
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // IEEE 754 binary16 support. The paper's deployment precision is FP16;
 // the functional runtime stores offloaded tensors as half-precision words so
@@ -112,10 +115,19 @@ func ToF16(t *Tensor) *F16Slice {
 // ToFloat32 expands back to a float32 tensor (with FP16 rounding applied).
 func (s *F16Slice) ToFloat32() *Tensor {
 	out := New(s.shape...)
-	for i, h := range s.data {
-		out.Data()[i] = h.Float32()
-	}
+	s.DecodeInto(out.data)
 	return out
+}
+
+// DecodeInto expands the half-precision words into dst, which must hold
+// exactly Numel elements.
+func (s *F16Slice) DecodeInto(dst []float32) {
+	if len(dst) != len(s.data) {
+		panic(fmt.Sprintf("tensor: DecodeInto destination holds %d elements, slice has %d", len(dst), len(s.data)))
+	}
+	for i, h := range s.data {
+		dst[i] = h.Float32()
+	}
 }
 
 // Bytes returns the packed size (2 bytes per element).

@@ -161,6 +161,22 @@ func ConcatRows(a, b *Tensor) *Tensor {
 	return out
 }
 
+// AppendRows appends b's rows to the rank-2 tensor a and returns the grown
+// tensor, with the built-in append's semantics: the result shares a's
+// storage when a has spare capacity and is a fresh copy otherwise. The rows
+// visible through a never change. Only a's owner may append to it — two
+// appends onto the same a would write the same spare rows. A nil a yields a
+// copy of b.
+func AppendRows(a, b *Tensor) *Tensor {
+	if a == nil {
+		return b.Clone()
+	}
+	if a.Rank() != 2 || b.Rank() != 2 || a.Dim(1) != b.Dim(1) {
+		panic(fmt.Sprintf("tensor: AppendRows shapes %v and %v incompatible", a.Shape(), b.Shape()))
+	}
+	return &Tensor{data: append(a.data, b.data...), shape: []int{a.Dim(0) + b.Dim(0), a.Dim(1)}}
+}
+
 // ArgmaxRows returns, for each row of an m×n tensor, the column index of the
 // maximum value — greedy decoding over logits.
 func ArgmaxRows(t *Tensor) []int {

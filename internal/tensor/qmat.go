@@ -10,14 +10,14 @@ import (
 // quantized form of internal/quant (Eq. 10/11): bit-packed codes over the
 // flat row-major element stream, with per-group min and scale. It lives in
 // this package — rather than quant, which imports tensor — so the fused
-// kernels below can consume packed blocks directly without an import cycle.
+// kernel MatMulQ can consume packed blocks directly without an import cycle.
 //
-// The fused kernels dequantize per cache-blocked tile into a small scratch
-// panel instead of materializing the whole float32 matrix, and are
-// bit-identical to dequantize-then-MatMul on the same packed payload: they
-// use the exact Eq. 11 arithmetic per element, accumulate each output in a
-// single register/slot in ascending inner-dimension order, and preserve the
-// reference kernels' zero-skip semantics (see skipFlags).
+// MatMulQ dequantizes per cache-blocked tile into a small scratch panel
+// instead of materializing the whole float32 matrix, and is bit-identical
+// to dequantize-then-MatMul on the same packed payload: it uses the exact
+// Eq. 11 arithmetic per element, accumulates each output in a single
+// register/slot in ascending inner-dimension order, and preserves the
+// reference kernel's zero-skip semantics (see skipFlags).
 type QMat struct {
 	Packed    []byte    // bit-packed codes, Bits per element, flat row-major
 	Mins      []float32 // per-group minimum
@@ -159,164 +159,4 @@ func MatMulQ(pool *threadpool.Pool, width int, a *Tensor, b QMat) *Tensor {
 	}
 	pool.ParallelRange(numJT, width, kernel)
 	return c
-}
-
-// MatMulQT computes C = A·Bᵀ where B is packed (n×k) — the attention-score
-// layout with both operands stored row-major per token. Bit-identical to
-// MatMulT against the dequantized B.
-func MatMulQT(pool *threadpool.Pool, width int, a *Tensor, b QMat) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulQT on rank %d, want 2", a.Rank()))
-	}
-	if b.Cols != a.Dim(1) {
-		panic(fmt.Sprintf("tensor: MatMulQT inner dimensions %d and %d differ", a.Dim(1), b.Cols))
-	}
-	c := New(a.Dim(0), b.Rows)
-	MatMulQTSegInto(pool, width, a, b, 0, c, 0)
-	return c
-}
-
-// MatMulQTSegInto computes the score segment C[i, colBase+j] = A_i · B_j
-// over the column window [off, off+w) of packed B's rows, where w is A's
-// width — the per-head Q·Kᵀ against one packed KV chunk, written into its
-// column range of the full score matrix. Each worker dequantizes its B-row
-// segments into a w-length scratch; the dot product accumulates ascending
-// in a single register exactly like MatMulT.
-func MatMulQTSegInto(pool *threadpool.Pool, width int, a *Tensor, b QMat, off int, c *Tensor, colBase int) {
-	b.check()
-	m, w := a.Dim(0), a.Dim(1)
-	if off < 0 || off+w > b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulQTSegInto window [%d,%d) outside %d columns", off, off+w, b.Cols))
-	}
-	cn := c.Dim(1)
-	if c.Dim(0) != m || colBase < 0 || colBase+b.Rows > cn {
-		panic(fmt.Sprintf("tensor: MatMulQTSegInto destination %v cannot hold %d rows at column %d", c.Shape(), b.Rows, colBase))
-	}
-	kernel := func(lo, hi int) {
-		buf := make([]float32, w)
-		for j := lo; j < hi; j++ {
-			b.dequantFlat(buf, j*b.Cols+off, w)
-			for i := 0; i < m; i++ {
-				arow := a.data[i*w : (i+1)*w]
-				var sum float32
-				for p := range arow {
-					sum += arow[p] * buf[p]
-				}
-				c.data[i*cn+colBase+j] = sum
-			}
-		}
-	}
-	if pool == nil || width <= 1 {
-		kernel(0, b.Rows)
-		return
-	}
-	pool.ParallelRange(b.Rows, width, kernel)
-}
-
-// MatMulQSegAcc accumulates C += A[:, aLo:aLo+b.Rows] · B[:, off:off+w]
-// where B is packed and w = C's width — the probs·V leg of fused attention:
-// one packed KV chunk contributes its segment of the probability columns
-// into the context accumulator. Calls over consecutive [aLo, aLo+rows)
-// windows in ascending order reproduce the monolithic reference matmul
-// bit-for-bit, because each C element still accumulates in ascending global
-// p order with the reference's skip semantics.
-func MatMulQSegAcc(pool *threadpool.Pool, width int, a *Tensor, aLo int, b QMat, off int, c *Tensor) {
-	b.check()
-	m, t := a.Dim(0), a.Dim(1)
-	rows := b.Rows
-	if aLo < 0 || aLo+rows > t {
-		panic(fmt.Sprintf("tensor: MatMulQSegAcc window [%d,%d) outside %d columns", aLo, aLo+rows, t))
-	}
-	w := c.Dim(1)
-	if c.Dim(0) != m || off < 0 || off+w > b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulQSegAcc segment [%d,%d) outside %d columns", off, off+w, b.Cols))
-	}
-	// The skip gate scans all of A (the full probability matrix), matching
-	// the reference kernel's scan domain so the two paths skip identically.
-	az := hasZero(a.data)
-	kc := TileFor(rows, w).KC
-	kernel := func(lo, hi int) {
-		panel := make([]float32, kc*w)
-		var flags []bool
-		if az {
-			flags = make([]bool, kc)
-		}
-		for plo := 0; plo < rows; plo += kc {
-			phi := plo + kc
-			if phi > rows {
-				phi = rows
-			}
-			for p := plo; p < phi; p++ {
-				row := panel[(p-plo)*w : (p-plo+1)*w]
-				b.dequantFlat(row, p*b.Cols+off, w)
-				if az {
-					flags[p-plo] = hasNonFinite(row)
-				}
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.data[i*t+aLo+plo : i*t+aLo+phi]
-				crow := c.data[i*w : (i+1)*w]
-				for pp, av := range arow {
-					if av == 0 && (flags == nil || !flags[pp]) {
-						continue
-					}
-					brow := panel[pp*w : (pp+1)*w]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-	if pool == nil || width <= 1 {
-		kernel(0, m)
-		return
-	}
-	pool.ParallelRange(m, width, kernel)
-}
-
-// MatMulSegAcc is MatMulQSegAcc's dense counterpart: C += A[:, aLo:aLo+r]·B
-// for a float32 B (r×w) — the raw (not yet offloaded) tail rows of a fused
-// attention step. It shares the reference kernel's skip semantics, with the
-// zero-scan over all of A.
-func MatMulSegAcc(pool *threadpool.Pool, width int, a *Tensor, aLo int, b, c *Tensor) {
-	m, t := a.Dim(0), a.Dim(1)
-	rows, w := b.Dim(0), b.Dim(1)
-	if aLo < 0 || aLo+rows > t {
-		panic(fmt.Sprintf("tensor: MatMulSegAcc window [%d,%d) outside %d columns", aLo, aLo+rows, t))
-	}
-	if c.Dim(0) != m || c.Dim(1) != w {
-		panic(fmt.Sprintf("tensor: MatMulSegAcc destination %v, want [%d %d]", c.Shape(), m, w))
-	}
-	var nf []bool
-	if hasZero(a.data) {
-		for p := 0; p < rows; p++ {
-			if hasNonFinite(b.data[p*w : (p+1)*w]) {
-				if nf == nil {
-					nf = make([]bool, rows)
-				}
-				nf[p] = true
-			}
-		}
-	}
-	kernel := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*t+aLo : i*t+aLo+rows]
-			crow := c.data[i*w : (i+1)*w]
-			for p, av := range arow {
-				if av == 0 && (nf == nil || !nf[p]) {
-					continue
-				}
-				brow := b.data[p*w : (p+1)*w]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-	if pool == nil || width <= 1 {
-		kernel(0, m)
-		return
-	}
-	pool.ParallelRange(m, width, kernel)
 }

@@ -1,4 +1,4 @@
-// Fused-vs-reference exactness: every quantized-domain kernel must be
+// Fused-vs-reference exactness: the quantized-domain kernel MatMulQ must be
 // bit-identical to dequantize-then-dense-matmul. The tests live in the
 // external test package so they can build real packed operands with
 // internal/quant (which imports tensor).
@@ -49,15 +49,6 @@ func identical(t *testing.T, label string, got, want *tensor.Tensor) {
 	}
 }
 
-func sliceColsT(t *tensor.Tensor, off, w int) *tensor.Tensor {
-	rows, cols := t.Dim(0), t.Dim(1)
-	out := tensor.New(rows, w)
-	for i := 0; i < rows; i++ {
-		copy(out.Row(i), t.Data()[i*cols+off:i*cols+off+w])
-	}
-	return out
-}
-
 // exactnessGrid is the ISSUE's matrix: group sizes {16, 64, 100} (100 is not
 // byte-aligned at 3 bits and forces padded tails) × A widths {1, 4}, at 3-,
 // 4- and 8-bit codes.
@@ -82,97 +73,6 @@ func TestMatMulQMatchesDequantReference(t *testing.T) {
 				got := tensor.MatMulQ(pool, w, a, qm)
 				identical(t, fmt.Sprintf("b%dg%d/MatMulQ", g.bits, g.group), got, want)
 			}
-		}
-	}
-}
-
-func TestMatMulQTMatchesDequantReference(t *testing.T) {
-	pool := threadpool.MustNew(4)
-	rng := rand.New(rand.NewSource(12))
-	for _, g := range exactnessGrid {
-		cfg := quant.Config{Bits: g.bits, GroupSize: g.group}
-		b := tensor.RandN(rng, 1.3, 31, 18) // packed [n, k]
-		qm, dq := qmatFor(t, b, cfg)
-		for _, m := range []int{1, 4} {
-			a := tensor.RandN(rng, 1.1, m, 18)
-			want := tensor.MatMulT(pool, 4, a, dq)
-			for _, w := range []int{1, 4} {
-				got := tensor.MatMulQT(pool, w, a, qm)
-				identical(t, fmt.Sprintf("b%dg%d/MatMulQT", g.bits, g.group), got, want)
-			}
-		}
-	}
-}
-
-// TestMatMulQTSegIntoWindow checks the head-slice path of fused attention:
-// scores for a column window [off, off+w) of the packed rows, written at a
-// column base of a wider destination, must match slicing the dequantized
-// chunk and running dense MatMulT.
-func TestMatMulQTSegIntoWindow(t *testing.T) {
-	pool := threadpool.MustNew(2)
-	rng := rand.New(rand.NewSource(13))
-	cfg := quant.Config{Bits: 4, GroupSize: 16}
-	b := tensor.RandN(rng, 1.2, 7, 24)
-	qm, dq := qmatFor(t, b, cfg)
-	const off, w, colBase = 8, 8, 3
-	a := tensor.RandN(rng, 1, 3, w)
-	want := tensor.MatMulT(pool, 2, a, sliceColsT(dq, off, w))
-	c := tensor.New(3, 7+colBase+2)
-	tensor.MatMulQTSegInto(pool, 2, a, qm, off, c, colBase)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 7; j++ {
-			if got, wv := c.At(i, colBase+j), want.At(i, j); math.Float32bits(got) != math.Float32bits(wv) {
-				t.Fatalf("c[%d,%d] = %g, want %g", i, j, got, wv)
-			}
-		}
-	}
-}
-
-// TestMatMulQSegAccComposition: accumulating consecutive packed chunks (the
-// probs·V leg) must reproduce the monolithic dense matmul bit-for-bit, also
-// when mixed with a dense chunk via MatMulSegAcc.
-func TestMatMulQSegAccComposition(t *testing.T) {
-	pool := threadpool.MustNew(4)
-	rng := rand.New(rand.NewSource(14))
-	for _, g := range exactnessGrid {
-		cfg := quant.Config{Bits: g.bits, GroupSize: g.group}
-		const cols, w, off = 20, 8, 4
-		rows := []int{5, 9, 3} // chunk heights; total t = 17
-		t17 := 0
-		for _, r := range rows {
-			t17 += r
-		}
-		chunks := make([]*tensor.Tensor, len(rows))
-		for i, r := range rows {
-			chunks[i] = tensor.RandN(rng, 1.4, r, cols)
-		}
-		for _, m := range []int{1, 4} {
-			a := tensor.RandN(rng, 1, m, t17)
-			// Reference: dense B assembled from the dequantized chunk windows.
-			bDense := tensor.New(t17, w)
-			c := tensor.New(m, w)
-			aLo := 0
-			for i, ch := range chunks {
-				if i == 1 {
-					// Middle chunk stays dense — the pressure-ladder mixed
-					// case — and goes through MatMulSegAcc.
-					seg := sliceColsT(ch, off, w)
-					for r := 0; r < rows[i]; r++ {
-						copy(bDense.Row(aLo+r), seg.Row(r))
-					}
-					tensor.MatMulSegAcc(pool, 2, a, aLo, seg, c)
-				} else {
-					qm, dq := qmatFor(t, ch, cfg)
-					seg := sliceColsT(dq, off, w)
-					for r := 0; r < rows[i]; r++ {
-						copy(bDense.Row(aLo+r), seg.Row(r))
-					}
-					tensor.MatMulQSegAcc(pool, 2, a, aLo, qm, off, c)
-				}
-				aLo += rows[i]
-			}
-			want := tensor.MatMul(pool, 4, a, bDense)
-			identical(t, fmt.Sprintf("b%dg%d/SegAcc", g.bits, g.group), c, want)
 		}
 	}
 }

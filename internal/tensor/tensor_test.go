@@ -259,6 +259,46 @@ func TestConcatRows(t *testing.T) {
 	}
 }
 
+// TestAppendRowsKeepsEarlierViews: growing into spare capacity in place, or
+// into a fresh copy once it runs out, never changes a row visible through
+// any earlier view.
+func TestAppendRowsKeepsEarlierViews(t *testing.T) {
+	const w = 3
+	var views []*Tensor
+	var cur *Tensor
+	for i := 0; i < 20; i++ {
+		row := FromSlice([]float32{float32(i), float32(i) + 0.5, float32(-i)}, 1, w)
+		cur = AppendRows(cur, row)
+		views = append(views, cur)
+	}
+	if cur.Dim(0) != 20 || cur.Dim(1) != w {
+		t.Fatalf("grown shape %v, want [20 %d]", cur.Shape(), w)
+	}
+	for vi, v := range views {
+		if v.Dim(0) != vi+1 {
+			t.Fatalf("view %d has %d rows", vi, v.Dim(0))
+		}
+		for r := 0; r < v.Dim(0); r++ {
+			if got := v.At(r, 0); got != float32(r) {
+				t.Fatalf("view %d row %d = %g, want %d", vi, r, got, r)
+			}
+		}
+	}
+
+	// With headroom the append is in place: same storage, no copy.
+	base := FromSlice(make([]float32, 2*w, 3*w), 2, w)
+	grown := AppendRows(base, Full(7, 1, w))
+	if &grown.Data()[0] != &base.Data()[0] {
+		t.Fatal("append into spare capacity reallocated")
+	}
+	if base.Dim(0) != 2 || len(base.Data()) != 2*w {
+		t.Fatalf("append resized the earlier view to %v", base.Shape())
+	}
+	if grown.At(2, 1) != 7 || grown.Bytes() != 3*w*4 {
+		t.Fatalf("grown row = %v, bytes %d", grown.Row(2), grown.Bytes())
+	}
+}
+
 func TestArgmaxRows(t *testing.T) {
 	x := FromSlice([]float32{0, 5, 2, 9, 1, 3}, 2, 3)
 	got := ArgmaxRows(x)

@@ -120,21 +120,12 @@ type simCase struct {
 }
 
 func simGrid() []simCase {
-	fusedLMO := perfmodel.LMOffloadProfile()
-	fusedLMO.FusedQuantKernels = true
-	fusedFlex := perfmodel.FlexGenProfile()
-	fusedFlex.FusedQuantKernels = true
 	return []simCase{
 		{"flexgen/kv4", perfmodel.Strategy{WeightsGPUPct: 0.2, QuantKV: true, KVBits: 4, GroupSize: 64}, perfmodel.FlexGenProfile()},
 		{"lmoffload/w4+kv4", perfmodel.Strategy{WeightsGPUPct: 0.55, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 64}, perfmodel.LMOffloadProfile()},
 		{"zero/stream", perfmodel.Strategy{WeightsGPUPct: 0, GroupSize: 64}, perfmodel.ZeROProfile()},
 		{"lmoffload/cpu-attn", perfmodel.Strategy{AttnOnCPU: true, WeightsGPUPct: 0.4, GroupSize: 64}, perfmodel.LMOffloadProfile()},
 		{"flexgen/w2", perfmodel.Strategy{WeightsGPUPct: 0.75, QuantWeights: true, WeightBits: 2, GroupSize: 64}, perfmodel.FlexGenProfile()},
-		// Fused quantized-domain kernel arms: the standalone dequant passes
-		// collapse into the compute term (FusedQuantKernels), and the sim
-		// must track the folded accounting to the same hard tolerance.
-		{"lmoffload/fused-w4+kv4", perfmodel.Strategy{WeightsGPUPct: 0.55, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 64}, fusedLMO},
-		{"flexgen/fused-kv4", perfmodel.Strategy{WeightsGPUPct: 0.2, QuantKV: true, KVBits: 4, GroupSize: 64}, fusedFlex},
 	}
 }
 
@@ -441,9 +432,6 @@ type engineCase struct {
 	batch  int
 	prompt int
 	gen    int
-	// fused marks policies running the quantized-domain kernels; the model
-	// side gets FusedQuantKernels so the collapsed dequant terms line up.
-	fused bool
 }
 
 // engineGrid covers the policy dimensions the functional engine supports:
@@ -457,23 +445,19 @@ func engineGrid() []engineCase {
 	gpuResident := perfmodel.Strategy{ActGPUPct: 1, GroupSize: 32}
 	return []engineCase{
 		{"fp32-stream", runtime.Policy{Prefetch: true, IntraOp: 2},
-			gpuResident, 4, 8, 6, false},
+			gpuResident, 4, 8, 6},
 		{"w4", runtime.Policy{Prefetch: true, IntraOp: 2, QuantWeights: true, WeightCfg: q4},
-			perfmodel.Strategy{ActGPUPct: 1, QuantWeights: true, WeightBits: 4, GroupSize: 32}, 4, 8, 6, false},
+			perfmodel.Strategy{ActGPUPct: 1, QuantWeights: true, WeightBits: 4, GroupSize: 32}, 4, 8, 6},
 		{"kv4", runtime.Policy{Prefetch: true, IntraOp: 2, QuantKV: true, KVCfg: q4},
-			perfmodel.Strategy{ActGPUPct: 1, QuantKV: true, KVBits: 4, GroupSize: 32}, 4, 8, 6, false},
+			perfmodel.Strategy{ActGPUPct: 1, QuantKV: true, KVBits: 4, GroupSize: 32}, 4, 8, 6},
 		{"w4+kv4", runtime.Policy{Prefetch: true, IntraOp: 2, QuantWeights: true, WeightCfg: q4, QuantKV: true, KVCfg: q4},
-			perfmodel.Strategy{ActGPUPct: 1, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 32}, 4, 8, 6, false},
+			perfmodel.Strategy{ActGPUPct: 1, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 32}, 4, 8, 6},
 		{"cpu-attn", runtime.Policy{Prefetch: true, IntraOp: 2, AttnOnCPU: true, ActOnCPU: true},
-			perfmodel.Strategy{AttnOnCPU: true, GroupSize: 32}, 4, 8, 6, false},
+			perfmodel.Strategy{AttnOnCPU: true, GroupSize: 32}, 4, 8, 6},
 		{"act-cpu", runtime.Policy{Prefetch: true, IntraOp: 2, ActOnCPU: true},
-			perfmodel.Strategy{GroupSize: 32}, 4, 8, 6, false},
+			perfmodel.Strategy{GroupSize: 32}, 4, 8, 6},
 		{"fp32-b8", runtime.Policy{Prefetch: true, IntraOp: 2},
-			gpuResident, 8, 8, 6, false},
-		// Fused quantized-domain kernels: no dequant spans may appear, and
-		// the model must agree via its collapsed FusedQuantKernels terms.
-		{"w4+kv4-fused", runtime.Policy{Prefetch: true, IntraOp: 2, QuantWeights: true, WeightCfg: q4, QuantKV: true, KVCfg: q4, QuantKernels: true},
-			perfmodel.Strategy{ActGPUPct: 1, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 32}, 4, 8, 6, true},
+			gpuResident, 8, 8, 6},
 	}
 }
 
@@ -572,9 +556,7 @@ func EngineVsModel() (*Report, error) {
 		}
 		meas := decodeTotals(run, cfg.Layers)
 		w := trace.Workload{PromptLen: c.prompt, GenLen: c.gen, GPUBatch: c.batch, NumBatches: 1}
-		prof := conformanceProfile()
-		prof.FusedQuantKernels = c.fused
-		est, err := perfmodel.New(plat, cfg, w, c.strat, prof)
+		est, err := perfmodel.New(plat, cfg, w, c.strat, conformanceProfile())
 		if err != nil {
 			return nil, fmt.Errorf("conformance: %s: %w", c.label, err)
 		}
@@ -649,17 +631,8 @@ func EngineVsModel() (*Report, error) {
 				func(s xtrace.Span) bool { return s.Layer >= 0 }).Seconds(),
 			xtrace.TaskLoadWgt: medianSpan(run, xtrace.TaskLoadWgt, nil).Seconds(),
 		}
-		anchored := anchoredTasks
-		if c.fused {
-			// Under fused kernels load_weight stages aliasing packed views:
-			// the span holds no byte-proportional work (no copy, no dequant),
-			// only fixed per-layer overhead, so it falls off the calibrated
-			// link-bandwidth axis at tiny-model scale — same per-constant
-			// argument that excludes the KV path (see anchoredTasks).
-			anchored = []string{xtrace.TaskCompute}
-		}
-		for _, a := range anchored {
-			for _, b := range anchored {
+		for _, a := range anchoredTasks {
+			for _, b := range anchoredTasks {
 				if a == b || pred[a] == 0 || pred[a] < PairMargin*pred[b] {
 					continue
 				}
