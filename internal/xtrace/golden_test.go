@@ -110,6 +110,34 @@ func TestGoldenEngineTrace(t *testing.T) {
 	checkGolden(t, "engine_trace_golden.txt", traceStructure(rec.Spans()))
 }
 
+// TestGoldenGroupStagingTrace pins the span structure of a block staged in
+// GPU batches with prefetch — the offline w4/kv4 scenario in miniature: four
+// prompts in GPU batches of two give two load_cache spans and two compute
+// spans per (layer, decode step), with each batch's KV load overlapping the
+// previous batch's compute.
+func TestGoldenGroupStagingTrace(t *testing.T) {
+	cfg := model.Tiny()
+	m, err := model.NewModel(rand.New(rand.NewSource(7)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q4 := quant.Config{Bits: 4, GroupSize: 32}
+	pol := runtime.Policy{IntraOp: 1, QuantWeights: true, WeightCfg: q4, QuantKV: true, KVCfg: q4,
+		GPUBatch: 2, Prefetch: true}
+	eng, err := runtime.NewEngine(m, pol, 1<<31, threadpool.MustNew(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := xtrace.NewRecorder(0)
+	eng.SetTracer(rec)
+	w := trace.Workload{PromptLen: 4, GenLen: 3, GPUBatch: 4, NumBatches: 1}
+	prompts := w.Prompts(rand.New(rand.NewSource(7)), cfg.Vocab)
+	if _, err := eng.Generate(context.Background(), prompts, w.GenLen); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "group_staging_trace_golden.txt", traceStructure(rec.Spans()))
+}
+
 // TestGoldenChunkedSessionTrace pins the span structure of a deterministic
 // single-threaded session interleaving decode steps with a chunked prefill:
 // one prefill_chunk span per increment (three chunks for a 10-token prompt
