@@ -65,46 +65,45 @@ func cloneTokens(src [][]int) [][]int {
 	return out
 }
 
-// snapshot captures the run's current state as the engine's last checkpoint.
-// KV fetches go through the usual retry machinery (a checkpoint read can hit
-// the same transient faults as a load_cache); a final failure leaves the
-// previous checkpoint in place rather than aborting generation.
-func (e *Engine) snapshot(ctx context.Context, run *genRun) error {
+// snapshot captures a driver session's state as the engine's last
+// checkpoint: step is the next decode step and out the tokens generated so
+// far. Staged KV is fetched through the usual retry machinery (a checkpoint
+// read can hit the same transient faults as a load_cache); a final failure
+// leaves the previous checkpoint in place rather than aborting generation.
+func (e *Engine) snapshot(ctx context.Context, s *Session, prompts, out [][]int, step, genLen int) error {
 	t0 := time.Now()
 	defer func() { e.stats.addTask("checkpoint", time.Since(t0)) }()
 	cfg := e.mod.Cfg
-	batch := len(run.prompts)
 	ck := &Checkpoint{
-		Pos:     run.pos,
-		Step:    run.step,
-		GenLen:  run.genLen,
+		Pos:     s.pos[0],
+		Step:    step,
+		GenLen:  genLen,
 		Layers:  cfg.Layers,
 		Hidden:  cfg.Hidden,
-		Prompts: cloneTokens(run.prompts),
-		Tokens:  cloneTokens(run.out),
+		Prompts: cloneTokens(prompts),
+		Tokens:  cloneTokens(out),
 		Keys:    make([][]*tensor.Tensor, cfg.Layers),
 		Values:  make([][]*tensor.Tensor, cfg.Layers),
 	}
-	for l := 0; l < cfg.Layers; l++ {
-		ck.Keys[l] = make([]*tensor.Tensor, batch)
-		ck.Values[l] = make([]*tensor.Tensor, batch)
-		for s := 0; s < batch; s++ {
-			var k, v *tensor.Tensor
-			if run.hostCache != nil {
-				if kk := run.hostCache.Keys(l, s); kk != nil {
-					k, v = kk.Clone(), run.hostCache.Values(l, s).Clone()
-				}
-			} else {
-				err := e.withRetry(ctx, "checkpoint_fetch", func() error {
-					var ferr error
-					k, v, _, ferr = run.kvStore.Fetch(l, s)
-					return ferr
-				})
-				if err != nil {
-					return err
-				}
+	for l := range cfg.Layers {
+		ck.Keys[l] = make([]*tensor.Tensor, s.slots)
+		ck.Values[l] = make([]*tensor.Tensor, s.slots)
+	}
+	for slot := range s.slots {
+		if !s.slotOnHost(slot) {
+			ks, vs, err := s.fetchSlot(ctx, "checkpoint_fetch", slot)
+			if err != nil {
+				return err
 			}
-			ck.Keys[l][s], ck.Values[l][s] = k, v
+			for l := range ks {
+				ck.Keys[l][slot], ck.Values[l][slot] = ks[l], vs[l]
+			}
+			continue
+		}
+		for l := range cfg.Layers {
+			if k := s.host.Keys(l, slot); k != nil {
+				ck.Keys[l][slot], ck.Values[l][slot] = k.Clone(), s.host.Values(l, slot).Clone()
+			}
 		}
 	}
 	e.ckptMu.Lock()
@@ -115,9 +114,9 @@ func (e *Engine) snapshot(ctx context.Context, run *genRun) error {
 }
 
 // Resume continues generation from a checkpoint: the KV state is rebuilt
-// under the engine's current policy (re-quantized if the policy says so) and
-// the decode loop picks up at the checkpointed step. The returned tokens
-// include everything generated before the checkpoint.
+// under the engine's current policy (re-quantized if the policy says so) in
+// a driver session, and decoding picks up at the checkpointed step. The
+// returned tokens include everything generated before the checkpoint.
 func (e *Engine) Resume(ctx context.Context, ck *Checkpoint, onStep func(step int, tokens []int) bool) ([][]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -130,37 +129,29 @@ func (e *Engine) Resume(ctx context.Context, ck *Checkpoint, onStep func(step in
 		return nil, fmt.Errorf("runtime: checkpoint geometry %dx%d does not match model %dx%d",
 			ck.Layers, ck.Hidden, cfg.Layers, cfg.Hidden)
 	}
-	batch := len(ck.Prompts)
-	run := &genRun{
-		prompts: cloneTokens(ck.Prompts),
-		out:     cloneTokens(ck.Tokens),
-		pos:     ck.Pos,
-		step:    ck.Step,
-		genLen:  ck.GenLen,
-		onStep:  onStep,
-		start:   time.Now(),
-	}
-	run.current = make([]int, batch)
-	for i, toks := range run.out {
-		run.current[i] = toks[len(toks)-1]
-	}
-	if err := e.resetStores(run); err != nil {
+	start := time.Now()
+	s, err := e.newSession(len(ck.Prompts), true)
+	if err != nil {
 		return nil, err
 	}
-	for l := 0; l < cfg.Layers; l++ {
-		for s := 0; s < batch; s++ {
-			k, v := ck.Keys[l][s], ck.Values[l][s]
+	for slot, toks := range ck.Tokens {
+		if err := s.pinSlot(slot, false); err != nil {
+			return nil, err
+		}
+		for l := range cfg.Layers {
+			k, v := ck.Keys[l][slot], ck.Values[l][slot]
 			if k == nil {
 				continue
 			}
-			if run.hostCache != nil {
-				run.hostCache.SetKV(l, s, k.Clone(), v.Clone())
-			} else if _, err := run.kvStore.Append(l, s, k, v); err != nil {
+			if s.kv == nil {
+				s.host.SetKV(l, slot, k.Clone(), v.Clone())
+			} else if _, err := s.kv.Append(l, slot, k, v); err != nil {
 				return nil, err
 			}
 		}
+		s.activate(slot, ck.Pos, toks[len(toks)-1])
 	}
-	return e.decodeLoop(ctx, run)
+	return e.decode(ctx, s, ck.Prompts, cloneTokens(ck.Tokens), ck.Step, ck.GenLen, onStep, start)
 }
 
 // Checkpoint serialization: a little-endian binary format under the "LMGC"

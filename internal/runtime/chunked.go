@@ -85,46 +85,16 @@ func (s *Session) ChunkHostBytes() int64 {
 // calls advance through the remaining tokens. The slot stays inactive (Step
 // skips it) until the final chunk completes.
 func (s *Session) BeginPrefill(slot int, prompt []int, quantKV bool) error {
-	if slot < 0 || slot >= s.slots {
-		return fmt.Errorf("runtime: prefill slot %d outside [0, %d)", slot, s.slots)
+	if err := s.checkFree(slot, prompt); err != nil {
+		return err
 	}
-	if s.active[slot] {
-		return fmt.Errorf("runtime: chunked prefill into occupied slot %d", slot)
-	}
-	if s.chunk[slot] != nil {
-		return fmt.Errorf("runtime: slot %d already has a prefill in flight", slot)
-	}
-	if len(prompt) == 0 {
-		return fmt.Errorf("runtime: chunked prefill with empty prompt")
-	}
-	s.spilled[slot] = false
-	switch {
-	case s.kv != nil && s.kv.Quantized():
-		s.quantKV[slot] = true
-		s.slotCfgs[slot] = s.e.policy.KVCfg
-	case quantKV && s.kv != nil:
-		if s.ladderCfg.Bits == 0 {
-			return fmt.Errorf("runtime: quantized prefill without a ladder config (call SetQuantizeNewSlots first)")
-		}
-		if err := s.kv.SetSlotQuant(slot, &s.ladderCfg); err != nil {
-			return err
-		}
-		s.quantKV[slot] = true
-		s.slotCfgs[slot] = s.ladderCfg
-	default:
-		s.quantKV[slot] = false
+	if err := s.pinSlot(slot, quantKV); err != nil {
+		return err
 	}
 	st := &chunkState{prompt: append([]int(nil), prompt...)}
-	if s.prefix != nil {
-		t0 := time.Now()
-		if m := s.prefix.Acquire(prompt, len(prompt)-1); m != nil {
-			st.match = m
-			st.reused, st.done, st.committed = m.Tokens(), m.Tokens(), m.Tokens()
-			s.e.stats.RecordPrefixHit(m.Tokens())
-			s.e.task(xtrace.TaskPrefixHit, xtrace.LaneServe, t0, xtrace.At(-1, -1, slot))
-		} else {
-			s.e.stats.RecordPrefixMiss()
-		}
+	if m := s.acquirePrefix(slot, prompt); m != nil {
+		st.match = m
+		st.reused, st.done, st.committed = m.Tokens(), m.Tokens(), m.Tokens()
 	}
 	if s.kv != nil {
 		cfg := s.e.mod.Cfg
@@ -141,24 +111,14 @@ func (s *Session) BeginPrefill(slot int, prompt []int, quantKV bool) error {
 // completed chunk boundary. Cancelling a slot with no pending prefill is a
 // no-op.
 func (s *Session) CancelPrefill(slot int) {
-	if slot < 0 || slot >= s.slots {
+	if !s.PrefillPending(slot) {
 		return
 	}
 	st := s.chunk[slot]
-	if st == nil {
-		return
-	}
 	s.chunk[slot] = nil
 	st.match.Release()
 	s.quantKV[slot] = false
-	if s.kv != nil {
-		s.kv.ResetSlot(slot)
-	}
-	if s.host != nil {
-		for l := 0; l < s.host.Layers(); l++ {
-			s.host.SetKV(l, slot, nil, nil)
-		}
-	}
+	s.dropSlotKV(slot)
 }
 
 // PrefillChunk advances the slot's chunked prefill by up to maxTokens prompt
@@ -170,7 +130,7 @@ func (s *Session) PrefillChunk(ctx context.Context, slot, maxTokens int) (done, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if slot < 0 || slot >= s.slots || s.chunk[slot] == nil {
+	if !s.PrefillPending(slot) {
 		return 0, 0, 0, fmt.Errorf("runtime: no prefill in flight on slot %d", slot)
 	}
 	if maxTokens <= 0 {
@@ -178,79 +138,59 @@ func (s *Session) PrefillChunk(ctx context.Context, slot, maxTokens int) (done, 
 	}
 	st := s.chunk[slot]
 	total = len(st.prompt)
-	n := total - st.done
-	if n > maxTokens {
-		n = maxTokens
-	}
+	n := min(total-st.done, maxTokens)
 	final := st.done+n == total
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return st.done, total, 0, err
-		}
-		m := s.mark()
+	var took time.Duration
+	err = s.attempt(ctx, "prefill_chunk", func(ctx context.Context) (err error) {
 		var liveLens [][]int
 		if st.live != nil {
 			liveLens = st.live.SeqLens()
 		}
-		stepCtx, cancel := s.e.stepContext(ctx)
 		t0 := time.Now()
-		tok, cerr := s.chunkOnce(stepCtx, slot, st, n, final)
-		cancel()
+		tok, err = s.chunkOnce(ctx, slot, st, n, final)
+		took = time.Since(t0)
 		// The chunk span carries its token count in the Step label so the
 		// conformance harness can assert structurally that no chunk exceeded
 		// the configured bound.
 		s.e.task(xtrace.TaskPrefillChunk, xtrace.LaneEngine, t0, xtrace.At(n, -1, slot))
-		if cerr == nil {
-			st.done += n
-			s.commitChunkBlocks(slot, st)
-			if final {
-				s.active[slot] = true
-				s.pos[slot] = total
-				s.last[slot] = tok
-				s.prefixRefs[slot] = st.match
-				s.reused[slot] = st.reused
-				s.chunk[slot] = nil
-				s.e.stats.mu.Lock()
-				s.e.stats.TokensGenerated++
-				s.e.stats.mu.Unlock()
-			}
-			s.e.driftStall(ctx, time.Since(t0))
-			return st.done, total, tok, nil
-		}
-		s.rollback(m)
-		if st.live != nil && liveLens != nil {
+		if err != nil && liveLens != nil {
 			st.live.TruncateTo(liveLens)
 		}
-		if cctx := ctx.Err(); cctx != nil {
-			return st.done, total, 0, cctx
-		}
-		if attempt >= maxStepAttempts {
-			return st.done, total, 0, fmt.Errorf("runtime: prefill chunk on slot %d failed after %d attempts: %w", slot, attempt, cerr)
-		}
-		s.e.stats.addRetry("prefill_chunk")
-		if attempt >= 2 {
-			s.degradeOnce(ctx)
-			if s.kv == nil && st.live != nil {
-				// The store migrated to host mid-prefill. The live cache holds
-				// the raw rows of every completed chunk — install those as the
-				// slot's host rows (the values prefill attention reads in every
-				// mode) and continue host-resident; per-slot quantization no
-				// longer applies.
-				for j := 0; j < s.host.Layers(); j++ {
-					s.host.SetKV(j, slot, st.live.Keys(j, 0), st.live.Values(j, 0))
-				}
-				st.live = nil
-				s.quantKV[slot] = false
+		return err
+	}, func() {
+		if s.kv == nil && st.live != nil {
+			// The store migrated to host mid-prefill. The live cache holds the
+			// raw rows of every completed chunk — install those as the slot's
+			// host rows (the values prefill attention reads in every mode) and
+			// continue host-resident; per-slot quantization no longer applies.
+			for j := range s.host.Layers() {
+				s.host.SetKV(j, slot, st.live.Keys(j, 0), st.live.Values(j, 0))
 			}
+			st.live = nil
+			s.quantKV[slot] = false
 		}
+	})
+	if err != nil {
+		return st.done, total, 0, err
 	}
+	st.done += n
+	s.commitChunkBlocks(slot, st)
+	if final {
+		s.activate(slot, total, tok)
+		s.prefixRefs[slot] = st.match
+		s.reused[slot] = st.reused
+		s.chunk[slot] = nil
+		s.e.stats.addTokens(1)
+	}
+	s.e.driftStall(ctx, took)
+	return st.done, total, tok, nil
 }
 
 // chunkOnce is one attempt at one prefill chunk: embed the chunk's tokens at
-// their absolute positions, stream every layer once (with prefetch overlap
-// when enabled), append the chunk's K/V rows to the live raw cache, and
-// persist them to the slot's store. The final chunk additionally projects the
-// last row's logits into the first generated token.
+// their absolute positions, stream every layer once, append the chunk's K/V
+// rows to the live raw cache, and persist them to the slot's store. The final
+// chunk additionally projects the last row's logits into the first generated
+// token.
 func (s *Session) chunkOnce(ctx context.Context, slot int, st *chunkState, n int, final bool) (tok int, err error) {
 	defer recoverAsError(&err)
 	e := s.e
@@ -263,60 +203,36 @@ func (s *Session) chunkOnce(ctx context.Context, slot int, st *chunkState, n int
 	// rows along with its own, so the store ends up holding the full prompt
 	// exactly as a monolithic admit leaves it.
 	storeFull := st.reused > 0 && st.done == st.reused
-
-	pipe := e.newLoadPipeline(ctx)
-	defer pipe.drain()
-	if e.policy.Prefetch {
-		pipe.start(0)
+	// Prefill attention reads raw rows: the live cache in staged mode, the
+	// slot's host rows otherwise.
+	cache, seq := s.host, slot
+	if st.live != nil {
+		cache, seq = st.live, 0
 	}
-	for j := 0; j < cfg.Layers; j++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		var ll loadedLayer
-		if e.policy.Prefetch {
-			ll = pipe.take()
-			if j+1 < cfg.Layers {
-				pipe.start(j + 1)
-			}
-		} else {
-			ll = e.loadLayer(ctx, j)
-		}
-		if ll.err != nil {
-			return 0, fmt.Errorf("runtime: prefill chunk layer %d: %w", j, ll.err)
-		}
-
-		t0 := time.Now()
-		var out model.AttentionOutput
-		if st.live != nil {
-			if st.match != nil && st.live.SeqLen(j, 0) == 0 {
-				pk, pv := st.match.SeedLayer(j)
-				st.live.SetKV(j, 0, pk, pv)
-			}
-			out = model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, st.live, j, 0, xs)
-		} else {
-			if st.match != nil && s.host.SeqLen(j, slot) == 0 {
-				pk, pv := st.match.SeedLayer(j)
-				s.host.SetKV(j, slot, pk, pv)
-			}
-			out = model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, s.host, j, slot, xs)
-		}
-		model.MLP(e.pool, e.policy.IntraOp, cfg, ll.weights, x)
-		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slot))
-		e.freeGPU(ll.resident)
-
-		if st.live != nil {
+	var out model.AttentionOutput
+	var store func(j int) error
+	if st.live != nil {
+		store = func(j int) error {
 			k, v := out.NewK[0], out.NewV[0]
 			if storeFull {
 				k, v = st.live.Keys(j, 0), st.live.Values(j, 0)
 			}
-			if err := e.storeChunk(ctx, s.kv, j, slot, k, v); err != nil {
-				return 0, err
-			}
+			return e.storeChunk(ctx, s.kv, j, slot, k, v)
 		}
 	}
-	if !final {
-		return 0, nil
+	err = e.forEachLayer(ctx, func(j int, lw *model.LayerWeights) error {
+		if st.match != nil && cache.SeqLen(j, seq) == 0 {
+			pk, pv := st.match.SeedLayer(j)
+			cache.SetKV(j, seq, pk, pv)
+		}
+		t0 := time.Now()
+		out = model.AttentionAt(e.pool, e.policy.IntraOp, cfg, lw, cache, j, seq, xs)
+		model.MLP(e.pool, e.policy.IntraOp, cfg, lw, x)
+		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slot))
+		return nil
+	}, store)
+	if err != nil || !final {
+		return 0, err
 	}
 	hidden := tensor.New(1, cfg.Hidden)
 	copy(hidden.Row(0), x.Row(n-1))
@@ -347,15 +263,7 @@ func (s *Session) commitChunkBlocks(slot int, st *chunkState) {
 				cand.CaptureLayer(j, s.host.Keys(j, slot), s.host.Values(j, slot))
 			}
 		}
-		inserted, evicted := s.prefix.Commit(cand)
-		if inserted > 0 {
-			s.e.stats.RecordPrefixInserts(int64(inserted))
-			s.prefixEvent(xtrace.TaskPrefixInsert, slot)
-		}
-		if evicted > 0 {
-			s.e.stats.RecordPrefixEvictions(int64(evicted))
-			s.prefixEvent(xtrace.TaskPrefixEvict, slot)
-		}
+		s.commitPrefix(slot, cand)
 	}
 	st.committed = target
 }

@@ -34,7 +34,8 @@ type Policy struct {
 	HostF16 bool
 	// GPUBatch splits the block into GPU batches of this many sequences,
 	// processed one at a time per layer — Algorithm 1's k loop. Zero means
-	// the whole block is one batch.
+	// the whole block is one batch. It applies to Generate, GenerateStream
+	// and Resume; serving sessions (NewSession) stage one slot at a time.
 	GPUBatch int
 	// ResidentLayers pins the weights of the first N layers in the GPU
 	// arena permanently — the functional counterpart of the wg fraction
@@ -284,71 +285,6 @@ func (e *Engine) LastCheckpoint() *Checkpoint {
 	return e.lastCkpt
 }
 
-// genRun is the mutable state of one generation (or resumed generation).
-type genRun struct {
-	prompts [][]int
-	out     [][]int
-	current []int // last generated token per sequence
-	pos     int   // next token position
-	step    int   // next decode step index, in [1, genLen)
-	genLen  int
-	onStep  func(step int, tokens []int) bool
-
-	// Exactly one of these is non-nil: the host-resident cache when
-	// attention runs on CPU, the chunked store when it runs on GPU.
-	hostCache *model.KVCache
-	kvStore   *KVStore
-
-	start time.Time
-}
-
-// runMark is a rollback point: enough state to undo a partially completed
-// step's KV appends.
-type runMark struct {
-	kv   [][]int
-	host [][]int
-}
-
-func (r *genRun) mark() runMark {
-	var m runMark
-	if r.kvStore != nil {
-		m.kv = r.kvStore.Mark()
-	}
-	if r.hostCache != nil {
-		m.host = r.hostCache.SeqLens()
-	}
-	return m
-}
-
-func (r *genRun) rollback(m runMark) {
-	if r.kvStore != nil && m.kv != nil {
-		r.kvStore.Rollback(m.kv)
-	}
-	if r.hostCache != nil && m.host != nil {
-		r.hostCache.TruncateTo(m.host)
-	}
-}
-
-// resetStores installs fresh (empty) KV storage for the run under the
-// current policy.
-func (e *Engine) resetStores(run *genRun) error {
-	cfg := e.mod.Cfg
-	batch := len(run.prompts)
-	if e.policy.AttnOnCPU {
-		run.hostCache = model.NewKVCache(cfg.Layers, batch, cfg.Hidden)
-		run.kvStore = nil
-		return nil
-	}
-	st, err := NewKVStore(cfg.Layers, batch, e.policy.QuantKV, e.policy.KVCfg, e.policy.HostF16)
-	if err != nil {
-		return err
-	}
-	st.UsePool(e.pool, e.policy.IntraOp)
-	st.UseFaults(e.faults)
-	run.hostCache, run.kvStore = nil, st
-	return nil
-}
-
 // Generate runs prefill plus genLen greedy decode steps over the prompt
 // batch, returning the generated token IDs per sequence. Cancelling ctx
 // stops generation at the next step boundary; the error is ctx.Err() and
@@ -361,6 +297,9 @@ func (e *Engine) Generate(ctx context.Context, prompts [][]int, genLen int) ([][
 // step, onStep receives the step index (0-based) and the freshly generated
 // token per sequence. Returning false stops generation early; the tokens
 // produced so far are returned. A nil callback streams nothing.
+//
+// It drives a session with one slot per prompt: every prompt is admitted in
+// one batched prefill, then Step runs until genLen tokens per prompt.
 func (e *Engine) GenerateStream(ctx context.Context, prompts [][]int, genLen int, onStep func(step int, tokens []int) bool) ([][]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -371,115 +310,65 @@ func (e *Engine) GenerateStream(ctx context.Context, prompts [][]int, genLen int
 	if genLen <= 0 {
 		return nil, fmt.Errorf("runtime: generation length must be positive, got %d", genLen)
 	}
-	run := &genRun{prompts: prompts, genLen: genLen, onStep: onStep, start: time.Now()}
-	batch := len(prompts)
-
-	// --- Prefill (FlexGen steps 1.1-1.3), retried from scratch on transient
-	// failure: each attempt rebuilds the KV stores, so a partial prefill
-	// never leaks into the next try.
-	var hidden *tensor.Tensor
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := e.resetStores(run); err != nil {
-			return nil, err
-		}
-		stepCtx, cancel := e.stepContext(ctx)
-		t0 := time.Now()
-		h, err := e.prefill(stepCtx, run)
-		cancel()
-		e.task(xtrace.TaskPrefill, xtrace.LaneEngine, t0, xtrace.NoLabels)
-		if err == nil {
-			hidden = h
-			break
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if attempt >= maxStepAttempts {
-			return nil, fmt.Errorf("runtime: prefill failed after %d attempts: %w", attempt, err)
-		}
-		e.stats.addRetry("prefill")
-		if attempt >= 2 {
-			e.degradeOnce(ctx, run)
-		}
+	start := time.Now()
+	s, err := e.newSession(len(prompts), true)
+	if err != nil {
+		return nil, err
 	}
-
-	run.out = make([][]int, batch)
-	run.current = tensor.ArgmaxRows(e.mod.Logits(e.pool, e.policy.IntraOp, hidden))
-	for i := range run.out {
-		run.out[i] = append(run.out[i], run.current[i])
+	slots := make([]int, len(prompts))
+	for i := range slots {
+		slots[i] = i
 	}
-	e.stats.mu.Lock()
-	e.stats.TokensGenerated += int64(batch)
-	e.stats.mu.Unlock()
-	run.pos = len(prompts[0])
-	run.step = 1
+	first, err := s.admit(ctx, slots, prompts, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, len(prompts))
+	for i, tok := range first {
+		out[i] = []int{tok}
+	}
 	if e.ckptEvery > 0 {
-		e.snapshot(ctx, run)
+		e.snapshot(ctx, s, prompts, out, 1, genLen)
 	}
-	if onStep != nil && !onStep(0, run.current) {
-		e.stats.WallTime = time.Since(run.start)
-		return run.out, nil
+	if onStep != nil && !onStep(0, first) {
+		e.stats.WallTime = time.Since(start)
+		return out, nil
 	}
-	return e.decodeLoop(ctx, run)
+	return e.decode(ctx, s, prompts, out, 1, genLen, onStep, start)
 }
 
-// decodeLoop advances the run to completion, one decode step at a time.
-// Each step is atomic: a failed attempt rolls the KV state back before the
-// retry, and retries past the second first take one rung of the degradation
-// ladder. Cancellation is honoured at step boundaries.
-func (e *Engine) decodeLoop(ctx context.Context, run *genRun) ([][]int, error) {
-	stepAttempts := 0
-	for run.step < run.genLen {
+// decode advances a driver session from decode step `step` to genLen, one
+// Step (traced as a decode_step span) at a time, appending each step's
+// tokens to out in prompt order, snapshotting every ckptEvery steps, and
+// setting Stats.WallTime on return.
+func (e *Engine) decode(ctx context.Context, s *Session, prompts, out [][]int, step, genLen int, onStep func(int, []int) bool, start time.Time) ([][]int, error) {
+	defer func() { e.stats.WallTime = time.Since(start) }()
+	for ; step < genLen; step++ {
 		if err := ctx.Err(); err != nil {
-			e.stats.WallTime = time.Since(run.start)
-			return run.out, err
+			return out, err
 		}
-		m := run.mark()
-		stepCtx, cancel := e.stepContext(ctx)
 		t0 := time.Now()
-		next, err := e.decodeStep(stepCtx, run)
-		cancel()
-		e.trace(xtrace.TaskDecodeStep, xtrace.LaneEngine, t0, xtrace.At(run.step, -1, -1))
+		toks, err := s.Step(ctx)
+		e.trace(xtrace.TaskDecodeStep, xtrace.LaneEngine, t0, xtrace.At(step, -1, -1))
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				e.stats.WallTime = time.Since(run.start)
-				return run.out, cerr
+				return out, cerr
 			}
-			run.rollback(m)
-			stepAttempts++
-			if stepAttempts >= maxStepAttempts {
-				e.stats.WallTime = time.Since(run.start)
-				return nil, fmt.Errorf("runtime: decode step %d failed after %d attempts: %w", run.step, stepAttempts, err)
-			}
-			e.stats.addRetry("decode_step")
-			if stepAttempts >= 2 {
-				e.degradeOnce(ctx, run)
-			}
-			continue
+			return nil, fmt.Errorf("runtime: decode step %d: %w", step, err)
 		}
-		stepAttempts = 0
-		run.current = next
-		run.pos++
-		for i := range run.out {
-			run.out[i] = append(run.out[i], next[i])
+		next := make([]int, len(toks))
+		for i, st := range toks {
+			next[i] = st.Token
+			out[i] = append(out[i], st.Token)
 		}
-		e.stats.mu.Lock()
-		e.stats.TokensGenerated += int64(len(next))
-		e.stats.mu.Unlock()
-		step := run.step
-		run.step++
-		if e.ckptEvery > 0 && run.step%e.ckptEvery == 0 {
-			e.snapshot(ctx, run)
+		if e.ckptEvery > 0 && (step+1)%e.ckptEvery == 0 {
+			e.snapshot(ctx, s, prompts, out, step+1, genLen)
 		}
-		if run.onStep != nil && !run.onStep(step, next) {
+		if onStep != nil && !onStep(step, next) {
 			break
 		}
 	}
-	e.stats.WallTime = time.Since(run.start)
-	return run.out, nil
+	return out, nil
 }
 
 // stepContext derives the per-step deadline context.
@@ -490,151 +379,48 @@ func (e *Engine) stepContext(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// degradeOnce takes the next rung of the degradation ladder, trading
-// throughput for survivability after repeated step failures: first drop the
-// overlap (prefetch pipelines are the most fault-exposed machinery), then
-// shrink the GPU batch (halving the peak arena footprint under memory
-// pressure), and finally migrate the KV cache to the host and keep attention
-// there — after which no KV bytes cross the faulty interconnect at all.
-func (e *Engine) degradeOnce(ctx context.Context, run *genRun) {
-	switch {
-	case e.policy.Prefetch:
-		e.policy.Prefetch = false
-		e.stats.addDegradation("prefetch-off")
-	case run.kvStore != nil && len(run.prompts) > 1 && e.policy.GPUBatch != 1:
-		nb := e.policy.GPUBatch
-		if nb <= 0 || nb > len(run.prompts) {
-			nb = len(run.prompts)
-		}
-		nb /= 2
-		if nb < 1 {
-			nb = 1
-		}
-		e.policy.GPUBatch = nb
-		e.stats.addDegradation(fmt.Sprintf("gpu-batch=%d", nb))
-	case run.kvStore != nil:
-		if err := e.migrateToHost(ctx, run); err != nil {
-			e.stats.addDegradation("attn-on-cpu(migration failed)")
-			return
-		}
-		e.policy.AttnOnCPU = true
-		e.policy.QuantKV = false
-		e.stats.addDegradation("attn-on-cpu")
-	}
-}
-
-// migrateToHost converts the chunked KV store into a host-resident cache so
-// subsequent steps compute attention on the CPU (the AttnOnCPU fallback).
-func (e *Engine) migrateToHost(ctx context.Context, run *genRun) error {
-	hc, err := e.fetchAllToHost(ctx, run.kvStore, len(run.prompts))
-	if err != nil {
-		return err
-	}
-	run.hostCache, run.kvStore = hc, nil
-	return nil
-}
-
-// fetchAllToHost drains a chunked KV store into a host-resident cache,
-// fetching (and dequantizing) every slot with transient-fault retry — the
-// bulk move behind the attn-on-cpu degradation rung, shared by the offline
-// run and the serving session.
-func (e *Engine) fetchAllToHost(ctx context.Context, kvStore *KVStore, batch int) (*model.KVCache, error) {
-	cfg := e.mod.Cfg
-	hc := model.NewKVCache(cfg.Layers, batch, cfg.Hidden)
-	for l := 0; l < cfg.Layers; l++ {
-		for s := 0; s < batch; s++ {
-			var k, v *tensor.Tensor
-			err := e.withRetry(ctx, "kv_migrate", func() error {
-				var ferr error
-				k, v, _, ferr = kvStore.Fetch(l, s)
-				return ferr
-			})
-			if err != nil {
-				return nil, err
-			}
-			if k != nil {
-				hc.SetKV(l, s, k, v)
-			}
-		}
-	}
-	return hc, nil
-}
-
-// prefill runs the prompt through every layer with the same streamed-weight
-// machinery the decode loop uses: load layer j's weights (1.1), compute
-// attention and MLP on the "GPU" (1.2), and offload the layer's KV cache to
-// host storage (1.3). It returns the last-position hidden state per
-// sequence.
-func (e *Engine) prefill(ctx context.Context, run *genRun) (hidden *tensor.Tensor, err error) {
-	defer recoverAsError(&err)
-	cfg := e.mod.Cfg
-	prompts := run.prompts
-	batch := len(prompts)
-	s := len(prompts[0])
-	x := make([]*tensor.Tensor, batch)
-	for i, p := range prompts {
-		if len(p) != s {
-			return nil, fmt.Errorf("runtime: ragged prompt lengths %d and %d", s, len(p))
-		}
-		x[i] = e.mod.Embed(p, 0)
-	}
-	e.stats.addBytes(&e.stats.ActUpBytes, int64(batch*s*cfg.Hidden)*4)
-
-	// Prefill computes into a live cache; with GPU attention the layer's KV
-	// is offloaded (and the live copy dropped) as soon as the layer is done.
-	live := run.hostCache
-	if live == nil {
-		live = model.NewKVCache(cfg.Layers, batch, cfg.Hidden)
-	}
-
+// forEachLayer streams every layer's weights once, in order. compute runs
+// while layer j's weights are staged — with Prefetch on, layer j+1's
+// load_weight overlaps it (Algorithm 1's weight overlap) — then the weights
+// are released and store, when non-nil, runs the layer's remaining
+// store_cache work, which needs no weights. An in-flight prefetch is drained
+// on every exit path.
+func (e *Engine) forEachLayer(ctx context.Context, compute func(j int, lw *model.LayerWeights) error, store func(j int) error) error {
+	layers := e.mod.Cfg.Layers
+	prefetch := e.policy.Prefetch
 	pipe := e.newLoadPipeline(ctx)
 	defer pipe.drain()
-	if e.policy.Prefetch {
+	if prefetch {
 		pipe.start(0)
 	}
-	for j := 0; j < cfg.Layers; j++ {
+	for j := 0; j < layers; j++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		var ll loadedLayer
-		if e.policy.Prefetch {
+		if prefetch {
 			ll = pipe.take()
-			if j+1 < cfg.Layers {
+			if j+1 < layers {
 				pipe.start(j + 1)
 			}
 		} else {
 			ll = e.loadLayer(ctx, j)
 		}
 		if ll.err != nil {
-			return nil, fmt.Errorf("runtime: prefill layer %d: %w", j, ll.err)
+			return fmt.Errorf("runtime: layer %d: %w", j, ll.err)
 		}
-
-		t0 := time.Now()
-		model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, live, j, 0, x)
-		for i := range x {
-			model.MLP(e.pool, e.policy.IntraOp, cfg, ll.weights, x[i])
+		err := func() error {
+			defer e.freeGPU(ll.resident)
+			return compute(j, ll.weights)
+		}()
+		if err == nil && store != nil {
+			err = store(j)
 		}
-		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, -1))
-		e.freeGPU(ll.resident)
-
-		if run.kvStore != nil {
-			// Step 1.3: offload this layer's KV, quantized when enabled
-			// (Eq. 5), and release the live copy. storeChunk times each
-			// chunk's store_cache (and quant_kv) itself.
-			for seq := 0; seq < batch; seq++ {
-				if err := e.storeChunk(ctx, run.kvStore, j, seq, live.Keys(j, seq), live.Values(j, seq)); err != nil {
-					return nil, err
-				}
-				live.SetKV(j, seq, nil, nil)
-			}
+		if err != nil {
+			return err
 		}
 	}
-
-	hidden = tensor.New(batch, cfg.Hidden)
-	for i, xs := range x {
-		copy(hidden.Row(i), xs.Row(s-1))
-	}
-	return hidden, nil
+	return nil
 }
 
 // storeChunk performs one store_cache transfer with fault probes and retry.
@@ -791,98 +577,12 @@ func (e *Engine) allocGPU(n int64) error {
 	return e.gpu.Alloc(n)
 }
 
-// decodeStep advances every sequence by one token through all layers, with
-// the six tasks of Algorithm 1 overlapped when Prefetch is on. Any panic
-// escaping the compute path (including recovered worker panics rethrown by
-// the pool) is converted into the returned error so the caller can roll the
-// step back and retry.
-func (e *Engine) decodeStep(ctx context.Context, run *genRun) (next []int, err error) {
-	defer recoverAsError(&err)
-	cfg := e.mod.Cfg
-	tokens := run.current
-	batch := len(tokens)
-
-	// Embed the current tokens (the load_activation task's payload).
-	x := make([]*tensor.Tensor, batch)
-	actBytes := int64(batch) * int64(cfg.Hidden) * 4
-	e.stats.addBytes(&e.stats.ActUpBytes, actBytes)
-	for i, tok := range tokens {
-		x[i] = e.mod.Embed([]int{tok}, run.pos)
-	}
-
-	// Weight prefetch pipeline (asynchronous load_weight of layer j+1).
-	pipe := e.newLoadPipeline(ctx)
-	defer pipe.drain()
-	if e.policy.Prefetch {
-		pipe.start(0)
-	}
-
-	for j := 0; j < cfg.Layers; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var ll loadedLayer
-		if e.policy.Prefetch {
-			ll = pipe.take()
-			if j+1 < cfg.Layers {
-				pipe.start(j + 1)
-			}
-		} else {
-			ll = e.loadLayer(ctx, j)
-		}
-		if ll.err != nil {
-			return nil, fmt.Errorf("runtime: layer %d: %w", j, ll.err)
-		}
-
-		e.loadActivations(x)
-		if err := e.computeLayer(ctx, run, j, ll.weights, x); err != nil {
-			e.freeGPU(ll.resident)
-			return nil, err
-		}
-		e.storeActivations(x)
-		e.freeGPU(ll.resident)
-		// synchronize() — Algorithm 1 line 18 — is implicit: computeLayer
-		// waits for its background stores before returning.
-	}
-
-	t0 := time.Now()
-	logits := e.mod.Logits(e.pool, e.policy.IntraOp, rowsOf(x, cfg.Hidden))
-	next = tensor.ArgmaxRows(logits)
-	// Layer -1 marks the logits projection so per-layer aggregation can
-	// separate it from transformer-block compute.
-	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.NoLabels)
-	e.stats.addBytes(&e.stats.ActDownBytes, actBytes)
-	return next, nil
-}
-
 // fetchedKV is one GPU batch's reconstructed KV slice, staged into the
 // arena by the load_cache task.
 type fetchedKV struct {
 	cache   *model.KVCache
 	fetched int64
 	err     error
-}
-
-// kvPipeline overlaps the next GPU batch's load_cache with the current
-// batch's compute, with the same drain discipline as loadPipeline.
-type kvPipeline struct {
-	e       *Engine
-	ch      chan fetchedKV
-	pending bool
-}
-
-func (p *kvPipeline) take() fetchedKV {
-	kv := <-p.ch
-	p.pending = false
-	return kv
-}
-
-func (p *kvPipeline) drain() {
-	if p.pending {
-		kv := <-p.ch
-		p.e.freeGPU(kv.fetched)
-		p.pending = false
-	}
 }
 
 // loadCacheBatch performs the load_cache task for the sequences
@@ -960,105 +660,6 @@ func (e *Engine) loadCacheOnce(ctx context.Context, kvStore *KVStore, j, seqBase
 		rec.Record(xtrace.TaskDequantKV, xtrace.LaneKVUp, td, dequant, xtrace.At(-1, j, seqBase))
 	}
 	return out
-}
-
-// computeLayer runs one layer's attention and MLP using the staged weights
-// lw, iterating the block's GPU batches one at a time (Algorithm 1's k
-// loop). Under Prefetch, batch k+1's load_cache runs while batch k computes
-// (Algorithm 1 lines 11-13).
-func (e *Engine) computeLayer(ctx context.Context, run *genRun, j int, lw *model.LayerWeights, x []*tensor.Tensor) error {
-	kvStore := run.kvStore
-	blockSize := len(x)
-	gpuBatch := e.policy.GPUBatch
-	if gpuBatch <= 0 || gpuBatch > blockSize {
-		gpuBatch = blockSize
-	}
-
-	// Batch boundaries.
-	type span struct{ lo, hi int }
-	var spans []span
-	for base := 0; base < blockSize; base += gpuBatch {
-		hi := base + gpuBatch
-		if hi > blockSize {
-			hi = blockSize
-		}
-		spans = append(spans, span{base, hi})
-	}
-
-	async := e.policy.Prefetch && kvStore != nil
-	var pipe *kvPipeline
-	if async {
-		pipe = &kvPipeline{e: e, ch: make(chan fetchedKV, 1)}
-		defer pipe.drain()
-		sp := spans[0]
-		pipe.pending = true
-		go func() { pipe.ch <- e.loadCacheBatch(ctx, kvStore, j, sp.lo, sp.hi-sp.lo) }()
-	}
-	for i, sp := range spans {
-		var kv fetchedKV
-		switch {
-		case async:
-			kv = pipe.take()
-			if i+1 < len(spans) {
-				nsp := spans[i+1]
-				pipe.pending = true
-				go func() { pipe.ch <- e.loadCacheBatch(ctx, kvStore, j, nsp.lo, nsp.hi-nsp.lo) }()
-			}
-		case kvStore != nil:
-			kv = e.loadCacheBatch(ctx, kvStore, j, sp.lo, sp.hi-sp.lo)
-		}
-		if kv.err != nil {
-			return kv.err
-		}
-		if err := e.computeBatch(ctx, run, j, sp.lo, lw, x[sp.lo:sp.hi], kv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// computeBatch runs one (layer, GPU batch) iteration: compute and
-// store_cache for the sequences [seqBase, seqBase+len(x)), using the staged
-// KV slice kv when attention runs on the GPU.
-func (e *Engine) computeBatch(ctx context.Context, run *genRun, j, seqBase int, lw *model.LayerWeights, x []*tensor.Tensor, kv fetchedKV) error {
-	cfg := e.mod.Cfg
-	batch := len(x)
-	kvStore := run.kvStore
-
-	cache := run.hostCache
-	fetched := kv.fetched
-	if kvStore != nil {
-		cache = kv.cache
-	}
-
-	if err := e.probeWorkerPanic(); err != nil {
-		e.freeGPU(fetched)
-		return err
-	}
-	t0 := time.Now()
-	outAttn, err := e.runAttention(cfg, lw, cache, j, seqBase, x)
-	if err != nil {
-		e.freeGPU(fetched)
-		return err
-	}
-	for i := range x {
-		model.MLP(e.pool, e.policy.IntraOp, cfg, lw, x[i])
-	}
-	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, seqBase))
-
-	if kvStore != nil {
-		// store_cache: persist the new rows (quantized when enabled). Stores
-		// complete before the layer's synchronize() (Algorithm 1 line 18);
-		// storeChunk times each chunk itself.
-		for s := 0; s < batch; s++ {
-			if err := e.storeChunk(ctx, kvStore, j, seqBase+s, outAttn.NewK[s], outAttn.NewV[s]); err != nil {
-				e.freeGPU(fetched)
-				return err
-			}
-		}
-		e.freeGPU(fetched)
-	}
-	return nil
 }
 
 // probeWorkerPanic fires the worker-panic fault site inside a pool worker so
@@ -1148,10 +749,11 @@ func (e *Engine) storeActivations(x []*tensor.Tensor) {
 // Sequences own disjoint cache slots and hidden tensors, so chunked
 // execution is bit-identical to serial execution regardless of scheduling
 // order.
-func (e *Engine) runAttention(cfg model.Config, lw *model.LayerWeights, cache *model.KVCache, j, seqBase int, x []*tensor.Tensor) (model.AttentionOutput, error) {
+func (e *Engine) runAttention(pool *threadpool.Pool, width int, lw *model.LayerWeights, cache *model.KVCache, j, seqBase int, x []*tensor.Tensor) (model.AttentionOutput, error) {
+	cfg := e.mod.Cfg
 	interOp := e.policy.InterOp
-	if interOp <= 1 || e.pool == nil || len(x) < 2 {
-		return model.AttentionAt(e.pool, e.policy.IntraOp, cfg, lw, cache, j, seqBase, x), nil
+	if interOp <= 1 || pool == nil || len(x) < 2 {
+		return model.AttentionAt(pool, width, cfg, lw, cache, j, seqBase, x), nil
 	}
 	if interOp > len(x) {
 		interOp = len(x)
@@ -1161,7 +763,7 @@ func (e *Engine) runAttention(cfg model.Config, lw *model.LayerWeights, cache *m
 		NewK:   make([]*tensor.Tensor, len(x)),
 		NewV:   make([]*tensor.Tensor, len(x)),
 	}
-	sched, err := threadpool.NewInterOp(e.pool, interOp)
+	sched, err := threadpool.NewInterOp(pool, interOp)
 	if err != nil {
 		return out, err
 	}
@@ -1174,7 +776,7 @@ func (e *Engine) runAttention(cfg model.Config, lw *model.LayerWeights, cache *m
 		lo, hi := lo, hi
 		sched.Submit(threadpool.Op{
 			Name:  fmt.Sprintf("attn[%d:%d]", lo, hi),
-			Width: e.policy.IntraOp,
+			Width: width,
 			Run: func(pool *threadpool.Pool, width int) {
 				part := model.AttentionAt(pool, width, cfg, lw, cache, j, seqBase+lo, x[lo:hi])
 				copy(out.NewK[lo:hi], part.NewK)
@@ -1200,5 +802,3 @@ func rowsOf(x []*tensor.Tensor, hidden int) *tensor.Tensor {
 	}
 	return out
 }
-
-func len64[T any](s []T) int64 { return int64(len(s)) }

@@ -295,32 +295,34 @@ func TestWithRetryBudgetAndPermanentErrors(t *testing.T) {
 	}
 }
 
+// TestDegradationLadder climbs the ladder of a session built the way the
+// Generate driver builds it (one slot per prompt, staged in GPU-batch groups).
 func TestDegradationLadder(t *testing.T) {
 	eng, err := NewEngine(tinyModel(t, 42), Policy{IntraOp: 1, Prefetch: true}, bigArena, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &genRun{prompts: testPrompts(), genLen: 4}
-	if err := eng.resetStores(run); err != nil {
+	sess, err := eng.newSession(len(testPrompts()), true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	eng.degradeOnce(ctx, run)
+	sess.degradeOnce(ctx)
 	if eng.policy.Prefetch {
 		t.Fatal("rung 1 did not disable prefetch")
 	}
-	eng.degradeOnce(ctx, run)
+	sess.degradeOnce(ctx)
 	if eng.policy.GPUBatch != 1 {
 		t.Fatalf("rung 2: GPUBatch = %d, want 1", eng.policy.GPUBatch)
 	}
-	eng.degradeOnce(ctx, run)
-	if !eng.policy.AttnOnCPU || run.kvStore != nil || run.hostCache == nil {
+	sess.degradeOnce(ctx)
+	if !eng.policy.AttnOnCPU || sess.kv != nil || sess.host == nil {
 		t.Fatalf("rung 3 did not migrate to host attention: %+v", eng.policy)
 	}
 	// The ladder is exhausted; another rung must be a no-op.
 	before := len(eng.Stats().Degradations)
-	eng.degradeOnce(ctx, run)
+	sess.degradeOnce(ctx)
 	got := eng.Stats().Degradations
 	if len(got) != before {
 		t.Errorf("exhausted ladder still degraded: %v", got)
@@ -328,6 +330,31 @@ func TestDegradationLadder(t *testing.T) {
 	want := []string{"prefetch-off", "gpu-batch=1", "attn-on-cpu"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("degradations = %v, want %v", got, want)
+	}
+}
+
+// TestServingSessionLadderSkipsGPUBatch: a session staging one slot at a
+// time has no GPU batch to halve, so it climbs exactly prefetch-off then
+// attn-on-cpu, and leaves Policy.GPUBatch alone.
+func TestServingSessionLadderSkipsGPUBatch(t *testing.T) {
+	eng, err := NewEngine(tinyModel(t, 42), Policy{IntraOp: 1, Prefetch: true}, bigArena, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.NewSession(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		sess.degradeOnce(ctx)
+	}
+	want := []string{"prefetch-off", "attn-on-cpu"}
+	if got := eng.Stats().Degradations; !reflect.DeepEqual(got, want) {
+		t.Errorf("degradations = %v, want %v", got, want)
+	}
+	if eng.policy.GPUBatch != 0 || !eng.policy.AttnOnCPU || sess.kv != nil {
+		t.Errorf("serving ladder end state: %+v", eng.policy)
 	}
 }
 

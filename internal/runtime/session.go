@@ -12,23 +12,23 @@ import (
 	"repro/internal/xtrace"
 )
 
-// Session is the engine's continuous-batching surface: a fixed number of KV
-// slots that independent sequences join and leave at decode-step boundaries.
-// Admit prefills a prompt into a free slot, Step advances every active slot
-// by one token (each at its own position), and Retire recycles a slot's KV
-// storage for the next request. Because the model computes attention, MLP,
-// and logits strictly per sequence, a sequence's tokens are bit-identical to
-// what a solo Engine.Generate run would produce, regardless of which other
-// sequences share the batch — the property the serving layer's differential
-// tests pin down.
+// Session is the engine's one implementation of a generation step: a fixed
+// number of KV slots that independent sequences join and leave at
+// decode-step boundaries. Admit prefills a prompt into a free slot, Step
+// advances every active slot by one token (each at its own position), and
+// Retire recycles a slot's KV storage for the next request. Generate,
+// GenerateStream and Resume are drivers over a session with one slot per
+// prompt. Because the model computes attention, MLP, and logits strictly per
+// sequence, a sequence's tokens are bit-identical to what a solo
+// Engine.Generate run would produce, regardless of which other sequences
+// share the batch — the property the serving layer's differential tests pin
+// down.
 //
 // A Session owns the engine's arena and stats while it is live: do not run
 // Generate on the same engine concurrently, and drive the session from one
-// goroutine (the serving scheduler's loop). Fault handling mirrors the
-// offline path: transient faults retry inside each operation, failed steps
-// roll back every slot's partial KV appends before retrying, and repeated
-// failures take the session degradation ladder (prefetch-off, then migrating
-// the whole KV store to host-resident CPU attention).
+// goroutine (the serving scheduler's loop). Transient faults retry inside each
+// operation, failed steps roll back every slot's partial KV appends before
+// retrying, and repeated failures take the degradation ladder (degradeOnce).
 //
 // Under memory pressure, the serving scheduler can additionally move
 // individual slots down the KV-pressure ladder: SetQuantizeNewSlots makes
@@ -43,6 +43,12 @@ import (
 type Session struct {
 	e     *Engine
 	slots int
+
+	// grouped sessions (the Generate driver's) stage GPU-path slots in groups
+	// of Policy.GPUBatch and, under Prefetch, overlap the next group's
+	// load_cache with the current group's compute. Other sessions stage one
+	// slot at a time, which is what StagedKVBytes reports per slot.
+	grouped bool
 
 	// kv is the GPU-staged store (nil once the degradation ladder migrates
 	// everything to host). host is the host-resident cache: it holds spilled
@@ -81,7 +87,9 @@ type SlotToken struct {
 // NewSession creates a continuous-batching session with the given number of
 // sequence slots. The engine's fault injector must be wired (SetFaultInjector)
 // before the session is created for KV corruption probes to reach the store.
-func (e *Engine) NewSession(slots int) (*Session, error) {
+func (e *Engine) NewSession(slots int) (*Session, error) { return e.newSession(slots, false) }
+
+func (e *Engine) newSession(slots int, grouped bool) (*Session, error) {
 	if slots <= 0 {
 		return nil, fmt.Errorf("runtime: session needs at least one slot, got %d", slots)
 	}
@@ -89,6 +97,7 @@ func (e *Engine) NewSession(slots int) (*Session, error) {
 	s := &Session{
 		e:          e,
 		slots:      slots,
+		grouped:    grouped,
 		active:     make([]bool, slots),
 		pos:        make([]int, slots),
 		last:       make([]int, slots),
@@ -249,11 +258,81 @@ func (s *Session) prefixEvent(name string, slot int) {
 	}
 }
 
+// commitPrefix inserts a candidate's blocks into the prefix store, counting
+// and tracing the inserts and evictions.
+func (s *Session) commitPrefix(slot int, cand *PrefixCandidate) {
+	inserted, evicted := s.prefix.Commit(cand)
+	if inserted > 0 {
+		s.e.stats.RecordPrefixInserts(int64(inserted))
+		s.prefixEvent(xtrace.TaskPrefixInsert, slot)
+	}
+	if evicted > 0 {
+		s.e.stats.RecordPrefixEvictions(int64(evicted))
+		s.prefixEvent(xtrace.TaskPrefixEvict, slot)
+	}
+}
+
+// acquirePrefix pins the longest cached prefix of prompt, leaving at least
+// one token to prefill (the last token's forward pass produces the first
+// generated token). It returns nil without a prefix store or on a miss.
+func (s *Session) acquirePrefix(slot int, prompt []int) *PrefixMatch {
+	if s.prefix == nil {
+		return nil
+	}
+	t0 := time.Now()
+	m := s.prefix.Acquire(prompt, len(prompt)-1)
+	if m == nil {
+		s.e.stats.RecordPrefixMiss()
+		return nil
+	}
+	s.e.stats.RecordPrefixHit(m.Tokens())
+	s.e.task(xtrace.TaskPrefixHit, xtrace.LaneServe, t0, xtrace.At(-1, -1, slot))
+	return m
+}
+
 // ensureHost lazily creates the host-side cache used by spilled slots.
 func (s *Session) ensureHost() {
 	if s.host == nil {
 		cfg := s.e.mod.Cfg
 		s.host = model.NewKVCache(cfg.Layers, s.slots, cfg.Hidden)
+	}
+}
+
+// fetchSlot reads every layer of a staged slot back to float32 (dequantized
+// for quantized slots), retrying transient faults as op. It installs
+// nothing, so on failure the staged copy stays authoritative.
+func (s *Session) fetchSlot(ctx context.Context, op string, slot int) (ks, vs []*tensor.Tensor, err error) {
+	layers := s.e.mod.Cfg.Layers
+	ks, vs = make([]*tensor.Tensor, layers), make([]*tensor.Tensor, layers)
+	for l := range layers {
+		err := s.e.withRetry(ctx, op, func() error {
+			var ferr error
+			ks[l], vs[l], _, ferr = s.kv.Fetch(l, slot)
+			return ferr
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("runtime: fetching slot %d layer %d: %w", slot, l, err)
+		}
+	}
+	return ks, vs, nil
+}
+
+// setHostSlot installs one slot's per-layer rows into the host cache.
+func (s *Session) setHostSlot(slot int, ks, vs []*tensor.Tensor) {
+	for l := range ks {
+		s.host.SetKV(l, slot, ks[l], vs[l])
+	}
+}
+
+// dropSlotKV discards a slot's rows from both stores.
+func (s *Session) dropSlotKV(slot int) {
+	if s.kv != nil {
+		s.kv.ResetSlot(slot)
+	}
+	if s.host != nil {
+		for l := range s.host.Layers() {
+			s.host.SetKV(l, slot, nil, nil)
+		}
 	}
 }
 
@@ -274,24 +353,13 @@ func (s *Session) SpillSlot(ctx context.Context, slot int) error {
 	if s.slotOnHost(slot) {
 		return nil
 	}
-	s.ensureHost()
 	t0 := time.Now()
-	cfg := s.e.mod.Cfg
-	for l := 0; l < cfg.Layers; l++ {
-		var k, v *tensor.Tensor
-		err := s.e.withRetry(ctx, "kv_spill", func() error {
-			var ferr error
-			k, v, _, ferr = s.kv.Fetch(l, slot)
-			return ferr
-		})
-		if err != nil {
-			for j := 0; j < l; j++ {
-				s.host.SetKV(j, slot, nil, nil)
-			}
-			return fmt.Errorf("runtime: spilling slot %d layer %d: %w", slot, l, err)
-		}
-		s.host.SetKV(l, slot, k, v)
+	ks, vs, err := s.fetchSlot(ctx, "kv_spill", slot)
+	if err != nil {
+		return err
 	}
+	s.ensureHost()
+	s.setHostSlot(slot, ks, vs)
 	s.kv.ResetSlot(slot)
 	s.spilled[slot] = true
 	s.e.stats.RecordSpill()
@@ -359,11 +427,97 @@ func (s *Session) rollback(m sessionMark) {
 	}
 }
 
+// attempt runs one atomic session operation: each try is marked and runs
+// under the step deadline; a failed try is rolled back, counted as a retry of
+// op, and tried again, and every try past the second first takes one rung of
+// the degradation ladder (then runs afterDegrade, when non-nil). Cancellation
+// surfaces between tries as ctx.Err().
+func (s *Session) attempt(ctx context.Context, op string, try func(context.Context) error, afterDegrade func()) error {
+	for n := 1; ; n++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m := s.mark()
+		stepCtx, cancel := s.e.stepContext(ctx)
+		err := try(stepCtx)
+		cancel()
+		if err == nil {
+			return nil
+		}
+		s.rollback(m)
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if n >= maxStepAttempts {
+			return fmt.Errorf("runtime: %s failed after %d attempts: %w", op, n, err)
+		}
+		s.e.stats.addRetry(op)
+		if n >= 2 {
+			s.degradeOnce(ctx)
+			if afterDegrade != nil {
+				afterDegrade()
+			}
+		}
+	}
+}
+
+// checkFree validates a slot and prompt for admission.
+func (s *Session) checkFree(slot int, prompt []int) error {
+	switch {
+	case slot < 0 || slot >= s.slots:
+		return fmt.Errorf("runtime: slot %d outside [0, %d)", slot, s.slots)
+	case s.active[slot]:
+		return fmt.Errorf("runtime: admit into occupied slot %d", slot)
+	case s.chunk[slot] != nil:
+		return fmt.Errorf("runtime: slot %d has a chunked prefill in flight", slot)
+	case len(prompt) == 0:
+		return fmt.Errorf("runtime: admit with empty prompt")
+	}
+	return nil
+}
+
+// pinSlot fixes a free slot's KV storage mode for its next occupant:
+// quantized with the policy config when the store quantizes, with the ladder
+// config when quantKV asks for it, raw otherwise.
+func (s *Session) pinSlot(slot int, quantKV bool) error {
+	s.spilled[slot] = false
+	s.quantKV[slot] = false
+	switch {
+	case s.kv != nil && s.kv.Quantized():
+		s.slotCfgs[slot] = s.e.policy.KVCfg
+	case quantKV && s.kv != nil:
+		if s.ladderCfg.Bits == 0 {
+			return fmt.Errorf("runtime: quantized admit without a ladder config (call SetQuantizeNewSlots first)")
+		}
+		if err := s.kv.SetSlotQuant(slot, &s.ladderCfg); err != nil {
+			return err
+		}
+		s.slotCfgs[slot] = s.ladderCfg
+	default:
+		return nil
+	}
+	s.quantKV[slot] = true
+	return nil
+}
+
+// unpinSlot undoes pinSlot after a failed admission.
+func (s *Session) unpinSlot(slot int) {
+	if s.kv != nil {
+		s.kv.SetSlotQuant(slot, nil)
+	}
+	s.quantKV[slot] = false
+}
+
+// activate makes a prefilled slot live at position pos with last token tok.
+func (s *Session) activate(slot, pos, tok int) {
+	s.active[slot], s.pos[slot], s.last[slot] = true, pos, tok
+}
+
 // Admit prefills prompt into a free slot and returns the first generated
 // token, quantizing the slot's KV when the pressure ladder says so. The slot
 // becomes active; subsequent Step calls extend it. Transient failures retry
 // with full rollback of the partial prefill, taking the degradation ladder
-// past the second attempt, exactly like offline prefill.
+// past the second attempt.
 func (s *Session) Admit(ctx context.Context, slot int, prompt []int) (int, error) {
 	return s.AdmitKV(ctx, slot, prompt, s.quantNew)
 }
@@ -374,136 +528,102 @@ func (s *Session) Admit(ctx context.Context, slot int, prompt []int) (int, error
 // storage mode sticky across evict/resume, so its token stream stays exact
 // against one solo reference.
 func (s *Session) AdmitKV(ctx context.Context, slot int, prompt []int, quantKV bool) (int, error) {
+	toks, err := s.admit(ctx, []int{slot}, [][]int{prompt}, quantKV)
+	if err != nil {
+		return 0, err
+	}
+	return toks[0], nil
+}
+
+// admit prefills equal-length prompts into free slots in one pass over the
+// layers — one load_weight per layer and one prefill span per attempt for
+// the whole group — and returns each slot's first generated token. A single
+// slot seeds from the prefix store when one is attached, and commits its own
+// full blocks only after the whole prefill succeeded: a rolled-back attempt
+// must never seed the shared cache.
+func (s *Session) admit(ctx context.Context, slots []int, prompts [][]int, quantKV bool) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if slot < 0 || slot >= s.slots {
-		return 0, fmt.Errorf("runtime: admit slot %d outside [0, %d)", slot, s.slots)
-	}
-	if s.active[slot] {
-		return 0, fmt.Errorf("runtime: admit into occupied slot %d", slot)
-	}
-	if s.chunk[slot] != nil {
-		return 0, fmt.Errorf("runtime: admit into slot %d with a chunked prefill in flight", slot)
-	}
-	if len(prompt) == 0 {
-		return 0, fmt.Errorf("runtime: admit with empty prompt")
-	}
-	s.spilled[slot] = false
-	switch {
-	case s.kv != nil && s.kv.Quantized():
-		s.quantKV[slot] = true
-		s.slotCfgs[slot] = s.e.policy.KVCfg
-	case quantKV && s.kv != nil:
-		if s.ladderCfg.Bits == 0 {
-			return 0, fmt.Errorf("runtime: quantized admit without a ladder config (call SetQuantizeNewSlots first)")
+	for i, slot := range slots {
+		if err := s.checkFree(slot, prompts[i]); err != nil {
+			return nil, err
 		}
-		if err := s.kv.SetSlotQuant(slot, &s.ladderCfg); err != nil {
-			return 0, err
+		if len(prompts[i]) != len(prompts[0]) {
+			return nil, fmt.Errorf("runtime: ragged prompt lengths %d and %d", len(prompts[0]), len(prompts[i]))
 		}
-		s.quantKV[slot] = true
-		s.slotCfgs[slot] = s.ladderCfg
-	default:
-		s.quantKV[slot] = false
 	}
-	// Seed from the longest cached prefix, leaving at least one prompt token
-	// to prefill (the last token's forward pass produces the first generated
-	// token). The match stays pinned until Retire; a failed admit releases it.
 	var match *PrefixMatch
-	if s.prefix != nil {
-		t0 := time.Now()
-		match = s.prefix.Acquire(prompt, len(prompt)-1)
-		if match != nil {
-			s.e.stats.RecordPrefixHit(match.Tokens())
-			s.e.task(xtrace.TaskPrefixHit, xtrace.LaneServe, t0, xtrace.At(-1, -1, slot))
-		} else {
-			s.e.stats.RecordPrefixMiss()
+	release := func() {
+		for _, slot := range slots {
+			s.unpinSlot(slot)
 		}
-	}
-	clearSlot := func() {
-		if s.kv != nil {
-			s.kv.SetSlotQuant(slot, nil)
-		}
-		s.quantKV[slot] = false
 		match.Release()
 	}
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			clearSlot()
-			return 0, err
+	for _, slot := range slots {
+		if err := s.pinSlot(slot, quantKV); err != nil {
+			release()
+			return nil, err
 		}
-		m := s.mark()
-		stepCtx, cancel := s.e.stepContext(ctx)
+	}
+	if len(slots) == 1 {
+		match = s.acquirePrefix(slots[0], prompts[0])
+	}
+	var toks []int
+	var cand *PrefixCandidate
+	var took time.Duration
+	err := s.attempt(ctx, "prefill", func(ctx context.Context) (err error) {
 		t0 := time.Now()
-		tok, cand, err := s.admitOnce(stepCtx, slot, prompt, match)
-		cancel()
-		s.e.task(xtrace.TaskPrefill, xtrace.LaneEngine, t0, xtrace.At(-1, -1, slot))
-		if err == nil {
-			s.active[slot] = true
-			s.pos[slot] = len(prompt)
-			s.last[slot] = tok
-			s.prefixRefs[slot] = match
-			if match != nil {
-				s.reused[slot] = match.Tokens()
-			}
-			if cand != nil {
-				// Insert only after the whole prefill succeeded: a rolled-back
-				// attempt must never seed the shared cache.
-				inserted, evicted := s.prefix.Commit(cand)
-				if inserted > 0 {
-					s.e.stats.RecordPrefixInserts(int64(inserted))
-					s.prefixEvent(xtrace.TaskPrefixInsert, slot)
-				}
-				if evicted > 0 {
-					s.e.stats.RecordPrefixEvictions(int64(evicted))
-					s.prefixEvent(xtrace.TaskPrefixEvict, slot)
-				}
-			}
-			s.e.stats.mu.Lock()
-			s.e.stats.TokensGenerated++
-			s.e.stats.mu.Unlock()
-			// Prefill is compute too: a drifted machine stretches it the
-			// same way Step is stretched.
-			s.e.driftStall(ctx, time.Since(t0))
-			return tok, nil
-		}
-		s.rollback(m)
-		if cerr := ctx.Err(); cerr != nil {
-			clearSlot()
-			return 0, cerr
-		}
-		if attempt >= maxStepAttempts {
-			clearSlot()
-			return 0, fmt.Errorf("runtime: admit to slot %d failed after %d attempts: %w", slot, attempt, err)
-		}
-		s.e.stats.addRetry("admit")
-		if attempt >= 2 {
-			s.degradeOnce(ctx)
-			if s.kv == nil {
-				// The store migrated to host mid-admit: per-slot quantization
-				// no longer applies.
+		toks, cand, err = s.admitOnce(ctx, slots, prompts, match)
+		took = time.Since(t0)
+		s.e.task(xtrace.TaskPrefill, xtrace.LaneEngine, t0, xtrace.At(-1, -1, slots[0]))
+		return err
+	}, func() {
+		if s.kv == nil {
+			// The store migrated to host mid-admit: per-slot quantization no
+			// longer applies.
+			for _, slot := range slots {
 				s.quantKV[slot] = false
 			}
 		}
+	})
+	if err != nil {
+		release()
+		return nil, err
 	}
+	for i, slot := range slots {
+		s.activate(slot, len(prompts[i]), toks[i])
+	}
+	s.e.stats.addTokens(len(slots))
+	if match != nil {
+		s.prefixRefs[slots[0]], s.reused[slots[0]] = match, match.Tokens()
+	}
+	if cand != nil {
+		s.commitPrefix(slots[0], cand)
+	}
+	// Prefill is compute too: a drifted machine stretches it the same way
+	// Step is stretched.
+	s.e.driftStall(ctx, took)
+	return toks, nil
 }
 
-// admitOnce is one prefill attempt for a single sequence: stream every
-// layer's weights (with prefetch overlap when enabled), compute attention
-// and MLP over the prompt, and offload the slot's KV per layer.
+// admitOnce is one prefill attempt (FlexGen steps 1.1–1.3): stream every
+// layer's weights, compute attention and MLP over the prompts into a live
+// cache, and move each slot's rows to the staged store (store_cache) or the
+// host cache as the layer finishes.
 //
 // With a prefix match, only the suffix is embedded and computed: each
-// layer's cache is seeded with the stored prefix K/V rows before the
+// layer's live rows are seeded with the stored prefix K/V before the
 // suffix's attention runs. Causal attention makes this bit-identical to a
 // cold full prefill — a prefix token's K/V depends only on prefix tokens,
 // every per-row operation (projections, softmax, norms) is independent of
 // the other rows, and the slot's store still receives the full prompt's rows
 // as one chunk, so downstream chunking and quantization are unchanged.
 //
-// On success it also returns the insert candidate: the prompt's full blocks
-// the prefix store does not hold yet, captured before each layer's live rows
-// are dropped. The caller commits it only after the attempt succeeds.
-func (s *Session) admitOnce(ctx context.Context, slot int, prompt []int, match *PrefixMatch) (tok int, cand *PrefixCandidate, err error) {
+// On success it also returns the insert candidate: the first prompt's full
+// blocks the prefix store does not hold yet, captured before each layer's
+// live rows are dropped.
+func (s *Session) admitOnce(ctx context.Context, slots []int, prompts [][]int, match *PrefixMatch) (toks []int, cand *PrefixCandidate, err error) {
 	defer recoverAsError(&err)
 	e := s.e
 	cfg := e.mod.Cfg
@@ -511,85 +631,57 @@ func (s *Session) admitOnce(ctx context.Context, slot int, prompt []int, match *
 	if match != nil {
 		reused = match.Tokens()
 	}
-	suffix := prompt[reused:]
-	x := e.mod.Embed(suffix, reused)
-	xs := []*tensor.Tensor{x}
-	e.stats.addBytes(&e.stats.ActUpBytes, int64(len(suffix)*cfg.Hidden)*4)
+	n := len(prompts[0]) - reused
+	x := make([]*tensor.Tensor, len(prompts))
+	for i, p := range prompts {
+		x[i] = e.mod.Embed(p[reused:], reused)
+	}
+	e.stats.addBytes(&e.stats.ActUpBytes, int64(len(x)*n*cfg.Hidden)*4)
 	if s.prefix != nil {
-		cand = s.prefix.NewCandidate(prompt, reused)
+		cand = s.prefix.NewCandidate(prompts[0], reused)
 	}
-
-	// With GPU attention, prefill computes into a one-sequence live cache
-	// whose layer slices are offloaded (and dropped) as each layer finishes;
-	// with CPU attention it writes straight into the slot's host cache.
-	var live *model.KVCache
-	if s.kv != nil {
-		live = model.NewKVCache(cfg.Layers, 1, cfg.Hidden)
-	}
-
-	pipe := e.newLoadPipeline(ctx)
-	defer pipe.drain()
-	if e.policy.Prefetch {
-		pipe.start(0)
-	}
-	for j := 0; j < cfg.Layers; j++ {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
+	live := model.NewKVCache(cfg.Layers, len(slots), cfg.Hidden)
+	err = e.forEachLayer(ctx, func(j int, lw *model.LayerWeights) error {
+		if match != nil {
+			pk, pv := match.SeedLayer(j)
+			live.SetKV(j, 0, pk, pv)
 		}
-		var ll loadedLayer
-		if e.policy.Prefetch {
-			ll = pipe.take()
-			if j+1 < cfg.Layers {
-				pipe.start(j + 1)
-			}
-		} else {
-			ll = e.loadLayer(ctx, j)
-		}
-		if ll.err != nil {
-			return 0, nil, fmt.Errorf("runtime: admit layer %d: %w", j, ll.err)
-		}
-
 		t0 := time.Now()
-		if s.kv != nil {
-			if match != nil {
-				pk, pv := match.SeedLayer(j)
-				live.SetKV(j, 0, pk, pv)
-			}
-			model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, live, j, 0, xs)
-		} else {
-			if match != nil {
-				pk, pv := match.SeedLayer(j)
-				s.host.SetKV(j, slot, pk, pv)
-			}
-			model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, s.host, j, slot, xs)
+		model.AttentionAt(e.pool, e.policy.IntraOp, cfg, lw, live, j, 0, x)
+		for _, xi := range x {
+			model.MLP(e.pool, e.policy.IntraOp, cfg, lw, xi)
 		}
-		model.MLP(e.pool, e.policy.IntraOp, cfg, ll.weights, x)
-		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slot))
-		e.freeGPU(ll.resident)
-
-		if s.kv != nil {
-			if cand != nil {
-				cand.CaptureLayer(j, live.Keys(j, 0), live.Values(j, 0))
+		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slots[0]))
+		return nil
+	}, func(j int) error {
+		for i, slot := range slots {
+			k, v := live.Keys(j, i), live.Values(j, i)
+			if cand != nil && i == 0 {
+				cand.CaptureLayer(j, k, v)
 			}
-			if err := e.storeChunk(ctx, s.kv, j, slot, live.Keys(j, 0), live.Values(j, 0)); err != nil {
-				return 0, nil, err
+			live.SetKV(j, i, nil, nil)
+			if s.kv == nil {
+				s.host.SetKV(j, slot, k, v)
+			} else if err := e.storeChunk(ctx, s.kv, j, slot, k, v); err != nil {
+				return err
 			}
-			live.SetKV(j, 0, nil, nil)
-		} else if cand != nil {
-			cand.CaptureLayer(j, s.host.Keys(j, slot), s.host.Values(j, slot))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	hidden := tensor.New(1, cfg.Hidden)
-	copy(hidden.Row(0), x.Row(len(suffix)-1))
-	return tensor.ArgmaxRows(e.mod.Logits(e.pool, e.policy.IntraOp, hidden))[0], cand, nil
+	hidden := tensor.New(len(x), cfg.Hidden)
+	for i, xi := range x {
+		copy(hidden.Row(i), xi.Row(n-1))
+	}
+	return tensor.ArgmaxRows(e.mod.Logits(e.pool, e.policy.IntraOp, hidden)), cand, nil
 }
 
 // Step advances every active slot by one token and returns the new token per
 // slot (in slot order). It returns (nil, nil) when no slot is active. A
-// failed step rolls every slot back to the pre-step mark before retrying —
-// the same atomicity the offline decode loop guarantees — so a fault in one
-// sequence never corrupts its neighbours.
+// failed step rolls every slot back to the pre-step mark before retrying, so
+// a fault in one sequence never corrupts its neighbours.
 func (s *Session) Step(ctx context.Context) ([]SlotToken, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -598,141 +690,133 @@ func (s *Session) Step(ctx context.Context) ([]SlotToken, error) {
 	if len(act) == 0 {
 		return nil, nil
 	}
-	stepAttempts := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m := s.mark()
-		stepCtx, cancel := s.e.stepContext(ctx)
-		tStep := time.Now()
-		next, err := s.stepOnce(stepCtx, act)
-		cancel()
-		if err == nil {
-			out := make([]SlotToken, len(act))
-			for i, slot := range act {
-				s.pos[slot]++
-				s.last[slot] = next[i]
-				out[i] = SlotToken{Slot: slot, Token: next[i]}
-			}
-			s.e.stats.mu.Lock()
-			s.e.stats.TokensGenerated += int64(len(act))
-			s.e.stats.mu.Unlock()
-			// Under an installed drift schedule the machine is `factor`
-			// slower: stretch the completed step accordingly so serving
-			// latency, the step-cost fit, and the adapt loop all observe the
-			// drifted regime.
-			s.e.driftStall(ctx, time.Since(tStep))
-			return out, nil
-		}
-		s.rollback(m)
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		stepAttempts++
-		if stepAttempts >= maxStepAttempts {
-			return nil, fmt.Errorf("runtime: session step failed after %d attempts: %w", stepAttempts, err)
-		}
-		s.e.stats.addRetry("decode_step")
-		if stepAttempts >= 2 {
-			s.degradeOnce(ctx)
-		}
+	var next []int
+	var took time.Duration
+	err := s.attempt(ctx, "decode_step", func(ctx context.Context) (err error) {
+		t0 := time.Now()
+		next, err = s.stepOnce(ctx, act)
+		took = time.Since(t0)
+		return err
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	out := make([]SlotToken, len(act))
+	for i, slot := range act {
+		s.pos[slot]++
+		s.last[slot] = next[i]
+		out[i] = SlotToken{Slot: slot, Token: next[i]}
+	}
+	s.e.stats.addTokens(len(act))
+	// Under an installed drift schedule the machine is `factor` slower:
+	// stretch the completed step accordingly so serving latency, the
+	// step-cost fit, and the adapt loop all observe the drifted regime.
+	s.e.driftStall(ctx, took)
+	return out, nil
 }
 
-// stepOnce is one decode-step attempt over the active slots. Each sequence
-// embeds its token at its own absolute position — the per-slot generalization
-// of the offline loop's single shared position — then every layer streams its
-// weights once and the slots compute one at a time against their own KV.
+// stepOnce is one decode-step attempt over the active slots, with the six
+// tasks of Algorithm 1 overlapped when Prefetch is on. Each sequence embeds
+// its token at its own absolute position, then every layer streams its
+// weights once and the slots compute group by group against their own KV.
 func (s *Session) stepOnce(ctx context.Context, act []int) (next []int, err error) {
 	defer recoverAsError(&err)
 	e := s.e
 	cfg := e.mod.Cfg
-
 	x := make([]*tensor.Tensor, len(act))
 	for i, slot := range act {
 		x[i] = e.mod.Embed([]int{s.last[slot]}, s.pos[slot])
 	}
 	actBytes := int64(len(act)) * int64(cfg.Hidden) * 4
 	e.stats.addBytes(&e.stats.ActUpBytes, actBytes)
-
-	pipe := e.newLoadPipeline(ctx)
-	defer pipe.drain()
-	if e.policy.Prefetch {
-		pipe.start(0)
+	host, gpu := s.stageGroups(act)
+	err = e.forEachLayer(ctx, func(j int, lw *model.LayerWeights) error {
+		e.loadActivations(x)
+		if err := s.stepLayer(ctx, j, lw, host, gpu, x); err != nil {
+			return err
+		}
+		e.storeActivations(x)
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	for j := 0; j < cfg.Layers; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var ll loadedLayer
-		if e.policy.Prefetch {
-			ll = pipe.take()
-			if j+1 < cfg.Layers {
-				pipe.start(j + 1)
-			}
-		} else {
-			ll = e.loadLayer(ctx, j)
-		}
-		if ll.err != nil {
-			return nil, fmt.Errorf("runtime: session layer %d: %w", j, ll.err)
-		}
-		if err := s.stepLayer(ctx, j, ll, act, x); err != nil {
-			return nil, err
-		}
-	}
-
 	t0 := time.Now()
-	logits := e.mod.Logits(e.pool, e.policy.IntraOp, rowsOf(x, cfg.Hidden))
-	next = tensor.ArgmaxRows(logits)
+	next = tensor.ArgmaxRows(e.mod.Logits(e.pool, e.policy.IntraOp, rowsOf(x, cfg.Hidden)))
+	// Layer -1 marks the logits projection so per-layer aggregation can
+	// separate it from transformer-block compute.
 	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.NoLabels)
 	e.stats.addBytes(&e.stats.ActDownBytes, actBytes)
 	return next, nil
 }
 
-// stepLayer runs one layer over every active slot, releasing the staged
-// weights on every path.
+// stageGroup is a run of active slots with consecutive indices and the same
+// KV placement that computes one layer together (Algorithm 1's GPU batch):
+// x[lo:hi] are their hidden states and first is the lowest slot.
+type stageGroup struct{ lo, hi, first int }
+
+// stageWidth is how many slots one group holds: Policy.GPUBatch (0 = every
+// slot) in a grouped session, one otherwise.
+func (s *Session) stageWidth() int {
+	if !s.grouped {
+		return 1
+	}
+	g := s.e.policy.GPUBatch
+	if g <= 0 || g > s.slots {
+		g = s.slots
+	}
+	return g
+}
+
+// stageGroups splits the active slots into host-resident and GPU-path
+// compute groups of at most stageWidth slots each.
+func (s *Session) stageGroups(act []int) (host, gpu []stageGroup) {
+	width := s.stageWidth()
+	var last *[]stageGroup
+	for i, slot := range act {
+		gs := &gpu
+		if s.slotOnHost(slot) {
+			gs = &host
+		}
+		if n := len(*gs); n > 0 && gs == last && (*gs)[n-1].hi-(*gs)[n-1].lo < width && act[i-1] == slot-1 {
+			(*gs)[n-1].hi++
+			continue
+		}
+		*gs = append(*gs, stageGroup{lo: i, hi: i + 1, first: slot})
+		last = gs
+	}
+	return host, gpu
+}
+
+// stepLayer runs one layer over every group.
 //
 // When inter-op parallelism is enabled and the batch mixes host-resident and
-// GPU-path slots, the host slots' CPU attention co-runs with the GPU slots'
+// GPU-path slots, the host groups' CPU attention co-runs with the GPU groups'
 // stage/compute/store chain — the Eq. 2 overlap extended with the CPU as a
 // concurrent compute resource (APEX/HeteGen's heterogeneous split) instead of
 // a serialization point. The two partitions own disjoint slots, caches, and
 // hidden tensors, so overlapped execution is bit-identical to serial
 // execution regardless of scheduling order (the same argument as
 // Engine.runAttention).
-func (s *Session) stepLayer(ctx context.Context, j int, ll loadedLayer, act []int, x []*tensor.Tensor) error {
+func (s *Session) stepLayer(ctx context.Context, j int, lw *model.LayerWeights, host, gpu []stageGroup, x []*tensor.Tensor) error {
 	e := s.e
-	defer e.freeGPU(ll.resident)
-	var hostIdx, gpuIdx []int // indices into act
-	for i, slot := range act {
-		if s.slotOnHost(slot) {
-			hostIdx = append(hostIdx, i)
-		} else {
-			gpuIdx = append(gpuIdx, i)
+	runHost := func(pool *threadpool.Pool, width int) error {
+		for _, g := range host {
+			if err := s.computeGroup(ctx, j, lw, g, x[g.lo:g.hi], nil, pool, width); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	if e.policy.InterOp > 1 && e.pool != nil && len(hostIdx) > 0 && len(gpuIdx) > 0 {
+	if len(host) > 0 && len(gpu) > 0 && e.policy.InterOp > 1 && e.pool != nil {
 		if sched, err := threadpool.NewInterOp(e.pool, 2); err == nil {
 			var hostErr error
 			sched.Submit(threadpool.Op{
 				Name:  fmt.Sprintf("cpu_attn[layer %d]", j),
 				Width: e.policy.IntraOp,
-				Run: func(pool *threadpool.Pool, width int) {
-					for _, i := range hostIdx {
-						if herr := s.hostSlotStep(j, ll, act[i], x[i], pool, width); herr != nil {
-							hostErr = herr
-							return
-						}
-					}
-				},
+				Run:   func(pool *threadpool.Pool, width int) { hostErr = runHost(pool, width) },
 			})
-			var gpuErr error
-			for _, i := range gpuIdx {
-				if gpuErr = s.gpuSlotStep(ctx, j, ll, act[i], x[i]); gpuErr != nil {
-					break
-				}
-			}
+			gpuErr := s.gpuGroups(ctx, j, lw, gpu, x)
 			if werr := sched.Wait(); werr != nil && gpuErr == nil {
 				gpuErr = werr
 			}
@@ -742,62 +826,98 @@ func (s *Session) stepLayer(ctx context.Context, j int, ll loadedLayer, act []in
 			return hostErr
 		}
 	}
-	for i, slot := range act {
-		if s.slotOnHost(slot) {
-			if err := s.hostSlotStep(j, ll, slot, x[i], e.pool, e.policy.IntraOp); err != nil {
-				return err
-			}
-			continue
+	if len(host) > 0 {
+		if err := runHost(e.pool, e.policy.IntraOp); err != nil {
+			return err
 		}
-		if err := s.gpuSlotStep(ctx, j, ll, slot, x[i]); err != nil {
+	}
+	return s.gpuGroups(ctx, j, lw, gpu, x)
+}
+
+// gpuGroups runs one layer over the GPU-path groups in order: load_cache
+// stages a group's KV into the arena, the group computes and persists its new
+// rows, and the staging is released. In a grouped session under Prefetch the
+// next group's load_cache runs while the current group computes (Algorithm 1
+// lines 11–13); an abandoned in-flight load is drained before returning so
+// its arena reservation cannot leak.
+func (s *Session) gpuGroups(ctx context.Context, j int, lw *model.LayerWeights, groups []stageGroup, x []*tensor.Tensor) error {
+	e := s.e
+	overlap := s.grouped && e.policy.Prefetch
+	var ahead chan fetchedKV // the next group's in-flight load_cache
+	if overlap && len(groups) > 0 {
+		ahead = s.loadAhead(ctx, j, groups[0])
+	}
+	defer func() {
+		if ahead != nil {
+			e.freeGPU((<-ahead).fetched)
+		}
+	}()
+	for i, g := range groups {
+		var kv fetchedKV
+		if ahead != nil {
+			kv, ahead = <-ahead, nil
+		} else {
+			kv = e.loadCacheBatch(ctx, s.kv, j, g.first, g.hi-g.lo)
+		}
+		if overlap && i+1 < len(groups) {
+			ahead = s.loadAhead(ctx, j, groups[i+1])
+		}
+		if kv.err != nil {
+			return kv.err
+		}
+		if err := func() error {
+			defer e.freeGPU(kv.fetched)
+			return s.computeGroup(ctx, j, lw, g, x[g.lo:g.hi], kv.cache, e.pool, e.policy.IntraOp)
+		}(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// hostSlotStep is one (layer, slot) iteration of host-resident attention:
-// compute in place against the slot's cache; the new rows are appended by
-// AttentionAt itself. The current row is consumed raw — matching the staged
-// path, which quantizes only at store_cache time — then sealed for the steps
-// that follow.
-func (s *Session) hostSlotStep(j int, ll loadedLayer, slot int, xi *tensor.Tensor, pool *threadpool.Pool, width int) error {
+// loadAhead starts a group's load_cache in the background.
+func (s *Session) loadAhead(ctx context.Context, j int, g stageGroup) chan fetchedKV {
+	ch := make(chan fetchedKV, 1)
+	go func() { ch <- s.e.loadCacheBatch(ctx, s.kv, j, g.first, g.hi-g.lo) }()
+	return ch
+}
+
+// computeGroup is one (layer, group) iteration: attention and MLP against
+// staged, then store_cache of the new rows — or, for a host-resident group
+// (nil staged), attention against the host cache, sealing the new row of
+// each quantized slot for the steps that follow (attention consumed it raw,
+// matching the staged path, which quantizes only at store_cache time).
+func (s *Session) computeGroup(ctx context.Context, j int, lw *model.LayerWeights, g stageGroup, x []*tensor.Tensor, staged *model.KVCache, pool *threadpool.Pool, width int) error {
 	e := s.e
-	cfg := e.mod.Cfg
 	if err := e.probeWorkerPanic(); err != nil {
 		return err
 	}
+	cache := staged
+	if staged == nil {
+		cache = s.host
+	}
 	t0 := time.Now()
-	model.AttentionAt(pool, width, cfg, ll.weights, s.host, j, slot, []*tensor.Tensor{xi})
-	model.MLP(pool, width, cfg, ll.weights, xi)
-	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slot))
-	if s.quantKV[slot] {
-		if err := s.sealHostRows(j, slot, 1); err != nil {
+	out, err := e.runAttention(pool, width, lw, cache, j, g.first, x)
+	if err != nil {
+		return err
+	}
+	for _, xi := range x {
+		model.MLP(pool, width, e.mod.Cfg, lw, xi)
+	}
+	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, g.first))
+	for i := range x {
+		slot := g.first + i
+		switch {
+		case staged != nil:
+			err = e.storeChunk(ctx, s.kv, j, slot, out.NewK[i], out.NewV[i])
+		case s.quantKV[slot]:
+			err = s.sealHostRows(j, slot, 1)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// gpuSlotStep is one (layer, slot) iteration of GPU-path attention: stage the
-// slot's KV into the arena (load_cache), compute, persist the new rows
-// (store_cache), release the staging.
-func (s *Session) gpuSlotStep(ctx context.Context, j int, ll loadedLayer, slot int, xi *tensor.Tensor) error {
-	e := s.e
-	cfg := e.mod.Cfg
-	kv := e.loadCacheBatch(ctx, s.kv, j, slot, 1)
-	if kv.err != nil {
-		return kv.err
-	}
-	defer e.freeGPU(kv.fetched)
-	if err := e.probeWorkerPanic(); err != nil {
-		return err
-	}
-	t0 := time.Now()
-	out := model.AttentionAt(e.pool, e.policy.IntraOp, cfg, ll.weights, kv.cache, j, slot, []*tensor.Tensor{xi})
-	model.MLP(e.pool, e.policy.IntraOp, cfg, ll.weights, xi)
-	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slot))
-	return e.storeChunk(ctx, s.kv, j, slot, out.NewK[0], out.NewV[0])
 }
 
 // Retire frees a slot: its KV storage is dropped and the slot becomes
@@ -816,28 +936,27 @@ func (s *Session) Retire(slot int) {
 		m.Release()
 		s.prefixRefs[slot] = nil
 	}
-	if s.kv != nil {
-		s.kv.ResetSlot(slot)
-	}
-	if s.host != nil {
-		for l := 0; l < s.host.Layers(); l++ {
-			s.host.SetKV(l, slot, nil, nil)
-		}
-	}
+	s.dropSlotKV(slot)
 }
 
-// degradeOnce takes the session degradation ladder: first drop the prefetch
-// overlap, then migrate the whole store to host-resident CPU attention. The
-// offline ladder's GPU-batch rung does not apply — the session already
-// fetches KV one slot at a time, which is the rung's end state.
+// degradeOnce takes the next rung of the degradation ladder, trading
+// throughput for survivability after repeated step failures: first drop the
+// prefetch overlap (the most fault-exposed machinery); then, while the
+// session stages more than one slot per group, halve the GPU batch (halving
+// the peak staged KV under memory pressure); finally migrate every unspilled
+// slot to the host cache and keep attention there, after which no KV bytes
+// cross the faulty interconnect. A session staging one slot at a time climbs
+// prefetch-off then attn-on-cpu.
 func (s *Session) degradeOnce(ctx context.Context) {
 	e := s.e
 	switch {
 	case e.policy.Prefetch:
 		e.policy.Prefetch = false
 		e.stats.addDegradation("prefetch-off")
+	case s.kv != nil && s.stageWidth() > 1:
+		e.policy.GPUBatch = s.stageWidth() / 2
+		e.stats.addDegradation(fmt.Sprintf("gpu-batch=%d", e.policy.GPUBatch))
 	case s.kv != nil:
-		s.ensureHost()
 		if err := s.migrateUnspilled(ctx); err != nil {
 			e.stats.addDegradation("attn-on-cpu(migration failed)")
 			return
@@ -852,36 +971,23 @@ func (s *Session) degradeOnce(ctx context.Context) {
 // migrateUnspilled moves every slot the pressure ladder has not already
 // spilled from the staged store into the host cache. Spilled slots keep
 // their host rows — rebuilding them from the (now empty) staged store would
-// lose them. On failure the host rows written so far are cleared and the
-// staged store remains authoritative.
+// lose them. Every slot is fetched before any is installed, so on failure the
+// host cache is untouched and the staged store remains authoritative.
 func (s *Session) migrateUnspilled(ctx context.Context) error {
-	cfg := s.e.mod.Cfg
-	cleanup := func(upto int) {
-		for ss := 0; ss <= upto && ss < s.slots; ss++ {
-			if s.spilled[ss] {
-				continue
-			}
-			for j := 0; j < cfg.Layers; j++ {
-				s.host.SetKV(j, ss, nil, nil)
-			}
-		}
-	}
-	for slot := 0; slot < s.slots; slot++ {
+	ks, vs := make([][]*tensor.Tensor, s.slots), make([][]*tensor.Tensor, s.slots)
+	for slot := range s.slots {
 		if s.spilled[slot] {
 			continue
 		}
-		for l := 0; l < cfg.Layers; l++ {
-			var k, v *tensor.Tensor
-			err := s.e.withRetry(ctx, "kv_migrate", func() error {
-				var ferr error
-				k, v, _, ferr = s.kv.Fetch(l, slot)
-				return ferr
-			})
-			if err != nil {
-				cleanup(slot)
-				return err
-			}
-			s.host.SetKV(l, slot, k, v)
+		var err error
+		if ks[slot], vs[slot], err = s.fetchSlot(ctx, "kv_migrate", slot); err != nil {
+			return err
+		}
+	}
+	s.ensureHost()
+	for slot := range s.slots {
+		if !s.spilled[slot] {
+			s.setHostSlot(slot, ks[slot], vs[slot])
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/threadpool"
+	"repro/internal/xtrace"
 )
 
 // soloReference generates genLen tokens for one prompt on a fresh engine —
@@ -294,5 +295,53 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := sess.Step(ctx); err != nil {
 		t.Errorf("step after cancelled attempt failed: %v", err)
+	}
+}
+
+// TestSessionActOnCPUMatchesGenerate: a one-slot session pays the same
+// host-activation traffic and load/store_activation tasks as solo Generate —
+// both run the one session step, which honours Policy.ActOnCPU.
+func TestSessionActOnCPUMatchesGenerate(t *testing.T) {
+	prompt := []int{1, 2, 3, 4, 5, 6}
+	const genLen = 4
+	pol := Policy{IntraOp: 1, ActOnCPU: true}
+	traced := func() (*Engine, *xtrace.Recorder) {
+		eng, err := NewEngine(tinyModel(t, 42), pol, bigArena, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := xtrace.NewRecorder(0)
+		eng.SetTracer(rec)
+		return eng, rec
+	}
+	solo, soloRec := traced()
+	want, err := solo.Generate(context.Background(), [][]int{prompt}, genLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, rec := traced()
+	sess, err := eng.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTokens(t, driveSession(t, sess, [][]int{prompt}, []int{0}, []int{genLen}), want)
+	ws, hs := solo.Stats(), eng.Stats()
+	if hs.ActUpBytes != ws.ActUpBytes || hs.ActDownBytes != ws.ActDownBytes {
+		t.Errorf("session activation bytes up/down %d/%d, solo Generate %d/%d",
+			hs.ActUpBytes, hs.ActDownBytes, ws.ActUpBytes, ws.ActDownBytes)
+	}
+	count := func(r *xtrace.Recorder, name string) int {
+		n := 0
+		for _, sp := range r.Spans() {
+			if sp.Name == name {
+				n++
+			}
+		}
+		return n
+	}
+	for _, task := range []string{xtrace.TaskLoadAct, xtrace.TaskStoreAct} {
+		if got, ref := count(rec, task), count(soloRec, task); got != ref || ref == 0 {
+			t.Errorf("%s spans: session %d, solo Generate %d", task, got, ref)
+		}
 	}
 }

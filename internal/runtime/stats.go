@@ -327,6 +327,8 @@ func (s *Stats) addTask(name string, d time.Duration) {
 	s.mu.Unlock()
 }
 
+func (s *Stats) addTokens(n int) { s.addBytes(&s.TokensGenerated, int64(n)) }
+
 func (s *Stats) addOps(quant, dequant int64) {
 	s.mu.Lock()
 	s.QuantizeOps += quant
