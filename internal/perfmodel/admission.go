@@ -193,25 +193,41 @@ func (m *StepCostModel) Coefficients() (fixed, perSlot float64) {
 }
 
 func (m *StepCostModel) coefficients() (fixed, perSlot float64) {
-	if m.n <= 0 {
+	return affineFit(m.n, m.sb, m.sbb, m.sy, m.sby)
+}
+
+// affineFit solves the weighted least-squares fit y ≈ fixed + slope·x from
+// its sufficient statistics (total weight n and the weighted sums of x, x²,
+// y and x·y), constrained to fixed ≥ 0 and slope ≥ 0. When the
+// unconstrained optimum breaks one constraint, the constrained optimum lies
+// on that constraint's boundary: slope = 0 gives the mean, fixed = 0 the
+// fit through the origin. Degenerate x (all samples equal) also yields the
+// mean.
+func affineFit(n, sx, sxx, sy, sxy float64) (fixed, slope float64) {
+	if n <= 0 {
 		return 0, 0
 	}
-	det := m.n*m.sbb - m.sb*m.sb
-	mean := m.sy / m.n
-	if det <= 1e-12*m.n*m.sbb {
+	det := n*sxx - sx*sx
+	mean := sy / n
+	if det <= 1e-12*n*sxx {
 		return mean, 0
 	}
-	perSlot = (m.n*m.sby - m.sb*m.sy) / det
-	fixed = (m.sy - perSlot*m.sb) / m.n
-	if perSlot < 0 {
+	slope = (n*sxy - sx*sy) / det
+	fixed = (sy - slope*sx) / n
+	if slope < 0 {
 		// Noise can tilt the fit negative; an occupancy-independent mean is
 		// the safe fallback (never predicts faster steps for bigger batches).
 		return mean, 0
 	}
 	if fixed < 0 {
-		fixed = 0
+		// Refit the slope rather than clamping the intercept alone: the
+		// unconstrained slope paired with a zero intercept overpredicts
+		// every sample at the dominant x. A few slow outliers at a rare x
+		// steepen the unconstrained slope, and uniform decay never
+		// unlearns it until that x is sampled again.
+		return 0, sxy / sxx
 	}
-	return fixed, perSlot
+	return fixed, slope
 }
 
 // PredictTPOT returns the predicted time-per-output-token at the given
@@ -296,23 +312,7 @@ func (m *PrefillCostModel) Coefficients() (fixed, perToken float64) {
 }
 
 func (m *PrefillCostModel) coefficients() (fixed, perToken float64) {
-	if m.n <= 0 {
-		return 0, 0
-	}
-	det := m.n*m.stt - m.st*m.st
-	mean := m.sy / m.n
-	if det <= 1e-12*m.n*m.stt {
-		return mean, 0
-	}
-	perToken = (m.n*m.sty - m.st*m.sy) / det
-	fixed = (m.sy - perToken*m.st) / m.n
-	if perToken < 0 {
-		return mean, 0
-	}
-	if fixed < 0 {
-		fixed = 0
-	}
-	return fixed, perToken
+	return affineFit(m.n, m.st, m.stt, m.sy, m.sty)
 }
 
 // Predict returns the expected prefill stall for the given token count

@@ -92,6 +92,56 @@ func TestStepCostModelRecoversAffineFit(t *testing.T) {
 	}
 }
 
+// TestStepCostModelOutlierAtRareOccupancy replays the serving pattern that
+// skews an intercept-clamped fit: steps cost ~250µs per slot with no fixed
+// part, nearly all at occupancy 1, and the only occupancy-2 window holds one
+// 5ms stall. The unconstrained intercept goes negative; the fit must refit
+// through the origin rather than pair a zero intercept with the stall-steep
+// slope, which quotes ~4x the occupancy-1 step for as long as no
+// occupancy-2 step arrives. The origin fit still carries the stall's share
+// of the decayed sums (~1.3x here), so the bar sits between the two.
+func TestStepCostModelOutlierAtRareOccupancy(t *testing.T) {
+	m := &StepCostModel{}
+	const perSlot = 250 * time.Microsecond
+	for i := 0; i < 20; i++ {
+		m.Observe(1, perSlot)
+	}
+	m.Observe(2, 5*time.Millisecond)
+	for i := 0; i < 4; i++ {
+		m.Observe(2, 2*perSlot)
+	}
+	for i := 0; i < 40; i++ {
+		m.Observe(1, perSlot)
+	}
+	fixed, slope := m.Coefficients()
+	if fixed < 0 || slope < 0 {
+		t.Fatalf("coefficients (%g, %g) left the non-negative quadrant", fixed, slope)
+	}
+	if got := m.PredictTPOT(1); got > perSlot*3/2 {
+		t.Fatalf("PredictTPOT(1) = %v after 40 clean %v steps: rare-occupancy outlier still skews the fit", got, perSlot)
+	}
+}
+
+func TestAffineFitConstrained(t *testing.T) {
+	// Weighted sums for points (1,1), (2,3), (3,4): the unconstrained fit is
+	// y = -1/3 + 1.5x, so the intercept constraint binds and the slope is
+	// refit through the origin: Σxy/Σx² = 19/14.
+	fixed, slope := affineFit(3, 6, 14, 8, 19)
+	if fixed != 0 || math.Abs(slope-19.0/14) > 1e-12 {
+		t.Fatalf("intercept-bound fit = (%g, %g), want (0, %g)", fixed, slope, 19.0/14)
+	}
+	// Points (1,4), (2,3), (3,2): negative slope falls back to the mean.
+	fixed, slope = affineFit(3, 6, 14, 9, 16)
+	if fixed != 3 || slope != 0 {
+		t.Fatalf("slope-bound fit = (%g, %g), want (3, 0)", fixed, slope)
+	}
+	// Points (1,3), (2,5): interior optimum y = 1 + 2x is returned as is.
+	fixed, slope = affineFit(2, 3, 5, 8, 13)
+	if math.Abs(fixed-1) > 1e-12 || math.Abs(slope-2) > 1e-12 {
+		t.Fatalf("interior fit = (%g, %g), want (1, 2)", fixed, slope)
+	}
+}
+
 func TestStepCostModelDegenerateOccupancy(t *testing.T) {
 	m := &StepCostModel{}
 	for i := 0; i < 50; i++ {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"sort"
 	"time"
 
@@ -234,6 +235,12 @@ func runEngine(pol runtime.Policy, batch, prompt, gen int) (*engineRun, error) {
 	eng.SetTracer(rec)
 	w := trace.Workload{PromptLen: prompt, GenLen: gen, GPUBatch: batch, NumBatches: 1}
 	prompts := w.Prompts(rand.New(rand.NewSource(seed)), cfg.Vocab)
+	// Start the traced run from a collected heap. Building the model and
+	// engine allocates enough to trigger a GC cycle, and one whose mark
+	// phase overlaps the decode window takes a core from the prefetch
+	// goroutine, inflating the microsecond-scale load_weight spans the
+	// calibration and scale checks compare by up to 10x.
+	goruntime.GC()
 	if _, err := eng.Generate(context.Background(), prompts, gen); err != nil {
 		return nil, err
 	}
