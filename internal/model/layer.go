@@ -79,42 +79,52 @@ func Attention(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, c
 // AttentionAt is Attention over a GPU batch that starts at cache sequence
 // slot seqBase — the k-loop of Algorithm 1 processes the zig-zag block's
 // batches one at a time against the shared cache.
+//
+// Every sequence's rows pass through the layer norm and the Q/K/V and
+// output projections as one stacked [Σt, hidden] matrix, so each weight
+// matrix is streamed once per call rather than once per sequence. Each
+// row's arithmetic is independent of the other rows, so the batch's
+// composition cannot change a value. Heads read their columns of Q, K and
+// V in place and write their context straight into the attention output.
 func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, cache *KVCache, layer, seqBase int, x []*tensor.Tensor) AttentionOutput {
 	batch := len(x)
 	h := cfg.Hidden
-	heads := cfg.Heads
 	dk := cfg.HeadDim()
 	scale := float32(1 / math.Sqrt(float64(dk)))
+
+	norm := stackRows(x, h) // [Σt, hidden]
+	tensor.LayerNormRows(norm, lw.LN1Gain, nil, 1e-5)
+	q := tensor.MatMul(pool, width, norm, lw.WQ)
+	k := tensor.MatMul(pool, width, norm, lw.WK)
+	v := tensor.MatMul(pool, width, norm, lw.WV)
+	attnOut := tensor.New(norm.Dim(0), h)
 
 	out := AttentionOutput{
 		Hidden: tensor.New(batch, h),
 		NewK:   make([]*tensor.Tensor, batch),
 		NewV:   make([]*tensor.Tensor, batch),
 	}
-	for s := 0; s < batch; s++ {
-		xs := x[s] // [t, hidden]
-		norm := xs.Clone()
-		tensor.LayerNormRows(norm, lw.LN1Gain, nil, 1e-5)
+	var scoreBuf []float32 // one [t, T] scores matrix, reused by every head
+	r0 := 0
+	for s, xs := range x {
+		t := xs.Dim(0)
+		ks, vs := rowsView(k, r0, t), rowsView(v, r0, t)
+		cache.Append(layer, seqBase+s, ks, vs)
+		out.NewK[s], out.NewV[s] = ks, vs
 
-		q := tensor.MatMul(pool, width, norm, lw.WQ) // [t, h]
-		k := tensor.MatMul(pool, width, norm, lw.WK)
-		v := tensor.MatMul(pool, width, norm, lw.WV)
-		cache.Append(layer, seqBase+s, k, v)
-		out.NewK[s], out.NewV[s] = k, v
-
-		t := q.Dim(0)
 		keys := cache.Keys(layer, seqBase+s) // [T, h]
 		values := cache.Values(layer, seqBase+s)
 		T := keys.Dim(0)
-		attnOut := tensor.New(t, h)
+		if cap(scoreBuf) < t*T {
+			scoreBuf = make([]float32, t*T)
+		}
+		scores := tensor.FromSlice(scoreBuf[:t*T], t, T)
+		qs, ctx := rowsView(q, r0, t), rowsView(attnOut, r0, t)
 
 		// Per-head attention with causal masking for prefill rows.
-		for head := 0; head < heads; head++ {
+		for head := 0; head < cfg.Heads; head++ {
 			off := head * dk
-			qh := sliceCols(q, off, dk)                   // [t, dk]
-			kh := sliceCols(keys, off, dk)                // [T, dk]
-			vh := sliceCols(values, off, dk)              // [T, dk]
-			scores := tensor.MatMulT(pool, width, qh, kh) // [t, T]
+			tensor.MatMulTCols(pool, width, tensor.Cols{T: qs, Off: off, Width: dk}, tensor.Cols{T: keys, Off: off, Width: dk}, scores)
 			tensor.Scale(scores, scale)
 			// Causal mask: query row i (absolute position T - t + i) may only
 			// attend to keys 0..T-t+i.
@@ -126,17 +136,24 @@ func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights,
 				}
 			}
 			tensor.SoftmaxRows(pool, width, scores)
-			ctx := tensor.MatMul(pool, width, scores, vh) // [t, dk]
-			copyCols(attnOut, ctx, off)
+			tensor.MatMulCols(pool, width, scores, tensor.Cols{T: values, Off: off, Width: dk}, tensor.Cols{T: ctx, Off: off, Width: dk})
 		}
+		r0 += t
+	}
 
-		proj := tensor.MatMul(pool, width, attnOut, lw.WO)
-		tensor.AddInPlace(proj, xs) // residual
-		// xs is updated in place so prefill (t > 1) carries every position to
-		// the next layer; Hidden collects the last position per sequence,
-		// which is all a decode step needs.
-		copy(xs.Data(), proj.Data())
-		copy(out.Hidden.Row(s), proj.Row(t-1))
+	proj := tensor.MatMul(pool, width, attnOut, lw.WO).Data()
+	r0 = 0
+	for s, xs := range x {
+		// Residual, written back into xs so prefill (t > 1) carries every
+		// position to the next layer; Hidden collects the last position per
+		// sequence, which is all a decode step needs.
+		xd := xs.Data()
+		for i, xv := range xd {
+			xd[i] = proj[r0*h+i] + xv
+		}
+		t := xs.Dim(0)
+		copy(out.Hidden.Row(s), xs.Row(t-1))
+		r0 += t
 	}
 	return out
 }
@@ -153,28 +170,42 @@ func MLP(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, x *tens
 }
 
 // MLPSeq applies the feed-forward block to every row of each sequence in
-// place (prefill path).
+// place, with all sequences' rows stacked into one matrix so each weight
+// matrix is streamed once; rows stay independent, as in AttentionAt.
 func MLPSeq(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, x []*tensor.Tensor) {
+	if len(x) == 1 {
+		MLP(pool, width, cfg, lw, x[0])
+		return
+	}
+	rows := stackRows(x, cfg.Hidden)
+	MLP(pool, width, cfg, lw, rows)
+	rd := rows.Data()
 	for _, xs := range x {
-		MLP(pool, width, cfg, lw, xs)
+		rd = rd[copy(xs.Data(), rd):]
 	}
 }
 
-// sliceCols copies columns [off, off+w) of t into a new [rows, w] tensor.
-func sliceCols(t *tensor.Tensor, off, w int) *tensor.Tensor {
-	rows, cols := t.Dim(0), t.Dim(1)
-	out := tensor.New(rows, w)
-	for i := 0; i < rows; i++ {
-		copy(out.Row(i), t.Data()[i*cols+off:i*cols+off+w])
+// stackRows copies the rows of every [t, hidden] tensor in x, in order, into
+// one new [Σt, hidden] tensor.
+func stackRows(x []*tensor.Tensor, hidden int) *tensor.Tensor {
+	n := 0
+	for _, xs := range x {
+		n += xs.Dim(0)
+	}
+	out := tensor.New(n, hidden)
+	od := out.Data()
+	for _, xs := range x {
+		od = od[copy(od, xs.Data()):]
 	}
 	return out
 }
 
-// copyCols writes src ([rows, w]) into dst's columns starting at off.
-func copyCols(dst, src *tensor.Tensor, off int) {
-	rows, w := src.Dim(0), src.Dim(1)
-	cols := dst.Dim(1)
-	for i := 0; i < rows; i++ {
-		copy(dst.Data()[i*cols+off:i*cols+off+w], src.Row(i))
-	}
+// rowsView returns rows [r0, r0+n) of t as a view whose capacity ends at
+// its last row, so appending to it (KVCache.Append grows a slot's history
+// in place when there is room) copies instead of overwriting the rows of
+// the sequence stacked after it.
+func rowsView(t *tensor.Tensor, r0, n int) *tensor.Tensor {
+	w := t.Dim(1)
+	lo, hi := r0*w, (r0+n)*w
+	return tensor.FromSlice(t.Data()[lo:hi:hi], n, w)
 }

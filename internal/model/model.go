@@ -109,10 +109,7 @@ func (m *Model) DecodeStep(pool *threadpool.Pool, width int, cache *KVCache, tok
 	var hidden *tensor.Tensor
 	for l := 0; l < m.Cfg.Layers; l++ {
 		out := Attention(pool, width, m.Cfg, m.Layers[l], cache, l, x)
-		for i := range x {
-			// x[i] is [1, hidden]; run the MLP in place.
-			MLP(pool, width, m.Cfg, m.Layers[l], x[i])
-		}
+		MLPSeq(pool, width, m.Cfg, m.Layers[l], x)
 		hidden = out.Hidden
 	}
 	for i, xs := range x {

@@ -2,7 +2,6 @@ package quant
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
@@ -21,66 +20,9 @@ func QuantizeParallel(pool *threadpool.Pool, width int, t *tensor.Tensor, cfg Co
 	if pool == nil || width <= 1 || (cfg.GroupSize*cfg.Bits)%8 != 0 {
 		return Quantize(t, cfg)
 	}
-	src := t.Data()
-	n := len(src)
-	padded := paddedLen(n, cfg.GroupSize)
-
-	work := src
-	if padded != n {
-		work = make([]float32, padded)
-		copy(work, src)
-		fill := src[n-1]
-		for i := n; i < padded; i++ {
-			work[i] = fill
-		}
-	}
-
-	groups := padded / cfg.GroupSize
-	q := &Tensor{
-		cfg:    cfg,
-		shape:  append([]int(nil), t.Shape()...),
-		numel:  n,
-		padded: padded,
-		packed: make([]byte, (padded*cfg.Bits+7)/8),
-		mins:   make([]float32, groups),
-		scales: make([]float32, groups),
-	}
-	levels := float32(int(1)<<cfg.Bits - 1)
-
-	pool.ParallelRange(groups, width, func(lo, hi int) {
-		codes := make([]uint8, cfg.GroupSize)
-		for g := lo; g < hi; g++ {
-			grp := work[g*cfg.GroupSize : (g+1)*cfg.GroupSize]
-			mn, mx := grp[0], grp[0]
-			for _, v := range grp[1:] {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			q.mins[g] = mn
-			scale := mx - mn
-			q.scales[g] = scale
-			if scale == 0 {
-				for i := range codes {
-					codes[i] = 0
-				}
-			} else {
-				inv := levels / scale
-				for i, v := range grp {
-					c := float32(math.Round(float64((v - mn) * inv)))
-					if c < 0 {
-						c = 0
-					} else if c > levels {
-						c = levels
-					}
-					codes[i] = uint8(c)
-				}
-			}
-			packBits(q.packed, g*cfg.GroupSize, codes, cfg.Bits)
-		}
+	q, work := newQuantized(t, cfg)
+	pool.ParallelRange(len(q.mins), width, func(lo, hi int) {
+		q.quantizeGroups(work, lo, hi, make([]uint8, cfg.GroupSize))
 	})
 	q.seal()
 	return q, nil

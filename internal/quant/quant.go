@@ -181,13 +181,20 @@ func Quantize(t *tensor.Tensor, cfg Config) (*Tensor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	q, work := newQuantized(t, cfg)
+	q.quantizeGroups(work, 0, len(q.mins), make([]uint8, cfg.GroupSize))
+	q.seal()
+	return q, nil
+}
+
+// newQuantized allocates q's storage for t under cfg and returns the
+// padded element stream to quantize (Phase 1: pad). The tail replicates the
+// last value so it cannot widen the final group's range.
+func newQuantized(t *tensor.Tensor, cfg Config) (q *Tensor, work []float32) {
 	src := t.Data()
 	n := len(src)
 	padded := paddedLen(n, cfg.GroupSize)
-
-	// Phase 1: pad. The tail replicates the last value so it cannot widen
-	// the final group's range.
-	work := src
+	work = src
 	if padded != n {
 		work = make([]float32, padded)
 		copy(work, src)
@@ -196,9 +203,8 @@ func Quantize(t *tensor.Tensor, cfg Config) (*Tensor, error) {
 			work[i] = fill
 		}
 	}
-
 	groups := padded / cfg.GroupSize
-	q := &Tensor{
+	return &Tensor{
 		cfg:    cfg,
 		shape:  append([]int(nil), t.Shape()...),
 		numel:  n,
@@ -206,50 +212,53 @@ func Quantize(t *tensor.Tensor, cfg Config) (*Tensor, error) {
 		packed: make([]byte, (padded*cfg.Bits+7)/8),
 		mins:   make([]float32, groups),
 		scales: make([]float32, groups),
-	}
+	}, work
+}
 
-	levels := float32(int(1)<<cfg.Bits - 1) // 2^b - 1
-	codes := make([]uint8, cfg.GroupSize)
-	for g := 0; g < groups; g++ {
-		grp := work[g*cfg.GroupSize : (g+1)*cfg.GroupSize]
-
-		// Phase 2: find min and max within the group.
-		mn, mx := grp[0], grp[0]
-		for _, v := range grp[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		q.mins[g] = mn
-		scale := mx - mn
-		q.scales[g] = scale
-
-		// Phase 3: min-max normalization (Eq. 10) and clamping.
-		if scale == 0 {
-			for i := range codes {
-				codes[i] = 0
-			}
-		} else {
-			inv := levels / scale
-			for i, v := range grp {
-				c := float32(math.Round(float64((v - mn) * inv)))
-				if c < 0 {
-					c = 0
-				} else if c > levels {
-					c = levels
-				}
-				codes[i] = uint8(c)
-			}
-		}
-
+// quantizeGroups quantizes groups [lo, hi) of the padded stream work into
+// q, using codes (GroupSize long) as scratch.
+func (q *Tensor) quantizeGroups(work []float32, lo, hi int, codes []uint8) {
+	gs := q.cfg.GroupSize
+	levels := float32(int(1)<<q.cfg.Bits - 1) // 2^b - 1
+	for g := lo; g < hi; g++ {
+		q.mins[g], q.scales[g] = quantizeGroup(work[g*gs:(g+1)*gs], codes, levels)
 		// Phase 4: pack codes into the bit stream.
-		packBits(q.packed, g*cfg.GroupSize, codes, cfg.Bits)
+		packBits(q.packed, g*gs, codes, q.cfg.Bits)
 	}
-	q.seal()
-	return q, nil
+}
+
+// quantizeGroup finds one group's min and max (Phase 2) and min-max
+// normalizes it into codes (Phase 3, Eq. 10, clamped). A group holding a
+// NaN anywhere gets that NaN as its min and all-zero codes, so every element
+// of it dequantizes to NaN; ordered comparisons alone would skip a NaN that
+// is not first and let it round to a finite code.
+func quantizeGroup(grp []float32, codes []uint8, levels float32) (mn, scale float32) {
+	mn, mx := grp[0], grp[0]
+	for _, v := range grp[1:] {
+		// A NaN becomes the min, and mn stays NaN from then on.
+		if v < mn || v != v {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	scale = mx - mn
+	if scale == 0 || mn != mn {
+		clear(codes)
+		return mn, scale
+	}
+	inv := levels / scale
+	for i, v := range grp {
+		c := float32(math.Round(float64((v - mn) * inv)))
+		if c < 0 {
+			c = 0
+		} else if c > levels {
+			c = levels
+		}
+		codes[i] = uint8(c)
+	}
+	return mn, scale
 }
 
 // Dequantize reconstructs a float32 tensor from q (Eq. 11). The padding tail
@@ -262,10 +271,17 @@ func Dequantize(q *Tensor) *tensor.Tensor {
 
 // dequantGroups reconstructs groups [lo, hi) into dst, which holds the
 // tensor's unpadded elements; the padding tail of the last group is
-// dropped. Codes unpack through a stack buffer, so it allocates nothing.
+// dropped. It allocates nothing.
+//
+// A 4-bit group that starts on a byte boundary evaluates Eq. 11 once per
+// code value into a 16-entry table and expands each packed byte into two
+// lookups; the table entries are the same expression on the same operands,
+// so the values are exactly the per-element ones. Every other group unpacks
+// its codes through a stack buffer and evaluates Eq. 11 per element.
 func (q *Tensor) dequantGroups(dst []float32, lo, hi int) {
 	levels := float32(int(1)<<q.cfg.Bits - 1)
 	var codes [256]uint8
+	var table [16]float32
 	gs := q.cfg.GroupSize
 	for g := lo; g < hi; g++ {
 		start := g * gs
@@ -274,6 +290,21 @@ func (q *Tensor) dequantGroups(dst []float32, lo, hi int) {
 		if scale == 0 {
 			for i := range out {
 				out[i] = mn
+			}
+			continue
+		}
+		if q.cfg.Bits == 4 && start%2 == 0 {
+			for c := range table {
+				table[c] = float32(c)/levels*scale + mn
+			}
+			packed := q.packed[start/2 : start/2+(len(out)+1)/2]
+			i := 0
+			for _, b := range packed[:len(out)/2] {
+				out[i], out[i+1] = table[b&0xF], table[b>>4]
+				i += 2
+			}
+			if i < len(out) {
+				out[i] = table[packed[len(packed)-1]&0xF]
 			}
 			continue
 		}

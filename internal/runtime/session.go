@@ -18,8 +18,9 @@ import (
 // advances every active slot by one token (each at its own position), and
 // Retire recycles a slot's KV storage for the next request. Generate,
 // GenerateStream and Resume are drivers over a session with one slot per
-// prompt. Because the model computes attention, MLP, and logits strictly per
-// sequence, a sequence's tokens are bit-identical to what a solo
+// prompt. The model stacks a group's rows through each weight matrix, but
+// every row's arithmetic — attention, MLP, and logits — is independent of
+// the other rows, so a sequence's tokens are bit-identical to what a solo
 // Engine.Generate run would produce, regardless of which other sequences
 // share the batch — the property the serving layer's differential tests pin
 // down.
@@ -648,9 +649,7 @@ func (s *Session) admitOnce(ctx context.Context, slots []int, prompts [][]int, m
 		}
 		t0 := time.Now()
 		model.AttentionAt(e.pool, e.policy.IntraOp, cfg, lw, live, j, 0, x)
-		for _, xi := range x {
-			model.MLP(e.pool, e.policy.IntraOp, cfg, lw, xi)
-		}
+		model.MLPSeq(e.pool, e.policy.IntraOp, cfg, lw, x)
 		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slots[0]))
 		return nil
 	}, func(j int) error {
@@ -901,9 +900,7 @@ func (s *Session) computeGroup(ctx context.Context, j int, lw *model.LayerWeight
 	if err != nil {
 		return err
 	}
-	for _, xi := range x {
-		model.MLP(pool, width, e.mod.Cfg, lw, xi)
-	}
+	model.MLPSeq(pool, width, e.mod.Cfg, lw, x)
 	e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, g.first))
 	for i := range x {
 		slot := g.first + i

@@ -2,9 +2,10 @@
 // engine: a bounded admission queue feeding a continuous-batching scheduler
 // that joins requests into free KV slots at decode-step boundaries, streams
 // tokens per request, and retires sequences on EOS, max-tokens, cancellation,
-// or deadline expiry. Because the engine computes strictly per sequence,
-// every request's tokens are bit-identical to a dedicated offline run — the
-// package's differential tests pin that invariant down, faults included.
+// or deadline expiry. Because every row's arithmetic in the engine is
+// independent of the other rows in its batch, every request's tokens are
+// bit-identical to a dedicated offline run — the package's differential
+// tests pin that invariant down, faults included.
 package serve
 
 import (

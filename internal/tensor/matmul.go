@@ -11,13 +11,13 @@ import (
 // pool == nil (or width <= 1) for a serial computation.
 //
 // The kernel is an ikj loop order with the inner j loop over contiguous rows
-// of B, which keeps accesses streaming and vectorizable — the same
-// memory-bandwidth-bound profile that makes the paper's AddmmBackward
-// saturate around eight threads.
+// of B, which keeps accesses streaming — the same memory-bandwidth-bound
+// profile that makes the paper's AddmmBackward saturate around eight
+// threads. See accumRow for the register blocking.
 func MatMul(pool *threadpool.Pool, width int, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulShapes(a, b)
 	c := New(m, n)
-	matMulInto(pool, width, a, b, c, m, k, n)
+	newProduct(a.data, window{data: b.data, stride: n}, window{data: c.data, stride: n}, m, k, n).run(pool, width)
 	return c
 }
 
@@ -28,10 +28,8 @@ func MatMulInto(pool *threadpool.Pool, width int, a, b, c *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulInto destination shape %v, want [%d %d]", c.Shape(), m, n))
 	}
-	for i := range c.data {
-		c.data[i] = 0
-	}
-	matMulInto(pool, width, a, b, c, m, k, n)
+	clear(c.data)
+	newProduct(a.data, window{data: b.data, stride: n}, window{data: c.data, stride: n}, m, k, n).run(pool, width)
 }
 
 func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
@@ -45,29 +43,142 @@ func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 	return m, k, b.Dim(1)
 }
 
-func matMulInto(pool *threadpool.Pool, width int, a, b, c *Tensor, m, k, n int) {
-	nf := skipFlags(a.data, b.data, k, n)
-	kernel := func(lo, hi int) {
-		ad, bd, cd := a.data, b.data, c.data
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for p, av := range arow {
-				if av == 0 && (nf == nil || !nf[p]) {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
+// Cols is the column window [Off, Off+Width) of every row of the rank-2
+// tensor T, read or written in place — one attention head's slice of Q, K,
+// V or of the attention output, without copying it out.
+type Cols struct {
+	T          *Tensor
+	Off, Width int
+}
+
+// window checks c against its tensor and returns its element addressing.
+func (c Cols) window() (w window, rows int) {
+	if c.T.Rank() != 2 || c.Off < 0 || c.Width <= 0 || c.Off+c.Width > c.T.Dim(1) {
+		panic(fmt.Sprintf("tensor: column window [%d, %d) of shape %v", c.Off, c.Off+c.Width, c.T.Shape()))
 	}
-	if pool == nil || width <= 1 {
-		kernel(0, m)
+	return window{data: c.T.data, off: c.Off, stride: c.T.Dim(1)}, c.T.Dim(0)
+}
+
+// MatMulCols writes A·B into the column window c (m×n), overwriting it,
+// where A is the m×k tensor a and B the k×n column window b. Every element
+// is computed exactly as MatMul computes it, zero-skip included.
+func MatMulCols(pool *threadpool.Pool, width int, a *Tensor, b, c Cols) {
+	bw, k := b.window()
+	cw, m := c.window()
+	if a.Rank() != 2 || a.Dim(0) != m || a.Dim(1) != k || b.Width != c.Width {
+		panic(fmt.Sprintf("tensor: MatMulCols shapes %v · [%d %d] -> [%d %d]", a.Shape(), k, b.Width, m, c.Width))
+	}
+	n := c.Width
+	for i := 0; i < m; i++ {
+		clear(cw.row(i, n))
+	}
+	newProduct(a.data, bw, cw, m, k, n).run(pool, width)
+}
+
+// window addresses an m×n block of a row-major matrix in place: element
+// (i, j) is data[off+i*stride+j]. Whole tensors and column windows are both
+// windows, so one kernel serves both without copying.
+type window struct {
+	data        []float32
+	off, stride int
+}
+
+// row returns the first n elements of row i, capped so that no append or
+// reslice can reach the elements after them.
+func (w window) row(i, n int) []float32 {
+	s := w.off + i*w.stride
+	return w.data[s : s+n : s+n]
+}
+
+// product is one C += A·B over windows: A is m×k, B is k×n, C is m×n.
+type product struct {
+	a, b, c window
+	m, k, n int
+	nf      []bool // zero-skip flags, see skipFlags
+}
+
+// newProduct sets up C += A·B for a dense row-major A (m×k).
+func newProduct(ad []float32, b, c window, m, k, n int) product {
+	return product{
+		a: window{data: ad, stride: k}, b: b, c: c,
+		m: m, k: k, n: n,
+		nf: skipFlags(ad[:m*k], b, k, n),
+	}
+}
+
+// run computes the product serially, or split by rows of A over width pool
+// workers; rows are independent, so the split never changes a result.
+func (g product) run(pool *threadpool.Pool, width int) {
+	if pool == nil || width <= 1 || g.m <= 1 {
+		g.rows(0, g.m)
 		return
 	}
-	pool.ParallelRange(m, width, kernel)
+	par := g // only the parallel path's copy escapes to the heap
+	pool.ParallelRange(g.m, width, par.rows)
+}
+
+func (g *product) rows(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		accumRow(g.c.row(i, g.n), g.a.row(i, g.k), g.b, g.nf)
+	}
+}
+
+// accumRow adds Σ_p arow[p]·B[p] to crow in ascending p, B[p] being the
+// first len(crow) elements of row p of b. It takes eight rows of B per pass
+// and holds each output element in a register across them: every element
+// still receives its products one at a time in ascending p — the additions
+// and their order are those of a one-row-at-a-time loop — but crow[j] is
+// loaded and stored once per eight products instead of once per product. A
+// pass whose eight A values include a zero runs one row at a time, where
+// the zero-skip applies.
+func accumRow(crow, arow []float32, b window, nf []bool) {
+	n := len(crow)
+	p := 0
+	for ; p+8 <= len(arow); p += 8 {
+		a := arow[p : p+8 : p+8]
+		if a[0] == 0 || a[1] == 0 || a[2] == 0 || a[3] == 0 ||
+			a[4] == 0 || a[5] == 0 || a[6] == 0 || a[7] == 0 {
+			for q := p; q < p+8; q++ {
+				accumOne(crow, arow[q], b.row(q, n), nf, q)
+			}
+			continue
+		}
+		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+		b0 := b.row(p, n)[:len(crow)]
+		b1 := b.row(p+1, n)[:len(crow)]
+		b2 := b.row(p+2, n)[:len(crow)]
+		b3 := b.row(p+3, n)[:len(crow)]
+		b4 := b.row(p+4, n)[:len(crow)]
+		b5 := b.row(p+5, n)[:len(crow)]
+		b6 := b.row(p+6, n)[:len(crow)]
+		b7 := b.row(p+7, n)[:len(crow)]
+		for j := range crow {
+			s := crow[j]
+			s += a0 * b0[j]
+			s += a1 * b1[j]
+			s += a2 * b2[j]
+			s += a3 * b3[j]
+			s += a4 * b4[j]
+			s += a5 * b5[j]
+			s += a6 * b6[j]
+			s += a7 * b7[j]
+			crow[j] = s
+		}
+	}
+	for ; p < len(arow); p++ {
+		accumOne(crow, arow[p], b.row(p, n), nf, p)
+	}
+}
+
+// accumOne adds av·brow to crow unless the zero-skip drops row p.
+func accumOne(crow []float32, av float32, brow []float32, nf []bool, p int) {
+	if av == 0 && (nf == nil || !nf[p]) {
+		return
+	}
+	brow = brow[:len(crow)]
+	for j, bv := range brow {
+		crow[j] += av * bv
+	}
 }
 
 // isNonFinite reports NaN or ±Inf: v-v is zero for every finite v and NaN
@@ -92,21 +203,22 @@ func hasNonFinite(xs []float32) bool {
 	return false
 }
 
-// skipFlags decides when the zero-skip in matMulInto is allowed to drop a
+// skipFlags decides when the kernel's zero-skip is allowed to drop a
 // product. Skipping av == 0 is only value-preserving when row p of B is
 // finite: the skipped products are then ±0, and an accumulator that starts
 // at +0 and never adds two -0 terms in a row stays bit-identical whether or
 // not ±0 terms are added. With a non-finite row, 0×NaN and 0×Inf must
-// produce NaN, so the row cannot be skipped. The scan costs O(k) when A has
-// no zeros (the common dense case) and one pass over B otherwise; it returns
-// nil — "always skip" — when A has no zeros or B is entirely finite.
-func skipFlags(ad, bd []float32, k, n int) []bool {
+// produce NaN, so the row cannot be skipped. The scan costs O(m·k) when A
+// has no zeros (the common dense case) and one pass over B otherwise; it
+// returns nil — "always skip" — when A has no zeros or B is entirely
+// finite.
+func skipFlags(ad []float32, b window, k, n int) []bool {
 	if !hasZero(ad) {
 		return nil
 	}
 	var nf []bool
 	for p := 0; p < k; p++ {
-		if hasNonFinite(bd[p*n : (p+1)*n]) {
+		if hasNonFinite(b.row(p, n)) {
 			if nf == nil {
 				nf = make([]bool, k)
 			}
@@ -129,26 +241,74 @@ func MatMulT(pool *threadpool.Pool, width int, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dimensions %d and %d differ", k, b.Dim(1)))
 	}
 	c := New(m, n)
-	kernel := func(lo, hi int) {
-		ad, bd, cd := a.data, b.data, c.data
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : (j+1)*k]
-				var sum float32
-				for p := range arow {
-					sum += arow[p] * brow[p]
-				}
-				cd[i*n+j] = sum
+	productT{
+		a: window{data: a.data, stride: k}, b: window{data: b.data, stride: k}, c: window{data: c.data, stride: n},
+		m: m, k: k, n: n,
+	}.run(pool, width)
+	return c
+}
+
+// MatMulTCols writes A·Bᵀ into c (m×n), overwriting it, where A is the m×k
+// column window a and B the n×k column window b — attention scores
+// Q_h·K_hᵀ read straight out of Q and K. Every element is computed exactly
+// as MatMulT computes it.
+func MatMulTCols(pool *threadpool.Pool, width int, a, b Cols, c *Tensor) {
+	aw, m := a.window()
+	bw, n := b.window()
+	if a.Width != b.Width || c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
+		panic(fmt.Sprintf("tensor: MatMulTCols shapes [%d %d] · [%d %d]ᵀ -> %v", m, a.Width, n, b.Width, c.Shape()))
+	}
+	productT{a: aw, b: bw, c: window{data: c.data, stride: n}, m: m, k: a.Width, n: n}.run(pool, width)
+}
+
+// productT is one C = A·Bᵀ over windows: A is m×k, B is n×k, C is m×n.
+type productT struct {
+	a, b, c window
+	m, k, n int
+}
+
+func (g productT) run(pool *threadpool.Pool, width int) {
+	if pool == nil || width <= 1 || g.m <= 1 {
+		g.rows(0, g.m)
+		return
+	}
+	par := g // only the parallel path's copy escapes to the heap
+	pool.ParallelRange(g.m, width, par.rows)
+}
+
+// rows computes each element as one dot product accumulated from +0 in
+// ascending p. Four elements of a row run side by side, each in its own
+// accumulator, so their dependency chains overlap without changing any
+// element's additions.
+func (g *productT) rows(lo, hi int) {
+	k, n := g.k, g.n
+	for i := lo; i < hi; i++ {
+		arow := g.a.row(i, k)
+		crow := g.c.row(i, n)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := g.b.row(j, k)[:len(arow)]
+			b1 := g.b.row(j+1, k)[:len(arow)]
+			b2 := g.b.row(j+2, k)[:len(arow)]
+			b3 := g.b.row(j+3, k)[:len(arow)]
+			var s0, s1, s2, s3 float32
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
 			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := g.b.row(j, k)[:len(arow)]
+			var sum float32
+			for p, av := range arow {
+				sum += av * brow[p]
+			}
+			crow[j] = sum
 		}
 	}
-	if pool == nil || width <= 1 {
-		kernel(0, m)
-		return c
-	}
-	pool.ParallelRange(m, width, kernel)
-	return c
 }
 
 // Transpose2D returns a copied transpose of a rank-2 tensor.

@@ -122,14 +122,16 @@ func injectSpecials(rng *rand.Rand, xs []float32, frac float64) {
 
 // TestPropertyMatMulNonFiniteEquivalence: for random shapes seeded with
 // NaN/±Inf/±0, serial and parallel kernels are bit-identical to the
-// skip-free naive reference.
+// skip-free naive reference. k spans up to five of the kernel's eight-row
+// passes plus a tail, and the special density varies per case so passes
+// both with and without a zero in A occur.
 func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
 	pool := threadpool.MustNew(4)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(5), 1+rng.Intn(24), 1+rng.Intn(24)
+		m, k, n := 1+rng.Intn(5), 1+rng.Intn(40), 1+rng.Intn(24)
 		a, b := RandN(rng, 2, m, k), RandN(rng, 2, k, n)
-		injectSpecials(rng, a.data, 0.3)
+		injectSpecials(rng, a.data, []float64{0, 0.02, 0.1, 0.3}[rng.Intn(4)])
 		injectSpecials(rng, b.data, 0.15)
 		want := naiveMatMul(a, b)
 		for _, w := range []int{1, 4} {
@@ -146,7 +148,7 @@ func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -156,15 +158,81 @@ func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
 func FuzzMatMulNonFinite(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(2))
 	f.Add(int64(99), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(7), uint8(2), uint8(36), uint8(9))
 	pool := threadpool.MustNew(3)
 	f.Fuzz(func(t *testing.T, seed int64, mr, kr, nr uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+int(mr%4), 1+int(kr%16), 1+int(nr%16)
+		m, k, n := 1+int(mr%4), 1+int(kr%40), 1+int(nr%16)
 		a, b := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-		injectSpecials(rng, a.data, 0.4)
+		injectSpecials(rng, a.data, []float64{0.02, 0.1, 0.4}[int(kr)%3])
 		injectSpecials(rng, b.data, 0.25)
 		want := naiveMatMul(a, b)
 		bitsEqual(t, "serial", MatMul(nil, 1, a, b), want)
 		bitsEqual(t, "parallel", MatMul(pool, 3, a, b), want)
 	})
+}
+
+// naiveMatMulT is MatMulT's reference: each element one ascending-p sum.
+func naiveMatMulT(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
+	c := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var sum float32
+			for p := 0; p < k; p++ {
+				sum += a.data[i*k+p] * b.data[j*k+p]
+			}
+			c.data[i*n+j] = sum
+		}
+	}
+	return c
+}
+
+// copiedCols copies columns [off, off+w) of t into a new tensor.
+func copiedCols(t *Tensor, off, w int) *Tensor {
+	rows, cols := t.Dim(0), t.Dim(1)
+	out := New(rows, w)
+	for i := 0; i < rows; i++ {
+		copy(out.Row(i), t.data[i*cols+off:i*cols+off+w])
+	}
+	return out
+}
+
+// TestColumnWindowKernelsMatchReferences: MatMulTCols and MatMulCols over
+// column windows — with NaN/±Inf/±0 in both operands — are bit-identical to
+// the naive references on the copied-out columns, serial and parallel;
+// MatMulT is too. MatMulCols writes only its window's columns.
+func TestColumnWindowKernelsMatchReferences(t *testing.T) {
+	pool := threadpool.MustNew(2)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		m, n, w := 1+rng.Intn(6), 1+rng.Intn(40), 1+rng.Intn(20)
+		cols := w + rng.Intn(12)
+		off := rng.Intn(cols - w + 1)
+		q, kv := RandN(rng, 1, m, cols), RandN(rng, 1, n, cols)
+		frac := []float64{0, 0.05, 0.3}[trial%3]
+		injectSpecials(rng, q.data, frac)
+		injectSpecials(rng, kv.data, frac)
+		scores := RandN(rng, 1, m, n)
+		injectSpecials(rng, scores.data, frac)
+		qh, kh := copiedCols(q, off, w), copiedCols(kv, off, w)
+		for _, width := range []int{1, 2} {
+			got := New(m, n)
+			MatMulTCols(pool, width, Cols{q, off, w}, Cols{kv, off, w}, got)
+			bitsEqual(t, "MatMulTCols", got, naiveMatMulT(qh, kh))
+			bitsEqual(t, "MatMulT", MatMulT(pool, width, qh, kh), naiveMatMulT(qh, kh))
+
+			out := RandN(rng, 1, m, cols)
+			before := out.Clone()
+			MatMulCols(pool, width, scores, Cols{kv, off, w}, Cols{out, off, w})
+			bitsEqual(t, "MatMulCols", copiedCols(out, off, w), naiveMatMul(scores, kh))
+			for i := 0; i < m; i++ {
+				for j := 0; j < cols; j++ {
+					if (j < off || j >= off+w) && math.Float32bits(out.At(i, j)) != math.Float32bits(before.At(i, j)) {
+						t.Fatalf("MatMulCols wrote column %d outside its window [%d, %d)", j, off, off+w)
+					}
+				}
+			}
+		}
+	}
 }

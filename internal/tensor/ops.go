@@ -65,32 +65,34 @@ func SoftmaxRows(pool *threadpool.Pool, width int, t *Tensor) {
 		panic(fmt.Sprintf("tensor: SoftmaxRows on rank-%d tensor", t.Rank()))
 	}
 	m, n := t.Dim(0), t.Dim(1)
-	kernel := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.data[i*n : (i+1)*n]
-			maxV := row[0]
-			for _, v := range row[1:] {
-				if v > maxV {
-					maxV = v
-				}
-			}
-			var sum float64
-			for j, v := range row {
-				e := math.Exp(float64(v - maxV))
-				row[j] = float32(e)
-				sum += e
-			}
-			inv := float32(1 / sum)
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
-	if pool == nil || width <= 1 {
-		kernel(0, m)
+	if pool == nil || width <= 1 || m <= 1 {
+		softmaxRows(t.data, n, 0, m)
 		return
 	}
-	pool.ParallelRange(m, width, kernel)
+	pool.ParallelRange(m, width, func(lo, hi int) { softmaxRows(t.data, n, lo, hi) })
+}
+
+// softmaxRows normalizes rows [lo, hi) of the n-column matrix data.
+func softmaxRows(data []float32, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := data[i*n : (i+1)*n]
+		maxV := row[0]
+		for _, v := range row[1:] {
+			if v > maxV {
+				maxV = v
+			}
+		}
+		var sum float64
+		for j, v := range row {
+			e := math.Exp(float64(v - maxV))
+			row[j] = float32(e)
+			sum += e
+		}
+		inv := float32(1 / sum)
+		for j := range row {
+			row[j] *= inv
+		}
+	}
 }
 
 // LayerNormRows normalizes each row of an m×n tensor to zero mean and unit

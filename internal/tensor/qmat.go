@@ -134,21 +134,11 @@ func MatMulQ(pool *threadpool.Pool, width int, a *Tensor, b QMat) *Tensor {
 						flags[p-plo] = hasNonFinite(row)
 					}
 				}
+				// The dense kernel on top of the panel, with flags in
+				// skipFlags' role for the panel's rows.
+				bw := window{data: panel, stride: tw}
 				for i := 0; i < m; i++ {
-					arow := a.data[i*k+plo : i*k+phi]
-					crow := c.data[i*n+jlo : i*n+jhi]
-					for pp, av := range arow {
-						// Same semantics as matMulInto's skip: ±0 products
-						// against a finite panel row are bit-level no-ops on
-						// the accumulator; non-finite rows must propagate.
-						if av == 0 && (flags == nil || !flags[pp]) {
-							continue
-						}
-						brow := panel[pp*tw : (pp+1)*tw]
-						for j, bv := range brow {
-							crow[j] += av * bv
-						}
-					}
+					accumRow(c.data[i*n+jlo:i*n+jhi], a.data[i*k+plo:i*k+phi], bw, flags)
 				}
 			}
 		}
