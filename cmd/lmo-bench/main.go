@@ -2,10 +2,11 @@
 //
 // Usage:
 //
-//	lmo-bench [-run all|fig3|fig4|tab1|fig5|tab3|fig7|fig8|tab5|fig9|ablations]
+//	lmo-bench [-run all|NAME[,NAME...]] [-csv DIR]
 //
-// Each experiment prints its rows alongside the paper's reported values so
-// the output doubles as the paper-vs-measured record.
+// The experiment names are the registry's (registry.go); `lmo-bench -h`
+// lists them. Each experiment prints its rows alongside the paper's reported
+// values so the output doubles as the paper-vs-measured record.
 package main
 
 import (
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig3, fig4, tab1, fig5, tab3, fig7, fig8, tab5, fig9, functional, scale, whatif, validation, ablations, availability, workload, drift, chunked, conformance")
+	run := flag.String("run", "all", "comma-separated experiments to run: all, "+names())
 	csvDir := flag.String("csv", "", "also write <experiment>.csv files for plottable experiments into this directory")
 	flag.Parse()
 
@@ -38,20 +39,15 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		out, err := exp.run()
+		res, err := exp.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lmo-bench: %s: %v\n", exp.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
-		if *csvDir != "" && exp.csv != nil {
-			rows, err := exp.csv()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lmo-bench: %s csv: %v\n", exp.name, err)
-				os.Exit(1)
-			}
+		fmt.Println(res.Format())
+		if c, ok := res.(csvResult); ok && *csvDir != "" {
 			path := filepath.Join(*csvDir, exp.name+".csv")
-			if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(c.CSV()), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "lmo-bench: %s csv: %v\n", exp.name, err)
 				os.Exit(1)
 			}

@@ -16,21 +16,15 @@ func TestRegistryRunsEveryExperiment(t *testing.T) {
 				t.Fatalf("duplicate experiment name %q", exp.name)
 			}
 			seen[exp.name] = true
-			out, err := exp.run()
+			res, err := exp.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.TrimSpace(out) == "" {
+			if strings.TrimSpace(res.Format()) == "" {
 				t.Error("empty output")
 			}
-			if exp.csv != nil {
-				rows, err := exp.csv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(rows, ",") {
-					t.Error("CSV output has no columns")
-				}
+			if c, ok := res.(csvResult); ok && !strings.Contains(c.CSV(), ",") {
+				t.Error("CSV output has no columns")
 			}
 		})
 	}

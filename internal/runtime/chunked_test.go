@@ -476,3 +476,193 @@ func TestChunkedPrefillValidation(t *testing.T) {
 		t.Errorf("admit after cancel failed: %v", err)
 	}
 }
+
+// TestChunkedPrefillWholePromptMatchesAdmit pins the equivalence monolithic
+// admission rests on: a PrefillChunk covering the whole prompt is the same
+// prefill as AdmitKV — the same first token, the same bytes across every
+// link, the same (de)quantization op counts, and the same prefix blocks —
+// in every storage mode. Each session admits a cold prompt, retires it, then
+// admits a second prompt sharing its first 16 tokens (a prefix hit where a
+// store is attached). Afterwards neither side holds chunk state or arena
+// bytes.
+func TestChunkedPrefillWholePromptMatchesAdmit(t *testing.T) {
+	const seed = 17
+	vocab := model.Tiny().Vocab
+	first, second := make([]int, 27), make([]int, 23)
+	for i := range first {
+		first[i] = (i*7 + 3) % vocab
+	}
+	copy(second, first[:16])
+	for i := 16; i < len(second); i++ {
+		second[i] = (i*11 + 5) % vocab
+	}
+	q4 := quant.Config{Bits: 4, GroupSize: 32}
+	modes := []struct {
+		name    string
+		pol     Policy
+		quantKV bool
+		prefix  bool
+	}{
+		{"staged-raw", Policy{IntraOp: 1}, false, false},
+		{"host-attn", Policy{IntraOp: 1, AttnOnCPU: true}, false, false},
+		{"ladder-q4", Policy{IntraOp: 1}, true, false},
+		{"policy-kv4", Policy{IntraOp: 1, QuantKV: true, KVCfg: q4}, false, false},
+		{"w4-weights", Policy{IntraOp: 1, QuantWeights: true, WeightCfg: q4}, false, false},
+		{"raw-prefix", Policy{IntraOp: 1}, false, true},
+	}
+	type outcome struct {
+		toks   []int
+		stats  [7]int64
+		blocks int
+	}
+	run := func(t *testing.T, pol Policy, quantKV, prefix, chunked bool) outcome {
+		t.Helper()
+		eng, err := NewEngine(tinyModel(t, seed), pol, bigArena, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.NewSession(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if quantKV {
+			if err := sess.SetQuantizeNewSlots(true, q4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ps *PrefixStore
+		if prefix {
+			if ps, err = NewPrefixStore(4<<20, 8, model.Tiny().Layers, model.Tiny().Hidden); err != nil {
+				t.Fatal(err)
+			}
+			sess.UsePrefixStore(ps)
+		}
+		var out outcome
+		for _, prompt := range [][]int{first, second} {
+			var tok int
+			if chunked {
+				if err := sess.BeginPrefill(0, prompt, quantKV); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, tok, err = sess.PrefillChunk(context.Background(), 0, len(prompt)); err != nil {
+					t.Fatal(err)
+				}
+			} else if tok, err = sess.AdmitKV(context.Background(), 0, prompt, quantKV); err != nil {
+				t.Fatal(err)
+			}
+			if !sess.IsActive(0) {
+				t.Fatal("slot inactive after its whole prompt prefilled")
+			}
+			out.toks = append(out.toks, tok)
+			sess.Retire(0)
+		}
+		if b := sess.ChunkHostBytes(); b != 0 {
+			t.Errorf("chunk state still holds %d host bytes", b)
+		}
+		if used := eng.ArenaUsed(); used != 0 {
+			t.Errorf("arena holds %d bytes after the prefills", used)
+		}
+		st := eng.Stats()
+		out.stats = [7]int64{st.WeightUpBytes, st.KVUpBytes, st.KVDownBytes, st.ActUpBytes,
+			st.ActDownBytes, st.QuantizeOps, st.DequantizeOps}
+		if ps != nil {
+			out.blocks = ps.Blocks()
+		}
+		return out
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			admit := run(t, mode.pol, mode.quantKV, mode.prefix, false)
+			chunk := run(t, mode.pol, mode.quantKV, mode.prefix, true)
+			for i := range admit.toks {
+				if admit.toks[i] != chunk.toks[i] {
+					t.Errorf("prompt %d: AdmitKV token %d, whole-prompt chunk token %d", i, admit.toks[i], chunk.toks[i])
+				}
+			}
+			names := [7]string{"WeightUpBytes", "KVUpBytes", "KVDownBytes", "ActUpBytes", "ActDownBytes", "QuantizeOps", "DequantizeOps"}
+			for i, name := range names {
+				if admit.stats[i] != chunk.stats[i] {
+					t.Errorf("%s: AdmitKV %d, whole-prompt chunk %d", name, admit.stats[i], chunk.stats[i])
+				}
+			}
+			if admit.blocks != chunk.blocks {
+				t.Errorf("prefix blocks: AdmitKV %d, whole-prompt chunk %d", admit.blocks, chunk.blocks)
+			}
+			if mode.prefix && admit.blocks == 0 {
+				t.Error("the prefix store never received a block")
+			}
+		})
+	}
+}
+
+// TestChunkedPrefillResumesAfterStepMigration: a decode step that exhausts
+// its retries migrates the session to the host cache while another slot's
+// chunked prefill is half done. The next chunk continues host-resident from
+// the prefill's raw live rows on its first attempt, and both sequences stay
+// token-exact.
+func TestChunkedPrefillResumesAfterStepMigration(t *testing.T) {
+	const seed, genLen = 42, 4
+	short, long := []int{3, 1, 4, 1, 5}, make([]int, 20)
+	for i := range long {
+		long[i] = (i*13 + 7) % model.Tiny().Vocab
+	}
+	inj := faults.MustNew(1, map[faults.Site]faults.Rule{faults.KVTransfer: {Prob: 1}})
+	inj.SetActive(false)
+	eng, err := NewEngine(tinyModel(t, seed), Policy{IntraOp: 1}, bigArena, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetFaultInjector(inj)
+	if err := eng.SetRetryConfig(RetryConfig{MaxAttempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.NewSession(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tok, err := sess.Admit(ctx, 0, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [][]int{{tok}, nil}
+	if err := sess.BeginPrefill(1, long, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := sess.PrefillChunk(ctx, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	// Every KV transfer fails, so the step climbs the ladder to attn-on-cpu
+	// and then succeeds host-resident.
+	inj.SetActive(true)
+	toks, err := sess.Step(ctx)
+	inj.SetActive(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := eng.Stats().Degradations; len(d) == 0 || d[len(d)-1] != "attn-on-cpu" {
+		t.Fatalf("degradations %v: the step did not migrate the session", d)
+	}
+	got[0] = append(got[0], toks[0].Token)
+	for done, total := 8, len(long); done < total; {
+		if done, total, tok, err = sess.PrefillChunk(ctx, 1, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got[1] = []int{tok}
+	if n := eng.Stats().Retries["prefill_chunk"]; n != 0 {
+		t.Errorf("the chunks after the migration took %d retries", n)
+	}
+	for len(got[0]) < genLen || len(got[1]) < genLen {
+		toks, err := sess.Step(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range toks {
+			if got[st.Slot] = append(got[st.Slot], st.Token); len(got[st.Slot]) == genLen {
+				sess.Retire(st.Slot)
+			}
+		}
+	}
+	assertTokens(t, got, [][]int{soloReference(t, seed, short, genLen), soloReference(t, seed, long, genLen)})
+}

@@ -249,8 +249,8 @@ func (m *PrefixMatch) Release() {
 
 // PrefixCandidate collects, during one prefill attempt, the KV rows of the
 // prompt's full blocks that the store does not hold yet. It is committed
-// only after the whole admit succeeds, so a fault-aborted attempt can never
-// seed the cache with rolled-back values.
+// only after the attempt succeeds, so a fault-aborted attempt can never seed
+// the cache with rolled-back values.
 type PrefixCandidate struct {
 	ps                 *PrefixStore
 	prompt             []int

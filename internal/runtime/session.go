@@ -76,7 +76,7 @@ type Session struct {
 
 	// chunk holds per-slot in-flight chunked prefills (BeginPrefill /
 	// PrefillChunk); a slot with a pending chunk state is not active yet.
-	chunk []*chunkState
+	chunk []*prefill
 }
 
 // SlotToken is one decode-step result: the token generated for a slot.
@@ -107,7 +107,7 @@ func (e *Engine) newSession(slots int, grouped bool) (*Session, error) {
 		slotCfgs:   make([]quant.Config, slots),
 		prefixRefs: make([]*PrefixMatch, slots),
 		reused:     make([]int, slots),
-		chunk:      make([]*chunkState, slots),
+		chunk:      make([]*prefill, slots),
 	}
 	if e.policy.AttnOnCPU {
 		s.host = model.NewKVCache(cfg.Layers, slots, cfg.Hidden)
@@ -431,9 +431,8 @@ func (s *Session) rollback(m sessionMark) {
 // attempt runs one atomic session operation: each try is marked and runs
 // under the step deadline; a failed try is rolled back, counted as a retry of
 // op, and tried again, and every try past the second first takes one rung of
-// the degradation ladder (then runs afterDegrade, when non-nil). Cancellation
-// surfaces between tries as ctx.Err().
-func (s *Session) attempt(ctx context.Context, op string, try func(context.Context) error, afterDegrade func()) error {
+// the degradation ladder. Cancellation surfaces between tries as ctx.Err().
+func (s *Session) attempt(ctx context.Context, op string, try func(context.Context) error) error {
 	for n := 1; ; n++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -455,9 +454,6 @@ func (s *Session) attempt(ctx context.Context, op string, try func(context.Conte
 		s.e.stats.addRetry(op)
 		if n >= 2 {
 			s.degradeOnce(ctx)
-			if afterDegrade != nil {
-				afterDegrade()
-			}
 		}
 	}
 }
@@ -536,145 +532,24 @@ func (s *Session) AdmitKV(ctx context.Context, slot int, prompt []int, quantKV b
 	return toks[0], nil
 }
 
-// admit prefills equal-length prompts into free slots in one pass over the
-// layers — one load_weight per layer and one prefill span per attempt for
-// the whole group — and returns each slot's first generated token. A single
-// slot seeds from the prefix store when one is attached, and commits its own
-// full blocks only after the whole prefill succeeded: a rolled-back attempt
-// must never seed the shared cache.
+// admit prefills equal-length prompts into consecutive free slots as one
+// whole-prompt chunk — one load_weight per layer and one prefill span per
+// attempt for the whole group — and returns each slot's first generated
+// token. A single slot seeds from the prefix store when one is attached.
 func (s *Session) admit(ctx context.Context, slots []int, prompts [][]int, quantKV bool) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for i, slot := range slots {
-		if err := s.checkFree(slot, prompts[i]); err != nil {
-			return nil, err
-		}
-		if len(prompts[i]) != len(prompts[0]) {
-			return nil, fmt.Errorf("runtime: ragged prompt lengths %d and %d", len(prompts[0]), len(prompts[i]))
-		}
-	}
-	var match *PrefixMatch
-	release := func() {
-		for _, slot := range slots {
-			s.unpinSlot(slot)
-		}
-		match.Release()
-	}
-	for _, slot := range slots {
-		if err := s.pinSlot(slot, quantKV); err != nil {
-			release()
-			return nil, err
-		}
-	}
-	if len(slots) == 1 {
-		match = s.acquirePrefix(slots[0], prompts[0])
-	}
-	var toks []int
-	var cand *PrefixCandidate
-	var took time.Duration
-	err := s.attempt(ctx, "prefill", func(ctx context.Context) (err error) {
-		t0 := time.Now()
-		toks, cand, err = s.admitOnce(ctx, slots, prompts, match)
-		took = time.Since(t0)
-		s.e.task(xtrace.TaskPrefill, xtrace.LaneEngine, t0, xtrace.At(-1, -1, slots[0]))
-		return err
-	}, func() {
-		if s.kv == nil {
-			// The store migrated to host mid-admit: per-slot quantization no
-			// longer applies.
-			for _, slot := range slots {
-				s.quantKV[slot] = false
-			}
-		}
-	})
+	p, err := s.openPrefill(slots, prompts, quantKV)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	for i, slot := range slots {
-		s.activate(slot, len(prompts[i]), toks[i])
-	}
-	s.e.stats.addTokens(len(slots))
-	if match != nil {
-		s.prefixRefs[slots[0]], s.reused[slots[0]] = match, match.Tokens()
-	}
-	if cand != nil {
-		s.commitPrefix(slots[0], cand)
-	}
-	// Prefill is compute too: a drifted machine stretches it the same way
-	// Step is stretched.
-	s.e.driftStall(ctx, took)
-	return toks, nil
-}
-
-// admitOnce is one prefill attempt (FlexGen steps 1.1–1.3): stream every
-// layer's weights, compute attention and MLP over the prompts into a live
-// cache, and move each slot's rows to the staged store (store_cache) or the
-// host cache as the layer finishes.
-//
-// With a prefix match, only the suffix is embedded and computed: each
-// layer's live rows are seeded with the stored prefix K/V before the
-// suffix's attention runs. Causal attention makes this bit-identical to a
-// cold full prefill — a prefix token's K/V depends only on prefix tokens,
-// every per-row operation (projections, softmax, norms) is independent of
-// the other rows, and the slot's store still receives the full prompt's rows
-// as one chunk, so downstream chunking and quantization are unchanged.
-//
-// On success it also returns the insert candidate: the first prompt's full
-// blocks the prefix store does not hold yet, captured before each layer's
-// live rows are dropped.
-func (s *Session) admitOnce(ctx context.Context, slots []int, prompts [][]int, match *PrefixMatch) (toks []int, cand *PrefixCandidate, err error) {
-	defer recoverAsError(&err)
-	e := s.e
-	cfg := e.mod.Cfg
-	reused := 0
-	if match != nil {
-		reused = match.Tokens()
-	}
-	n := len(prompts[0]) - reused
-	x := make([]*tensor.Tensor, len(prompts))
-	for i, p := range prompts {
-		x[i] = e.mod.Embed(p[reused:], reused)
-	}
-	e.stats.addBytes(&e.stats.ActUpBytes, int64(len(x)*n*cfg.Hidden)*4)
-	if s.prefix != nil {
-		cand = s.prefix.NewCandidate(prompts[0], reused)
-	}
-	live := model.NewKVCache(cfg.Layers, len(slots), cfg.Hidden)
-	err = e.forEachLayer(ctx, func(j int, lw *model.LayerWeights) error {
-		if match != nil {
-			pk, pv := match.SeedLayer(j)
-			live.SetKV(j, 0, pk, pv)
-		}
-		t0 := time.Now()
-		model.AttentionAt(e.pool, e.policy.IntraOp, cfg, lw, live, j, 0, x)
-		model.MLPSeq(e.pool, e.policy.IntraOp, cfg, lw, x)
-		e.task(xtrace.TaskCompute, xtrace.LaneGPU, t0, xtrace.At(-1, j, slots[0]))
-		return nil
-	}, func(j int) error {
-		for i, slot := range slots {
-			k, v := live.Keys(j, i), live.Values(j, i)
-			if cand != nil && i == 0 {
-				cand.CaptureLayer(j, k, v)
-			}
-			live.SetKV(j, i, nil, nil)
-			if s.kv == nil {
-				s.host.SetKV(j, slot, k, v)
-			} else if err := e.storeChunk(ctx, s.kv, j, slot, k, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	toks, err := s.runPrefill(ctx, p, len(prompts[0])-p.done, xtrace.TaskPrefill)
 	if err != nil {
-		return nil, nil, err
+		s.closePrefill(p)
+		return nil, err
 	}
-	hidden := tensor.New(len(x), cfg.Hidden)
-	for i, xi := range x {
-		copy(hidden.Row(i), xi.Row(n-1))
-	}
-	return tensor.ArgmaxRows(e.mod.Logits(e.pool, e.policy.IntraOp, hidden)), cand, nil
+	return toks, nil
 }
 
 // Step advances every active slot by one token and returns the new token per
@@ -696,7 +571,7 @@ func (s *Session) Step(ctx context.Context) ([]SlotToken, error) {
 		next, err = s.stepOnce(ctx, act)
 		took = time.Since(t0)
 		return err
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}

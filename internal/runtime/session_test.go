@@ -9,15 +9,12 @@ import (
 	"repro/internal/xtrace"
 )
 
-// soloReference generates genLen tokens for one prompt on a fresh engine —
-// the sequential baseline every session sequence must match token-for-token.
+// soloReference generates genLen tokens for one prompt with the plain model
+// — the runtime-free sequential baseline every session sequence must match
+// token-for-token. It shares no prefill or decode code with the engine.
 func soloReference(t *testing.T, seed int64, prompt []int, genLen int) []int {
 	t.Helper()
-	eng, err := NewEngine(tinyModel(t, seed), Policy{IntraOp: 1}, bigArena, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := eng.Generate(context.Background(), [][]int{prompt}, genLen)
+	out, err := tinyModel(t, seed).Generate(nil, 1, [][]int{prompt}, genLen)
 	if err != nil {
 		t.Fatal(err)
 	}

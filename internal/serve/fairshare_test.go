@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/runtime"
 	"repro/internal/workload"
@@ -329,6 +330,46 @@ func TestTenantSuspendedPermanent(t *testing.T) {
 	}
 	if _, err := st.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTenantCountersConserveFailedAdmissions: a request whose admission
+// fails — a monolithic prefill or a chunked one — still lands in exactly one
+// of its tenant's terminal counters, so Submitted = Completed + Canceled +
+// Rejected + Queued + Active keeps holding. Every weight transfer fails, so
+// both prefills outlast the step's retries and degradation ladder.
+func TestTenantCountersConserveFailedAdmissions(t *testing.T) {
+	eng := tinyEngine(t, runtime.Policy{IntraOp: 1}, 1)
+	eng.SetFaultInjector(faults.MustNew(3, map[faults.Site]faults.Rule{faults.WeightTransfer: {Prob: 1}}))
+	if err := eng.SetRetryConfig(runtime.RetryConfig{MaxAttempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(model.Tiny().Vocab)
+	cfg.Slots = 2
+	cfg.ChunkTokens = 4
+	cfg.Tenants = map[string]TenantConfig{"pro": {Slots: 2}}
+	sched, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, chunked := []int{1, 2, 3}, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, prompt := range [][]int{short, chunked} {
+		st, err := sched.Submit(context.Background(), Request{Prompt: prompt, MaxNewTokens: 2, Tenant: "pro"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Wait(); err == nil {
+			t.Fatalf("a %d-token prompt was admitted while every weight transfer fails", len(prompt))
+		}
+	}
+	// Close drains the loop, so every counter update has landed.
+	sched.Close()
+	tm := sched.Metrics().Tenants["pro"]
+	if tm.Submitted != 2 || tm.Rejected != 2 {
+		t.Errorf("tenant counters %+v: want 2 submitted, 2 rejected", tm)
+	}
+	if got := tm.Completed + tm.Canceled + tm.Rejected + int64(tm.Queued+tm.Active); got != tm.Submitted {
+		t.Errorf("tenant counters %+v account for %d of %d submissions", tm, got, tm.Submitted)
 	}
 }
 

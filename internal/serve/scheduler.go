@@ -629,22 +629,29 @@ func (s *Scheduler) retireCancelled() {
 			delete(s.running, slot)
 			s.noteActive(p, -1)
 			s.traceEvent(xtrace.TaskRetire, xtrace.At(-1, -1, slot))
-			p.stream.finish(err)
-			s.eng.Stats().RecordCancellation()
-			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Canceled++ })
+			s.finishFailed(p, err)
 		}
 	}
-	for slot, p := range s.chunking {
+	for _, p := range s.chunking {
 		if err := p.ctx.Err(); err != nil {
-			s.sess.CancelPrefill(slot)
-			delete(s.chunking, slot)
-			s.noteActive(p, -1)
-			s.traceEvent(xtrace.TaskRetire, xtrace.At(-1, -1, slot))
-			p.stream.finish(err)
-			s.eng.Stats().RecordCancellation()
-			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Canceled++ })
+			s.abandonChunked(p, err)
 		}
 	}
+}
+
+// finishFailed ends a request that will not complete: its stream finishes
+// with err, and the request counts as canceled when its own context ended
+// and as rejected otherwise — on the engine stats and its tenant's counters
+// alike, so every submission is accounted for exactly once.
+func (s *Scheduler) finishFailed(p *pending, err error) {
+	p.stream.finish(err)
+	if p.ctx.Err() != nil {
+		s.eng.Stats().RecordCancellation()
+		s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Canceled++ })
+		return
+	}
+	s.eng.Stats().RecordRejection()
+	s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Rejected++ })
 }
 
 // managePressure is the KV-pressure ladder: it measures the scaled staging
@@ -982,9 +989,7 @@ func (s *Scheduler) admit() {
 		}
 		if err := p.ctx.Err(); err != nil {
 			s.takeQueued(p)
-			p.stream.finish(err)
-			s.eng.Stats().RecordCancellation()
-			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Canceled++ })
+			s.finishFailed(p, err)
 			continue
 		}
 		if s.cfg.AdmissionControl {
@@ -1001,27 +1006,26 @@ func (s *Scheduler) admit() {
 		}
 		s.takeQueued(p)
 		slot := s.freeSlot()
-		prompt := p.req.Prompt
-		if p.resumePrompt != nil {
-			prompt = p.resumePrompt
-		}
+		prompt := p.effectivePrompt()
 		// queue_wait covers submission to the admission decision; an evicted
 		// request's resume admissions are not re-counted (its wait is the
 		// original one).
 		if !p.admittedOnce {
 			s.trace(xtrace.TaskQueueWait, p.submitted, xtrace.At(-1, -1, slot))
 		}
+		// The KV storage mode is sticky per request: a resumed request keeps
+		// the mode of its first admission so its tokens stay exact against one
+		// solo reference. Without admission control the ladder never engages.
+		if s.cfg.AdmissionControl && !p.admittedOnce {
+			p.kvQuant = s.sess.QuantizeNewSlots()
+		}
 		if s.cfg.ChunkTokens > 0 && len(prompt) > s.cfg.ChunkTokens {
 			// Chunked admission: open the prefill now, advance it one bounded
 			// chunk per loop iteration (advanceChunk), and deliver the first
 			// token when the final chunk lands. The slot is occupied from here
 			// on, so occupancy gating and tenant quotas see it immediately.
-			if s.cfg.AdmissionControl && !p.admittedOnce {
-				p.kvQuant = s.sess.QuantizeNewSlots()
-			}
 			if err := s.sess.BeginPrefill(slot, prompt, p.kvQuant); err != nil {
-				p.stream.finish(err)
-				s.eng.Stats().RecordRejection()
+				s.finishFailed(p, err)
 				continue
 			}
 			p.slot = slot
@@ -1029,57 +1033,54 @@ func (s *Scheduler) admit() {
 			s.noteActive(p, 1)
 			continue
 		}
-		tAdmit := time.Now()
-		var tok int
-		var err error
-		if s.cfg.AdmissionControl {
-			if !p.admittedOnce {
-				p.kvQuant = s.sess.QuantizeNewSlots()
-			}
-			tok, err = s.sess.AdmitKV(p.ctx, slot, prompt, p.kvQuant)
-		} else {
-			tok, err = s.sess.Admit(p.ctx, slot, prompt)
-		}
-		admitDur := time.Since(tAdmit)
-		s.trace(xtrace.TaskAdmit, tAdmit, xtrace.At(-1, -1, slot))
+		t0 := time.Now()
+		tok, err := s.sess.AdmitKV(p.ctx, slot, prompt, p.kvQuant)
+		dur := time.Since(t0)
 		if err != nil {
-			p.stream.finish(err)
-			if p.ctx.Err() != nil {
-				s.eng.Stats().RecordCancellation()
-			} else {
-				s.eng.Stats().RecordRejection()
-			}
+			s.finishFailed(p, err)
 			continue
 		}
-		now := time.Now()
 		p.slot = slot
-		// The admission's token came from prefill: restart the decode-gap
-		// window without recording a gap, so TPOT only ever averages
-		// decode-step intervals.
-		p.noteAdmitToken(now)
-		s.running[slot] = p
 		s.noteActive(p, 1)
-		if !p.admittedOnce {
-			p.admittedOnce = true
-			p.stream.setKVQuant(s.sess.SlotQuantizedKV(slot))
-			s.eng.Stats().RecordAdmission(now.Sub(p.submitted))
-			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Admitted++ })
-		}
-		if s.cfg.AdmissionControl {
-			// The prefill-cost fit observes the tokens this admission
-			// actually prefilled — the suffix beyond any prefix-cache seed.
-			// The estimator observation uses the prediction as of *before*
-			// this sample lands in the fit.
-			suffix := len(prompt) - s.sess.SlotReusedTokens(slot)
-			if obs := s.cfg.EstObserver; obs != nil && s.prefillCost.Ready() {
-				obs.ObserveEstimate(perfmodel.EstPrefill,
-					s.prefillCost.Predict(suffix).Seconds(), admitDur.Seconds())
-			}
-			s.prefillCost.Observe(suffix, admitDur)
-			s.recordEstimate(p)
-		}
-		s.deliver(p, tok)
+		// The fit observes the tokens this admission actually prefilled — the
+		// suffix beyond any prefix-cache seed.
+		s.admitted(p, tok, t0, dur, len(prompt)-s.sess.SlotReusedTokens(slot))
 	}
+}
+
+// admitted completes an admission whose prefill produced p's first token:
+// the admission span covers the prefill from t0, the request joins the
+// running batch, and the prefill's (tokens, dur) sample feeds the
+// prefill-cost fit. The estimator observation uses the prediction as of
+// *before* this sample lands in the fit.
+func (s *Scheduler) admitted(p *pending, tok int, t0 time.Time, dur time.Duration, tokens int) {
+	s.trace(xtrace.TaskAdmit, t0, xtrace.At(-1, -1, p.slot))
+	now := time.Now()
+	s.running[p.slot] = p
+	// The admission's token came from prefill: restart the decode-gap window
+	// without recording a gap, so TPOT only ever averages decode-step
+	// intervals.
+	p.noteAdmitToken(now)
+	if !p.admittedOnce {
+		p.admittedOnce = true
+		p.stream.setKVQuant(s.sess.SlotQuantizedKV(p.slot))
+		s.eng.Stats().RecordAdmission(now.Sub(p.submitted))
+		s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Admitted++ })
+	}
+	if s.cfg.AdmissionControl {
+		s.observePrefill(tokens, dur)
+		s.recordEstimate(p)
+	}
+	s.deliver(p, tok)
+}
+
+// observePrefill folds one prefill's (tokens, duration) sample into the
+// prefill-cost fit, first scoring the fit's prediction for it.
+func (s *Scheduler) observePrefill(tokens int, dur time.Duration) {
+	if obs := s.cfg.EstObserver; obs != nil && s.prefillCost.Ready() {
+		obs.ObserveEstimate(perfmodel.EstPrefill, s.prefillCost.Predict(tokens).Seconds(), dur.Seconds())
+	}
+	s.prefillCost.Observe(tokens, dur)
 }
 
 // recordEstimate stores the admission-time peak prediction for p (covering
@@ -1140,48 +1141,27 @@ func (s *Scheduler) advanceChunk() {
 	t0 := time.Now()
 	done, total, tok, err := s.sess.PrefillChunk(p.ctx, p.slot, s.cfg.ChunkTokens)
 	dur := time.Since(t0)
-	if err != nil {
-		s.sess.CancelPrefill(p.slot)
+	switch {
+	case err != nil:
+		s.abandonChunked(p, err)
+	case done < total:
+		if s.cfg.AdmissionControl {
+			s.observePrefill(done-prev, dur)
+		}
+	default:
 		delete(s.chunking, p.slot)
-		s.noteActive(p, -1)
-		s.traceEvent(xtrace.TaskRetire, xtrace.At(-1, -1, p.slot))
-		p.stream.finish(err)
-		if p.ctx.Err() != nil {
-			s.eng.Stats().RecordCancellation()
-			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Canceled++ })
-		} else {
-			s.eng.Stats().RecordRejection()
-		}
-		return
+		s.admitted(p, tok, t0, dur, done-prev)
 	}
-	if s.cfg.AdmissionControl {
-		adv := done - prev
-		if obs := s.cfg.EstObserver; obs != nil && s.prefillCost.Ready() {
-			obs.ObserveEstimate(perfmodel.EstPrefill,
-				s.prefillCost.Predict(adv).Seconds(), dur.Seconds())
-		}
-		s.prefillCost.Observe(adv, dur)
-	}
-	if done < total {
-		return
-	}
+}
+
+// abandonChunked cancels p's in-flight chunked prefill, frees its slot, and
+// finishes the request with err.
+func (s *Scheduler) abandonChunked(p *pending, err error) {
+	s.sess.CancelPrefill(p.slot)
 	delete(s.chunking, p.slot)
-	s.trace(xtrace.TaskAdmit, t0, xtrace.At(-1, -1, p.slot))
-	now := time.Now()
-	s.running[p.slot] = p
-	// The first token came from prefill: restart the decode-gap window
-	// without recording a gap (same TPOT discipline as monolithic admit).
-	p.noteAdmitToken(now)
-	if !p.admittedOnce {
-		p.admittedOnce = true
-		p.stream.setKVQuant(s.sess.SlotQuantizedKV(p.slot))
-		s.eng.Stats().RecordAdmission(now.Sub(p.submitted))
-		s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Admitted++ })
-	}
-	if s.cfg.AdmissionControl {
-		s.recordEstimate(p)
-	}
-	s.deliver(p, tok)
+	s.noteActive(p, -1)
+	s.traceEvent(xtrace.TaskRetire, xtrace.At(-1, -1, p.slot))
+	s.finishFailed(p, err)
 }
 
 // stepBatch advances the whole active batch one token and fans the results

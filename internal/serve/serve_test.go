@@ -34,13 +34,16 @@ func tinyEngine(t *testing.T, pol runtime.Policy, workers int) *runtime.Engine {
 	return eng
 }
 
-// soloReference runs one prompt on a dedicated offline engine — the
+// soloReference runs one prompt through the plain model — the runtime-free
 // sequential baseline of the differential suite — and truncates at the
 // first EOS the way the scheduler does (EOS emitted, then the stream ends).
 func soloReference(t *testing.T, prompt []int, genLen, eos int) []int {
 	t.Helper()
-	eng := tinyEngine(t, runtime.Policy{IntraOp: 1}, 1)
-	out, err := eng.Generate(context.Background(), [][]int{prompt}, genLen)
+	m, err := model.NewModel(rand.New(rand.NewSource(modelSeed)), model.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.Generate(nil, 1, [][]int{prompt}, genLen)
 	if err != nil {
 		t.Fatal(err)
 	}
