@@ -1,0 +1,10 @@
+// Package cpufeat reports the instruction-set extensions the step's
+// assembly kernels need, read once from the processor at start-up. Kernels
+// choose their path from it; the pure-Go loops beside them are the
+// reference and the path on every other CPU and architecture.
+package cpufeat
+
+// AVX2 reports that the processor implements AVX2 and that the operating
+// system saves the YMM registers across context switches (OSXSAVE set and
+// XCR0 enabling the SSE and AVX state), so 256-bit kernels may run.
+var AVX2 = detectAVX2()

@@ -1,10 +1,12 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
 )
@@ -91,15 +93,24 @@ func requireSameFloats(t *testing.T, label string, got, want []float32) {
 }
 
 // checkDequantize runs every dequantization entry point on q against the
-// per-element reference.
+// per-element reference, through the Go loops and, where the processor has
+// AVX2, through the assembly 4-bit expansion.
 func checkDequantize(t *testing.T, label string, pool *threadpool.Pool, q *Tensor) {
 	t.Helper()
+	defer func(old bool) { useAVX2 = old }(useAVX2)
 	want := refDequantize(q)
-	requireSameFloats(t, label+"/Dequantize", Dequantize(q).Data(), want)
-	requireSameFloats(t, label+"/DequantizeParallel", DequantizeParallel(pool, 2, q).Data(), want)
-	dst := make([]float32, q.numel)
-	DequantizeInto(pool, 2, dst, q)
-	requireSameFloats(t, label+"/DequantizeInto", dst, want)
+	for _, simd := range []bool{false, true} {
+		if simd && !cpufeat.AVX2 {
+			continue
+		}
+		useAVX2 = simd
+		label := fmt.Sprintf("%s/simd=%v", label, simd)
+		requireSameFloats(t, label+"/Dequantize", Dequantize(q).Data(), want)
+		requireSameFloats(t, label+"/DequantizeParallel", DequantizeParallel(pool, 2, q).Data(), want)
+		dst := make([]float32, q.numel)
+		DequantizeInto(pool, 2, dst, q)
+		requireSameFloats(t, label+"/DequantizeInto", dst, want)
+	}
 }
 
 // TestDequantizeMatchesPerElementReference pins the dequantization kernels
@@ -192,7 +203,7 @@ func TestQuantizeNaNAnywhereInGroup(t *testing.T) {
 }
 
 // BenchmarkDequantizeW4 times the serial 4-bit dequantization of a Small
-// model MLP weight and reports ns per element:
+// model MLP weight, per expansion path, and reports ns per element:
 //
 //	go test ./internal/quant -run '^$' -bench DequantizeW4
 func BenchmarkDequantizeW4(b *testing.B) {
@@ -202,9 +213,20 @@ func BenchmarkDequantizeW4(b *testing.B) {
 		b.Fatal(err)
 	}
 	dst := make([]float32, x.Numel())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DequantizeInto(nil, 1, dst, q)
+	for _, path := range []struct {
+		name string
+		simd bool
+	}{{"simd", true}, {"portable", false}} {
+		if path.simd && !cpufeat.AVX2 {
+			continue
+		}
+		b.Run(path.name, func(b *testing.B) {
+			defer func(old bool) { useAVX2 = old }(useAVX2)
+			useAVX2 = path.simd
+			for i := 0; i < b.N; i++ {
+				DequantizeInto(nil, 1, dst, q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
 }

@@ -15,8 +15,15 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 )
+
+// useAVX2 selects the assembly 4-bit expansion in dequantGroups
+// (quant_amd64.s). It is set once from CPUID; tests flip it to compare the
+// two paths. The Go loop is the reference and the path on every other CPU
+// and architecture.
+var useAVX2 = cpufeat.AVX2
 
 // Config selects the quantization parameters.
 type Config struct {
@@ -276,12 +283,20 @@ func Dequantize(q *Tensor) *tensor.Tensor {
 // A 4-bit group that starts on a byte boundary evaluates Eq. 11 once per
 // code value into a 16-entry table and expands each packed byte into two
 // lookups; the table entries are the same expression on the same operands,
-// so the values are exactly the per-element ones. Every other group unpacks
-// its codes through a stack buffer and evaluates Eq. 11 per element.
+// so the values are exactly the per-element ones. Eq. 11 parses as
+// ((c/levels)*scale)+min, so c/levels is computed once per call, not once
+// per group. With AVX2, whole four-byte runs expand in assembly and the Go
+// loop finishes the tail. Every other group unpacks its codes through a
+// stack buffer and evaluates Eq. 11 per element.
 func (q *Tensor) dequantGroups(dst []float32, lo, hi int) {
 	levels := float32(int(1)<<q.cfg.Bits - 1)
 	var codes [256]uint8
-	var table [16]float32
+	var table, norm [16]float32
+	if q.cfg.Bits == 4 {
+		for c := range norm {
+			norm[c] = float32(c) / levels
+		}
+	}
 	gs := q.cfg.GroupSize
 	for g := lo; g < hi; g++ {
 		start := g * gs
@@ -295,11 +310,16 @@ func (q *Tensor) dequantGroups(dst []float32, lo, hi int) {
 		}
 		if q.cfg.Bits == 4 && start%2 == 0 {
 			for c := range table {
-				table[c] = float32(c)/levels*scale + mn
+				table[c] = norm[c]*scale + mn
 			}
 			packed := q.packed[start/2 : start/2+(len(out)+1)/2]
-			i := 0
-			for _, b := range packed[:len(out)/2] {
+			v := 0 // elements the assembly loop covers
+			if useAVX2 && len(out) >= 8 {
+				v = len(out) &^ 7
+				dequant4AVX2(&out[0], &packed[0], &table, v)
+			}
+			i := v
+			for _, b := range packed[v/2 : len(out)/2] {
 				out[i], out[i+1] = table[b&0xF], table[b>>4]
 				i += 2
 			}

@@ -554,16 +554,20 @@ func (e *Engine) loadLayerOnce(ctx context.Context, j int) (out loadedLayer) {
 	return loadedLayer{weights: lw, resident: resident}
 }
 
-// loadWeightsTraced materializes layer j's weights, recording the Eq. 12–16
-// dequantization as a dequant_weight span (nested in the enclosing
-// load_weight span) when the store is quantized and tracing is on.
+// loadWeightsTraced materializes layer j's weights into the store's
+// staging buffer for j's parity, recording the Eq. 12–16 dequantization as
+// a dequant_weight span (nested in the enclosing load_weight span) when the
+// store is quantized and tracing is on. The buffers are safe to reuse
+// because forEachLayer holds at most layer j (computing) and j+1 (loading),
+// whose parities differ; a retried load rewrites only its own buffer; and
+// the pipeline drains before forEachLayer returns, so no load writes after.
 func (e *Engine) loadWeightsTraced(j int) *model.LayerWeights {
 	rec := e.tracer.Load()
 	if rec == nil || !e.weights.Quantized() {
-		return e.weights.Load(j)
+		return e.weights.Stage(j)
 	}
 	t0 := time.Now()
-	lw := e.weights.Load(j)
+	lw := e.weights.Stage(j)
 	rec.Record(xtrace.TaskDequantWgt, xtrace.LaneWeights, t0, time.Since(t0), xtrace.At(-1, j, -1))
 	return lw
 }

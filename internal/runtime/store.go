@@ -30,6 +30,10 @@ type WeightStore struct {
 
 	pool  *threadpool.Pool // optional: parallel (de)quantization kernels
 	width int
+
+	// stage holds the two staging buffers Stage decodes into, by layer
+	// parity; each is allocated on first use.
+	stage [2]*model.LayerWeights
 }
 
 // UsePool routes the store's (de)quantization through a worker pool at the
@@ -106,20 +110,46 @@ func (ws *WeightStore) Load(i int) *model.LayerWeights {
 	if !ws.quantized && !ws.f16 {
 		return ws.layers[i]
 	}
+	return ws.decodeInto(newLayerLike(ws.layers[i]), i)
+}
+
+// Stage is Load into the store's staging buffer for i's parity instead of
+// fresh tensors. The result stays valid until the next Stage of a layer of
+// the same parity, so a caller may hold two consecutive layers at once —
+// one computing while the next loads, as Engine.forEachLayer does — and
+// nothing more. An unpacked store returns the originals, as Load does.
+func (ws *WeightStore) Stage(i int) *model.LayerWeights {
+	if !ws.quantized && !ws.f16 {
+		return ws.layers[i]
+	}
+	buf := &ws.stage[i%2]
+	if *buf == nil {
+		*buf = newLayerLike(ws.layers[i])
+	}
+	return ws.decodeInto(*buf, i)
+}
+
+// newLayerLike allocates zeroed matrices of src's shapes.
+func newLayerLike(src *model.LayerWeights) *model.LayerWeights {
+	return &model.LayerWeights{
+		WQ: tensor.New(src.WQ.Shape()...), WK: tensor.New(src.WK.Shape()...),
+		WV: tensor.New(src.WV.Shape()...), WO: tensor.New(src.WO.Shape()...),
+		W1: tensor.New(src.W1.Shape()...), W2: tensor.New(src.W2.Shape()...),
+	}
+}
+
+// decodeInto dequantizes (or f16-decodes) layer i's matrices into out's,
+// which must have their shapes, and shares the layer norms.
+func (ws *WeightStore) decodeInto(out *model.LayerWeights, i int) *model.LayerWeights {
 	src := ws.layers[i]
-	out := &model.LayerWeights{
-		LN1Gain: src.LN1Gain,
-		LN2Gain: src.LN2Gain,
-	}
-	dst := []**tensor.Tensor{&out.WQ, &out.WK, &out.WV, &out.WO, &out.W1, &out.W2}
-	if ws.f16 {
-		for j, h := range ws.half[i] {
-			*dst[j] = h.ToFloat32()
+	out.LN1Gain, out.LN2Gain = src.LN1Gain, src.LN2Gain
+	dst := [...]*tensor.Tensor{out.WQ, out.WK, out.WV, out.WO, out.W1, out.W2}
+	for j, t := range dst {
+		if ws.f16 {
+			ws.half[i][j].DecodeInto(t.Data())
+		} else {
+			quant.DequantizeInto(ws.pool, ws.width, t.Data(), ws.packed[i][j])
 		}
-		return out
-	}
-	for j, q := range ws.packed[i] {
-		*dst[j] = quant.DequantizeParallel(ws.pool, ws.width, q)
 	}
 	return out
 }

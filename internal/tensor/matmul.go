@@ -3,8 +3,15 @@ package tensor
 import (
 	"fmt"
 
+	"repro/internal/cpufeat"
 	"repro/internal/threadpool"
 )
+
+// useAVX2 selects the assembly inner loops of accumRow and accumOne
+// (matmul_amd64.s). It is set once from CPUID; tests flip it to compare the
+// two paths. The Go loops are the reference and the path on every other CPU
+// and architecture.
+var useAVX2 = cpufeat.AVX2
 
 // MatMul computes C = A·B for rank-2 tensors A (m×k) and B (k×n) into a new
 // tensor, parallelizing over rows of A with `width` workers from pool. Pass
@@ -131,6 +138,10 @@ func (g *product) rows(lo, hi int) {
 // loaded and stored once per eight products instead of once per product. A
 // pass whose eight A values include a zero runs one row at a time, where
 // the zero-skip applies.
+//
+// With AVX2, whole eight-element runs of crow take the assembly loop, which
+// performs each lane's multiplies and adds, separately rounded and in the
+// same order; the Go loop finishes the tail.
 func accumRow(crow, arow []float32, b window, nf []bool) {
 	n := len(crow)
 	p := 0
@@ -152,7 +163,12 @@ func accumRow(crow, arow []float32, b window, nf []bool) {
 		b5 := b.row(p+5, n)[:len(crow)]
 		b6 := b.row(p+6, n)[:len(crow)]
 		b7 := b.row(p+7, n)[:len(crow)]
-		for j := range crow {
+		v := 0 // elements the assembly loop covers
+		if useAVX2 && n >= 8 {
+			v = n &^ 7
+			accumRow8AVX2(&crow[0], (*[8]float32)(a), &b0[0], b.stride, v)
+		}
+		for j := uint(v); j < uint(len(crow)); j++ {
 			s := crow[j]
 			s += a0 * b0[j]
 			s += a1 * b1[j]
@@ -176,8 +192,13 @@ func accumOne(crow []float32, av float32, brow []float32, nf []bool, p int) {
 		return
 	}
 	brow = brow[:len(crow)]
-	for j, bv := range brow {
-		crow[j] += av * bv
+	v := 0 // elements the assembly loop covers
+	if useAVX2 && len(crow) >= 8 {
+		v = len(crow) &^ 7
+		accumOneAVX2(&crow[0], &brow[0], av, v)
+	}
+	for j := uint(v); j < uint(len(crow)); j++ {
+		crow[j] += av * brow[j]
 	}
 }
 

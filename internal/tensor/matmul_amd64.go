@@ -1,0 +1,17 @@
+package tensor
+
+// accumRow8AVX2 is accumRow's eight-row pass over c[0:n], n a positive
+// multiple of 8: c[j] = c[j] + a[0]*b[j] + a[1]*b[stride+j] + … +
+// a[7]*b[7*stride+j], each product rounded, then added to the running sum
+// in ascending row order — the scalar loop's operations, eight lanes at a
+// time. b points at row 0 of the eight; rows are stride elements apart. The
+// caller has bounds-checked c[:n] and every b row's first n elements.
+//
+//go:noescape
+func accumRow8AVX2(c *float32, a *[8]float32, b *float32, stride, n int)
+
+// accumOneAVX2 is accumOne's loop over c[0:n], n a positive multiple of 8:
+// c[j] = c[j] + a*b[j].
+//
+//go:noescape
+func accumOneAVX2(c, b *float32, a float32, n int)

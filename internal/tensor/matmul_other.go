@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package tensor
+
+// Without assembly kernels useAVX2 is never set; these keep the portable
+// callers compiling.
+
+func accumRow8AVX2(c *float32, a *[8]float32, b *float32, stride, n int) {
+	panic("tensor: no AVX2 kernel on this architecture")
+}
+
+func accumOneAVX2(c, b *float32, a float32, n int) {
+	panic("tensor: no AVX2 kernel on this architecture")
+}

@@ -107,11 +107,13 @@ func TestMatMulSkipPreservesSignedZero(t *testing.T) {
 	}
 }
 
-// injectSpecials overwrites random positions with IEEE specials.
+// injectSpecials overwrites random positions with IEEE specials: NaN, ±Inf,
+// ±0 and subnormals.
 func injectSpecials(rng *rand.Rand, xs []float32, frac float64) {
 	specials := []float32{
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
 		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x00400000),
 	}
 	for i := range xs {
 		if rng.Float64() < frac {
@@ -159,10 +161,11 @@ func FuzzMatMulNonFinite(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(2))
 	f.Add(int64(99), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(7), uint8(2), uint8(36), uint8(9))
+	f.Add(int64(5), uint8(1), uint8(17), uint8(70))
 	pool := threadpool.MustNew(3)
 	f.Fuzz(func(t *testing.T, seed int64, mr, kr, nr uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+int(mr%4), 1+int(kr%40), 1+int(nr%16)
+		m, k, n := 1+int(mr%4), 1+int(kr%40), 1+int(nr%72)
 		a, b := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
 		injectSpecials(rng, a.data, []float64{0.02, 0.1, 0.4}[int(kr)%3])
 		injectSpecials(rng, b.data, 0.25)

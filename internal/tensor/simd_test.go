@@ -1,0 +1,93 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cpufeat"
+	"repro/internal/threadpool"
+)
+
+// onPath runs f with the AVX2 inner loops selected (simd) or not.
+func onPath(simd bool, f func()) {
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	useAVX2 = simd
+	f()
+}
+
+// randomQMat packs random codes for a rows×cols matrix with random group
+// parameters, some groups degenerate (zero scale).
+func randomQMat(rng *rand.Rand, bits, group, rows, cols int) QMat {
+	n := rows * cols
+	groups := (n + group - 1) / group
+	q := QMat{
+		Packed: make([]byte, (groups*group*bits+7)/8),
+		Mins:   make([]float32, groups), Scales: make([]float32, groups),
+		Bits: bits, GroupSize: group, Rows: rows, Cols: cols,
+	}
+	rng.Read(q.Packed)
+	for g := range q.Mins {
+		q.Mins[g], q.Scales[g] = float32(rng.NormFloat64()), float32(rng.ExpFloat64())
+		if rng.Intn(5) == 0 {
+			q.Scales[g] = 0
+		}
+	}
+	return q
+}
+
+// TestSIMDMatchesPortable: with the AVX2 inner loops selected, MatMul,
+// MatMulInto, MatMulCols (column windows at non-zero offsets) and MatMulQ
+// are bit-identical to the Go loops, NaN matching any NaN. n sweeps 1..72,
+// so rows hold zero to nine vector bodies and every tail length; the
+// special density varies, so passes with and without a zero in A (the
+// zero-skip) occur, with ±Inf, NaN, ±0 and subnormals in both operands.
+func TestSIMDMatchesPortable(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Skip("processor lacks AVX2")
+	}
+	pool := threadpool.MustNew(2)
+	rng := rand.New(rand.NewSource(21))
+	for n := 1; n <= 72; n++ {
+		for trial, frac := range []float64{0, 0.03, 0.15, 0.5} {
+			label := fmt.Sprintf("n=%d/trial=%d", n, trial)
+			m, k := 1+rng.Intn(5), 1+rng.Intn(40)
+			a, b := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+			injectSpecials(rng, a.data, frac)
+			injectSpecials(rng, b.data, frac/2)
+			// B and C as column windows of wider tensors.
+			boff, coff := 1+rng.Intn(9), 1+rng.Intn(9)
+			wideB := RandN(rng, 1, k, boff+n+rng.Intn(5))
+			for p := 0; p < k; p++ {
+				copy(wideB.data[p*wideB.Dim(1)+boff:], b.Row(p))
+			}
+			wideC := RandN(rng, 1, m, coff+n+rng.Intn(5))
+			// MatMulQ's tile tuner replays a cache model once per (k, n), so
+			// its A keeps one depth: two eight-row passes and a tail.
+			const kq = 20
+			aq := RandN(rng, 1, m, kq)
+			injectSpecials(rng, aq.data, frac)
+			qm := randomQMat(rng, []int{4, 8, 3}[trial%3], []int{16, 64, 7}[trial%3], kq, n)
+
+			type result struct{ mm, mm2, into, cols, q, q2 *Tensor }
+			run := func(simd bool) (r result) {
+				onPath(simd, func() {
+					r.mm, r.mm2 = MatMul(nil, 1, a, b), MatMul(pool, 2, a, b)
+					r.into = RandN(rng, 1, m, n)
+					MatMulInto(pool, 2, a, b, r.into)
+					r.cols = wideC.Clone()
+					MatMulCols(pool, 2, a, Cols{wideB, boff, n}, Cols{r.cols, coff, n})
+					r.q, r.q2 = MatMulQ(nil, 1, aq, qm), MatMulQ(pool, 2, aq, qm)
+				})
+				return r
+			}
+			want, got := run(false), run(true)
+			bitsEqual(t, label+"/MatMul", got.mm, want.mm)
+			bitsEqual(t, label+"/MatMul parallel", got.mm2, want.mm)
+			bitsEqual(t, label+"/MatMulInto", got.into, want.mm)
+			bitsEqual(t, label+"/MatMulCols", got.cols, want.cols)
+			bitsEqual(t, label+"/MatMulQ", got.q, want.q)
+			bitsEqual(t, label+"/MatMulQ parallel", got.q2, want.q)
+		}
+	}
+}
