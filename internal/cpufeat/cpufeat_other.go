@@ -3,3 +3,5 @@
 package cpufeat
 
 func detectAVX2() bool { return false }
+
+func detectFMA() bool { return false }

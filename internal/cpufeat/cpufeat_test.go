@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// TestAVX2MatchesKernelFlags cross-checks the CPUID probe against the flags
-// Linux reports for the first processor, when the file is readable.
-func TestAVX2MatchesKernelFlags(t *testing.T) {
+// checkKernelFlag cross-checks a CPUID probe against the flag Linux reports
+// for the first processor, when the file is readable.
+func checkKernelFlag(t *testing.T, flag string, got bool) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
-		if AVX2 {
-			t.Fatalf("AVX2 = true on %s", runtime.GOARCH)
+		if got {
+			t.Fatalf("%s = true on %s", flag, runtime.GOARCH)
 		}
 		return
 	}
@@ -23,11 +24,15 @@ func TestAVX2MatchesKernelFlags(t *testing.T) {
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			if want := slices.Contains(strings.Fields(flags), "avx2"); AVX2 != want {
-				t.Fatalf("AVX2 = %v, /proc/cpuinfo lists avx2: %v", AVX2, want)
+			if want := slices.Contains(strings.Fields(flags), flag); got != want {
+				t.Fatalf("%s probe = %v, /proc/cpuinfo lists %s: %v", flag, got, flag, want)
 			}
 			return
 		}
 	}
 	t.Skip("no flags line in /proc/cpuinfo")
 }
+
+func TestAVX2MatchesKernelFlags(t *testing.T) { checkKernelFlag(t, "avx2", AVX2) }
+
+func TestFMAMatchesKernelFlags(t *testing.T) { checkKernelFlag(t, "fma", FMA) }

@@ -104,7 +104,10 @@ func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights,
 		NewK:   make([]*tensor.Tensor, batch),
 		NewV:   make([]*tensor.Tensor, batch),
 	}
-	var scoreBuf []float32 // one [t, T] scores matrix, reused by every head
+	// One [t, T] scores matrix and one [dk, T] transposed key window,
+	// reused by every head, and by the next sequence when it has the same
+	// shape (a decode group's sequences usually do).
+	var scores, keysT *tensor.Tensor
 	r0 := 0
 	for s, xs := range x {
 		t := xs.Dim(0)
@@ -115,27 +118,18 @@ func AttentionAt(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights,
 		keys := cache.Keys(layer, seqBase+s) // [T, h]
 		values := cache.Values(layer, seqBase+s)
 		T := keys.Dim(0)
-		if cap(scoreBuf) < t*T {
-			scoreBuf = make([]float32, t*T)
-		}
-		scores := tensor.FromSlice(scoreBuf[:t*T], t, T)
+		scores = reshaped(scores, t, T)
+		keysT = reshaped(keysT, dk, T)
 		qs, ctx := rowsView(q, r0, t), rowsView(attnOut, r0, t)
 
-		// Per-head attention with causal masking for prefill rows.
+		// Per-head attention: Q_h·K_hᵀ through the dense kernel, then the
+		// scaled softmax with causal masking for prefill rows — query row i
+		// (absolute position T - t + i) attends to keys 0..T-t+i.
 		for head := 0; head < cfg.Heads; head++ {
 			off := head * dk
-			tensor.MatMulTCols(pool, width, tensor.Cols{T: qs, Off: off, Width: dk}, tensor.Cols{T: keys, Off: off, Width: dk}, scores)
-			tensor.Scale(scores, scale)
-			// Causal mask: query row i (absolute position T - t + i) may only
-			// attend to keys 0..T-t+i.
-			base := T - t
-			for i := 0; i < t; i++ {
-				row := scores.Row(i)
-				for j := base + i + 1; j < T; j++ {
-					row[j] = float32(math.Inf(-1))
-				}
-			}
-			tensor.SoftmaxRows(pool, width, scores)
+			tensor.TransposeCols(keysT, tensor.Cols{T: keys, Off: off, Width: dk})
+			tensor.MatMulACols(pool, width, tensor.Cols{T: qs, Off: off, Width: dk}, keysT, scores)
+			tensor.CausalSoftmaxRows(pool, width, scores, scale, T-t)
 			tensor.MatMulCols(pool, width, scores, tensor.Cols{T: values, Off: off, Width: dk}, tensor.Cols{T: ctx, Off: off, Width: dk})
 		}
 		r0 += t
@@ -183,6 +177,19 @@ func MLPSeq(pool *threadpool.Pool, width int, cfg Config, lw *LayerWeights, x []
 	for _, xs := range x {
 		rd = rd[copy(xs.Data(), rd):]
 	}
+}
+
+// reshaped returns an m×n tensor over buf's storage: buf itself when it
+// already has that shape, a view of its first m·n elements when they fit,
+// and a new tensor otherwise. A nil buf yields a new tensor.
+func reshaped(buf *tensor.Tensor, m, n int) *tensor.Tensor {
+	switch {
+	case buf != nil && buf.Dim(0) == m && buf.Dim(1) == n:
+		return buf
+	case buf != nil && cap(buf.Data()) >= m*n:
+		return tensor.FromSlice(buf.Data()[:m*n:cap(buf.Data())], m, n)
+	}
+	return tensor.New(m, n)
 }
 
 // stackRows copies the rows of every [t, hidden] tensor in x, in order, into

@@ -8,6 +8,30 @@ import (
 	"repro/internal/cpufeat"
 )
 
+// benchPaths runs f as a "simd" and a "portable" sub-benchmark of name, the
+// first only where the kernels run (needFMA: the exponential and GELU
+// kernels), and reports ns per element, elems being
+// the elements one call of f handles.
+func benchPaths(b *testing.B, name string, needFMA bool, elems int, f func()) {
+	for _, path := range []struct {
+		name string
+		simd bool
+	}{{"simd", true}, {"portable", false}} {
+		if path.simd && (!cpufeat.AVX2 || needFMA && !fmaKernels) {
+			continue
+		}
+		b.Run(name+"/"+path.name, func(b *testing.B) {
+			onPath(path.simd, func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+			})
+		})
+	}
+}
+
 // BenchmarkMatMulShapes times the serial kernel on the Small model's decode
 // and prefill shapes, per inner-loop path, and reports ns per multiply-add:
 //
@@ -35,5 +59,57 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*k*n), "ns/madd")
 			})
 		}
+	}
+}
+
+// BenchmarkGELU times the activation on the Small model's decode and
+// prefill MLP widths (rows × FFN 512), per path:
+//
+//	go test ./internal/tensor -run '^$' -bench GELU
+func BenchmarkGELU(b *testing.B) {
+	for _, rows := range []int{1, 64} {
+		rng := rand.New(rand.NewSource(1))
+		src := RandN(rng, 1, rows, 512)
+		x := New(rows, 512)
+		benchPaths(b, fmt.Sprintf("%dx512", rows), true, rows*512, func() {
+			copy(x.data, src.data)
+			GELU(x)
+		})
+	}
+}
+
+// BenchmarkSoftmaxRows times attention's scaled causal softmax over a
+// decode row and a 64-row prefill chunk at 512 keys, per path; ns/elem
+// counts every score, masked ones included:
+//
+//	go test ./internal/tensor -run '^$' -bench SoftmaxRows
+func BenchmarkSoftmaxRows(b *testing.B) {
+	for _, rows := range []int{1, 64} {
+		rng := rand.New(rand.NewSource(1))
+		src := RandN(rng, 4, rows, 512)
+		x := New(rows, 512)
+		benchPaths(b, fmt.Sprintf("%dx512", rows), true, rows*512, func() {
+			copy(x.data, src.data)
+			CausalSoftmaxRows(nil, 1, x, 0.25, 512-rows)
+		})
+	}
+}
+
+// BenchmarkAttentionScores times one Small-model head's scores Q_h·K_hᵀ
+// (d_k = 16) against 512 keys — the key window's transpose, then the dense
+// kernel — for a decode row and a 64-row prefill chunk, per inner-loop
+// path; ns/elem is per score:
+//
+//	go test ./internal/tensor -run '^$' -bench AttentionScores
+func BenchmarkAttentionScores(b *testing.B) {
+	const dk, hidden, T = 16, 128, 512
+	for _, rows := range []int{1, 64} {
+		rng := rand.New(rand.NewSource(1))
+		q, k := RandN(rng, 1, rows, hidden), RandN(rng, 1, T, hidden)
+		keysT, scores := New(dk, T), New(rows, T)
+		benchPaths(b, fmt.Sprintf("%dx%d", rows, T), false, rows*T, func() {
+			TransposeCols(keysT, Cols{k, dk, dk})
+			MatMulACols(nil, 1, Cols{q, dk, dk}, keysT, scores)
+		})
 	}
 }

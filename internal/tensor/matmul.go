@@ -24,7 +24,7 @@ var useAVX2 = cpufeat.AVX2
 func MatMul(pool *threadpool.Pool, width int, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulShapes(a, b)
 	c := New(m, n)
-	newProduct(a.data, window{data: b.data, stride: n}, window{data: c.data, stride: n}, m, k, n).run(pool, width)
+	newProduct(dense(a), dense(b), dense(c), m, k, n).run(pool, width)
 	return c
 }
 
@@ -36,7 +36,7 @@ func MatMulInto(pool *threadpool.Pool, width int, a, b, c *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto destination shape %v, want [%d %d]", c.Shape(), m, n))
 	}
 	clear(c.data)
-	newProduct(a.data, window{data: b.data, stride: n}, window{data: c.data, stride: n}, m, k, n).run(pool, width)
+	newProduct(dense(a), dense(b), dense(c), m, k, n).run(pool, width)
 }
 
 func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
@@ -79,7 +79,68 @@ func MatMulCols(pool *threadpool.Pool, width int, a *Tensor, b, c Cols) {
 	for i := 0; i < m; i++ {
 		clear(cw.row(i, n))
 	}
-	newProduct(a.data, bw, cw, m, k, n).run(pool, width)
+	newProduct(dense(a), bw, cw, m, k, n).run(pool, width)
+}
+
+// MatMulACols writes A·B into c (m×n), overwriting it, where A is the m×k
+// column window a and B the k×n tensor b — attention scores Q_h·K_hᵀ read
+// out of Q in place, against one head's keys transposed by TransposeCols.
+// Every element is computed exactly as MatMul computes it, zero-skip
+// included.
+//
+// Each element is then also exactly the dot product MatMulT forms: both
+// kernels start it from +0 and add the products in ascending p, each
+// product and each sum rounded once. The zero-skip drops only ±0 products
+// against finite rows of B, and an accumulator that starts at +0 is never
+// -0, so adding them would not change it (see skipFlags).
+func MatMulACols(pool *threadpool.Pool, width int, a Cols, b, c *Tensor) {
+	aw, m := a.window()
+	k := a.Width
+	if b.Rank() != 2 || b.Dim(0) != k || c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != b.Dim(1) {
+		panic(fmt.Sprintf("tensor: MatMulACols shapes [%d %d] · %v -> %v", m, k, b.Shape(), c.Shape()))
+	}
+	n := b.Dim(1)
+	clear(c.data)
+	newProduct(aw, dense(b), dense(c), m, k, n).run(pool, width)
+}
+
+// TransposeCols writes the transpose of the rows×w column window src into
+// the w×rows tensor dst — one head's keys, laid out so that MatMulACols
+// streams them as rows.
+func TransposeCols(dst *Tensor, src Cols) {
+	sw, rows := src.window()
+	w := src.Width
+	if dst.Rank() != 2 || dst.Dim(0) != w || dst.Dim(1) != rows {
+		panic(fmt.Sprintf("tensor: TransposeCols of [%d %d] into %v", rows, w, dst.Shape()))
+	}
+	d := dst.data
+	p := 0 // columns the assembly loop covers
+	if r := rows &^ 7; useAVX2 && r > 0 {
+		for ; p+8 <= w; p += 8 {
+			// The block's last source and destination elements.
+			_ = sw.row(r-1, p+8)
+			_ = d[(p+7)*rows+r-1]
+			transpose8AVX2(&d[p*rows], rows, &sw.data[sw.off+p], sw.stride, r)
+		}
+	}
+	// Eight source rows at a time: each destination row then receives an
+	// eight-element run, and the few lines read and written stay cached —
+	// a row-at-a-time scatter strides every write by the key count.
+	r := 0
+	for ; r+8 <= rows; r += 8 {
+		s0, s1, s2, s3 := sw.row(r, w), sw.row(r+1, w), sw.row(r+2, w), sw.row(r+3, w)
+		s4, s5, s6, s7 := sw.row(r+4, w), sw.row(r+5, w), sw.row(r+6, w), sw.row(r+7, w)
+		for q := p; q < w; q++ {
+			o := d[q*rows+r : q*rows+r+8 : q*rows+r+8]
+			o[0], o[1], o[2], o[3] = s0[q], s1[q], s2[q], s3[q]
+			o[4], o[5], o[6], o[7] = s4[q], s5[q], s6[q], s7[q]
+		}
+	}
+	for ; r < rows; r++ {
+		for q, v := range sw.row(r, w) {
+			d[q*rows+r] = v
+		}
+	}
 }
 
 // window addresses an m×n block of a row-major matrix in place: element
@@ -97,6 +158,9 @@ func (w window) row(i, n int) []float32 {
 	return w.data[s : s+n : s+n]
 }
 
+// dense addresses the whole of the rank-2 tensor t.
+func dense(t *Tensor) window { return window{data: t.data, stride: t.Dim(1)} }
+
 // product is one C += A·B over windows: A is m×k, B is k×n, C is m×n.
 type product struct {
 	a, b, c window
@@ -104,13 +168,9 @@ type product struct {
 	nf      []bool // zero-skip flags, see skipFlags
 }
 
-// newProduct sets up C += A·B for a dense row-major A (m×k).
-func newProduct(ad []float32, b, c window, m, k, n int) product {
-	return product{
-		a: window{data: ad, stride: k}, b: b, c: c,
-		m: m, k: k, n: n,
-		nf: skipFlags(ad[:m*k], b, k, n),
-	}
+// newProduct sets up C += A·B.
+func newProduct(a, b, c window, m, k, n int) product {
+	return product{a: a, b: b, c: c, m: m, k: k, n: n, nf: skipFlags(a, m, b, k, n)}
 }
 
 // run computes the product serially, or split by rows of A over width pool
@@ -233,8 +293,12 @@ func hasNonFinite(xs []float32) bool {
 // has no zeros (the common dense case) and one pass over B otherwise; it
 // returns nil — "always skip" — when A has no zeros or B is entirely
 // finite.
-func skipFlags(ad []float32, b window, k, n int) []bool {
-	if !hasZero(ad) {
+func skipFlags(a window, m int, b window, k, n int) []bool {
+	zero := false
+	for i := 0; i < m && !zero; i++ {
+		zero = hasZero(a.row(i, k))
+	}
+	if !zero {
 		return nil
 	}
 	var nf []bool
@@ -263,23 +327,10 @@ func MatMulT(pool *threadpool.Pool, width int, a, b *Tensor) *Tensor {
 	}
 	c := New(m, n)
 	productT{
-		a: window{data: a.data, stride: k}, b: window{data: b.data, stride: k}, c: window{data: c.data, stride: n},
+		a: dense(a), b: dense(b), c: dense(c),
 		m: m, k: k, n: n,
 	}.run(pool, width)
 	return c
-}
-
-// MatMulTCols writes A·Bᵀ into c (m×n), overwriting it, where A is the m×k
-// column window a and B the n×k column window b — attention scores
-// Q_h·K_hᵀ read straight out of Q and K. Every element is computed exactly
-// as MatMulT computes it.
-func MatMulTCols(pool *threadpool.Pool, width int, a, b Cols, c *Tensor) {
-	aw, m := a.window()
-	bw, n := b.window()
-	if a.Width != b.Width || c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulTCols shapes [%d %d] · [%d %d]ᵀ -> %v", m, a.Width, n, b.Width, c.Shape()))
-	}
-	productT{a: aw, b: bw, c: window{data: c.data, stride: n}, m: m, k: a.Width, n: n}.run(pool, width)
 }
 
 // productT is one C = A·Bᵀ over windows: A is m×k, B is n×k, C is m×n.

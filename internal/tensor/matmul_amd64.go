@@ -15,3 +15,11 @@ func accumRow8AVX2(c *float32, a *[8]float32, b *float32, stride, n int)
 //
 //go:noescape
 func accumOneAVX2(c, b *float32, a float32, n int)
+
+// transpose8AVX2 writes the transpose of the rows×8 block at src, rows a
+// positive multiple of 8 and srcStride elements apart, to the 8×rows block
+// at dst, whose rows are dstStride elements apart. The caller has
+// bounds-checked both blocks.
+//
+//go:noescape
+func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride, rows int)

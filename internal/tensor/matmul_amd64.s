@@ -73,3 +73,74 @@ loop1:
 	JB   loop1
 	VZEROUPPER
 	RET
+
+// func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride, rows int)
+//
+// Transposes the rows×8 block at src (rows a positive multiple of 8, rows
+// srcStride elements apart) into the 8×rows block at dst (rows dstStride
+// elements apart), one 8×8 tile per pass: each half of a tile's rows
+// becomes one 128-bit lane, then two rounds of in-lane shuffles.
+TEXT ·transpose8AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), DX
+	SHLQ $2, DX
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), BX
+	SHLQ $2, BX
+	MOVQ rows+32(FP), CX
+	SHRQ $3, CX
+	LEAQ (BX)(BX*2), R8 // 3 source rows
+	LEAQ (DX)(DX*2), R9 // 3 destination rows
+
+tile:
+	LEAQ (SI)(BX*4), R10 // source row 4
+	VMOVUPS     (SI), X0
+	VINSERTF128 $1, (R10), Y0, Y0
+	VMOVUPS     (SI)(BX*1), X1
+	VINSERTF128 $1, (R10)(BX*1), Y1, Y1
+	VMOVUPS     (SI)(BX*2), X2
+	VINSERTF128 $1, (R10)(BX*2), Y2, Y2
+	VMOVUPS     (SI)(R8*1), X3
+	VINSERTF128 $1, (R10)(R8*1), Y3, Y3
+	VMOVUPS     16(SI), X4
+	VINSERTF128 $1, 16(R10), Y4, Y4
+	VMOVUPS     16(SI)(BX*1), X5
+	VINSERTF128 $1, 16(R10)(BX*1), Y5, Y5
+	VMOVUPS     16(SI)(BX*2), X6
+	VINSERTF128 $1, 16(R10)(BX*2), Y6, Y6
+	VMOVUPS     16(SI)(R8*1), X7
+	VINSERTF128 $1, 16(R10)(R8*1), Y7, Y7
+
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VSHUFPS   $0x44, Y10, Y8, Y0
+	VSHUFPS   $0xEE, Y10, Y8, Y1
+	VSHUFPS   $0x44, Y11, Y9, Y2
+	VSHUFPS   $0xEE, Y11, Y9, Y3
+	VUNPCKLPS Y5, Y4, Y8
+	VUNPCKHPS Y5, Y4, Y9
+	VUNPCKLPS Y7, Y6, Y10
+	VUNPCKHPS Y7, Y6, Y11
+	VSHUFPS   $0x44, Y10, Y8, Y4
+	VSHUFPS   $0xEE, Y10, Y8, Y5
+	VSHUFPS   $0x44, Y11, Y9, Y6
+	VSHUFPS   $0xEE, Y11, Y9, Y7
+
+	LEAQ    (DI)(DX*4), R11 // destination row 4
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(DX*1)
+	VMOVUPS Y2, (DI)(DX*2)
+	VMOVUPS Y3, (DI)(R9*1)
+	VMOVUPS Y4, (R11)
+	VMOVUPS Y5, (R11)(DX*1)
+	VMOVUPS Y6, (R11)(DX*2)
+	VMOVUPS Y7, (R11)(R9*1)
+
+	LEAQ (SI)(BX*8), SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  tile
+	VZEROUPPER
+	RET

@@ -12,3 +12,7 @@ func accumRow8AVX2(c *float32, a *[8]float32, b *float32, stride, n int) {
 func accumOneAVX2(c, b *float32, a float32, n int) {
 	panic("tensor: no AVX2 kernel on this architecture")
 }
+
+func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride, rows int) {
+	panic("tensor: no AVX2 kernel on this architecture")
+}

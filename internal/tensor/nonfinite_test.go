@@ -201,10 +201,11 @@ func copiedCols(t *Tensor, off, w int) *Tensor {
 	return out
 }
 
-// TestColumnWindowKernelsMatchReferences: MatMulTCols and MatMulCols over
-// column windows — with NaN/±Inf/±0 in both operands — are bit-identical to
-// the naive references on the copied-out columns, serial and parallel;
-// MatMulT is too. MatMulCols writes only its window's columns.
+// TestColumnWindowKernelsMatchReferences: the attention scores Q·Kᵀ as
+// MatMulACols over a column window of Q and TransposeCols of K's window, and
+// MatMulCols over column windows — with NaN/±Inf/±0 in both operands — are
+// bit-identical to the naive references on the copied-out columns, serial
+// and parallel; MatMulT is too. MatMulCols writes only its window's columns.
 func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 	pool := threadpool.MustNew(2)
 	rng := rand.New(rand.NewSource(5))
@@ -220,9 +221,11 @@ func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 		injectSpecials(rng, scores.data, frac)
 		qh, kh := copiedCols(q, off, w), copiedCols(kv, off, w)
 		for _, width := range []int{1, 2} {
-			got := New(m, n)
-			MatMulTCols(pool, width, Cols{q, off, w}, Cols{kv, off, w}, got)
-			bitsEqual(t, "MatMulTCols", got, naiveMatMulT(qh, kh))
+			keysT := New(w, n)
+			TransposeCols(keysT, Cols{kv, off, w})
+			got := RandN(rng, 1, m, n)
+			MatMulACols(pool, width, Cols{q, off, w}, keysT, got)
+			bitsEqual(t, "MatMulACols", got, naiveMatMulT(qh, kh))
 			bitsEqual(t, "MatMulT", MatMulT(pool, width, qh, kh), naiveMatMulT(qh, kh))
 
 			out := RandN(rng, 1, m, cols)

@@ -3,7 +3,9 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"repro/internal/cpufeat"
 	"repro/internal/threadpool"
 )
 
@@ -58,6 +60,35 @@ func checkSameShape(op string, a, b *Tensor) {
 	}
 }
 
+// useAVX2FMA selects the exponential and GELU kernels of ops_amd64.s. They
+// port math.Exp's fused multiply-add path, which math.Exp takes exactly
+// when the processor has AVX and FMA, so they need both extensions (see
+// cpufeat.FMA). It is set once from CPUID; tests flip it to compare the two
+// paths. The Go loops are the reference and the path on every other CPU and
+// architecture.
+var useAVX2FMA = cpufeat.AVX2 && cpufeat.FMA && expKernelMatches()
+
+// expProbes are arguments on which math.Exp's fused and unfused paths
+// return different bits (TestExpProbeSelectsKernels).
+var expProbes = [8]float64{-38.75, -23.5, -13.5, -3.75, 7.25, 14.25, 22, 39.25}
+
+// expKernelMatches confirms at start-up that math.Exp takes the fused path
+// the kernel ports. The processor decides that, except that GODEBUG can
+// switch FMA off for the Go runtime (cpu.fma=off); the portable loops then
+// stay the only path, so both paths keep one result.
+func expKernelMatches() bool {
+	x := expProbes
+	if expAVX2(&x[0], len(x)) != 0 {
+		return false
+	}
+	for i, a := range expProbes {
+		if math.Float64bits(x[i]) != math.Float64bits(math.Exp(a)) {
+			return false
+		}
+	}
+	return true
+}
+
 // SoftmaxRows applies a numerically stable softmax to each row of an m×n
 // tensor in place, parallelized over rows.
 func SoftmaxRows(pool *threadpool.Pool, width int, t *Tensor) {
@@ -75,23 +106,102 @@ func SoftmaxRows(pool *threadpool.Pool, width int, t *Tensor) {
 // softmaxRows normalizes rows [lo, hi) of the n-column matrix data.
 func softmaxRows(data []float32, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
+		softmaxRow(data[i*n : (i+1)*n])
+	}
+}
+
+// CausalSoftmaxRows is attention's scaled, causally masked softmax over the
+// m×n scores t, in place: row i sees columns [0, base+i]. Those are
+// multiplied by scale and normalized over themselves alone; every later
+// column is written as 0·inv, inv being the row's normalizing factor.
+//
+// The result is bit-identical to Scale(t, scale), then setting the later
+// columns to -Inf, then SoftmaxRows. The row maximum is the same, because
+// row[0] is always visible and -Inf never exceeds the running maximum. A
+// masked column's exp is +0, which leaves the row's sum unchanged, unless
+// the maximum is -Inf or NaN; the visible columns have then made the sum NaN
+// already. Its output is 0·inv, as here: +0, or NaN exactly when the sum is.
+func CausalSoftmaxRows(pool *threadpool.Pool, width int, t *Tensor, scale float32, base int) {
+	if t.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: CausalSoftmaxRows on rank-%d tensor", t.Rank()))
+	}
+	m, n := t.Dim(0), t.Dim(1)
+	if base < 0 || base+m > n {
+		panic(fmt.Sprintf("tensor: CausalSoftmaxRows base %d for shape %v", base, t.Shape()))
+	}
+	if pool == nil || width <= 1 || m <= 1 {
+		causalSoftmaxRows(t.data, n, base, scale, 0, m)
+		return
+	}
+	pool.ParallelRange(m, width, func(lo, hi int) { causalSoftmaxRows(t.data, n, base, scale, lo, hi) })
+}
+
+// causalSoftmaxRows is CausalSoftmaxRows over rows [lo, hi).
+func causalSoftmaxRows(data []float32, n, base int, scale float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		row := data[i*n : (i+1)*n]
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
+		vis := row[:base+i+1]
+		for j := range vis {
+			vis[j] *= scale
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - maxV))
-			row[j] = float32(e)
-			sum += e
+		masked := 0 * softmaxRow(vis)
+		for j := len(vis); j < n; j++ {
+			row[j] = masked
 		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
+	}
+}
+
+// expBlock is how many exponentials softmaxRow computes per pass; its
+// buffer lives on the stack.
+const expBlock = 64
+
+// softmaxRow normalizes row in place and returns the factor it scaled by:
+// row[j] = float32(e_j) * float32(1/Σe), e_j = math.Exp(float64(row[j]-max)),
+// the float64 sum taken in ascending j.
+func softmaxRow(row []float32) (inv float32) {
+	maxV := row[0]
+	for _, v := range row[1:] {
+		if v > maxV {
+			maxV = v
 		}
+	}
+	var sum float64
+	var e [expBlock]float64
+	for lo := 0; lo < len(row); lo += expBlock {
+		blk := row[lo:min(lo+expBlock, len(row))]
+		x := e[:len(blk)]
+		for j, v := range blk {
+			x[j] = float64(v - maxV)
+		}
+		expLanes(x)
+		for j, v := range x {
+			blk[j] = float32(v)
+			sum += v
+		}
+	}
+	inv = float32(1 / sum)
+	for j := range row {
+		row[j] *= inv
+	}
+	return inv
+}
+
+// expLanes sets x[j] = math.Exp(x[j]) for up to 64 elements. With AVX2 and
+// FMA, whole groups of four take expAVX2, and the lanes it flags (outside
+// [-708, 709], ±Inf and NaN) and the tail take math.Exp.
+func expLanes(x []float64) {
+	v := 0 // elements the assembly loop covers
+	var bad uint64
+	if useAVX2FMA && len(x) >= 4 {
+		v = len(x) &^ 3
+		bad = expAVX2(&x[0], v)
+	}
+	for ; bad != 0; bad &= bad - 1 {
+		j := bits.TrailingZeros64(bad)
+		x[j] = math.Exp(x[j])
+	}
+	for j := v; j < len(x); j++ {
+		x[j] = math.Exp(x[j])
 	}
 }
 
@@ -133,13 +243,27 @@ func LayerNormRows(t *Tensor, gain, bias *Tensor, eps float32) {
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit in place,
-// the MLP activation used by OPT and LLaMA-family models.
+// the MLP activation used by OPT and LLaMA-family models. With AVX2 and FMA,
+// whole groups of four elements take geluAVX2, which evaluates gelu's
+// expression lane by lane with every rounding in place; the tail stays in Go.
 func GELU(t *Tensor) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range t.data {
-		x := float64(v)
-		t.data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+	d := t.data
+	v := 0 // elements the assembly loop covers
+	if useAVX2FMA && len(d) >= 4 {
+		v = len(d) &^ 3
+		geluAVX2(&d[0], v)
 	}
+	for i := v; i < len(d); i++ {
+		d[i] = gelu(d[i])
+	}
+}
+
+// gelu is GELU on one element: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))),
+// in float64.
+func gelu(v float32) float32 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	x := float64(v)
+	return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 }
 
 // ReLU applies max(0, x) in place.

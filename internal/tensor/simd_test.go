@@ -9,11 +9,24 @@ import (
 	"repro/internal/threadpool"
 )
 
-// onPath runs f with the AVX2 inner loops selected (simd) or not.
+// fmaKernels records whether the exponential and GELU kernels were
+// selected at start-up.
+var fmaKernels = useAVX2FMA
+
+// onPath runs f with the assembly kernels selected (simd) or not: the
+// AVX2 multiply loops, and the exponential and GELU kernels where they were
+// selected at start-up.
 func onPath(simd bool, f func()) {
-	defer func(old bool) { useAVX2 = old }(useAVX2)
-	useAVX2 = simd
+	defer func(a, b bool) { useAVX2, useAVX2FMA = a, b }(useAVX2, useAVX2FMA)
+	useAVX2, useAVX2FMA = simd, simd && fmaKernels
 	f()
+}
+
+// requireFMAKernels skips unless the exponential and GELU kernels run.
+func requireFMAKernels(t testing.TB) {
+	if !fmaKernels {
+		t.Skip("processor lacks AVX2 or FMA, or math.Exp does not take its FMA path")
+	}
 }
 
 // randomQMat packs random codes for a rows×cols matrix with random group
@@ -88,6 +101,40 @@ func TestSIMDMatchesPortable(t *testing.T) {
 			bitsEqual(t, label+"/MatMulCols", got.cols, want.cols)
 			bitsEqual(t, label+"/MatMulQ", got.q, want.q)
 			bitsEqual(t, label+"/MatMulQ parallel", got.q2, want.q)
+		}
+	}
+}
+
+// TestAttentionScoresMatchReference: attention's scores Q_h·K_hᵀ, computed
+// as MatMulACols over a column window of Q against TransposeCols of the
+// same window of K, equal naiveMatMulT on the copied-out heads bit for bit
+// on both inner-loop paths, serial and parallel — at head widths 1..24 and
+// non-zero column offsets, with ±0, ±Inf, NaN and subnormals in Q and K.
+func TestAttentionScoresMatchReference(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Skip("processor lacks AVX2")
+	}
+	pool := threadpool.MustNew(2)
+	rng := rand.New(rand.NewSource(25))
+	for dk := 1; dk <= 24; dk++ {
+		for trial, frac := range []float64{0, 0.03, 0.15, 0.5} {
+			heads := 1 + rng.Intn(3)
+			m, T := 1+rng.Intn(6), 1+rng.Intn(70)
+			q, k := RandN(rng, 1, m, heads*dk), RandN(rng, 1, T, heads*dk)
+			injectSpecials(rng, q.data, frac)
+			injectSpecials(rng, k.data, frac/2)
+			off := rng.Intn(heads) * dk
+			want := naiveMatMulT(copiedCols(q, off, dk), copiedCols(k, off, dk))
+			for _, simd := range []bool{false, true} {
+				for _, width := range []int{1, 2} {
+					keysT, got := RandN(rng, 1, dk, T), RandN(rng, 1, m, T)
+					onPath(simd, func() {
+						TransposeCols(keysT, Cols{k, off, dk})
+						MatMulACols(pool, width, Cols{q, off, dk}, keysT, got)
+					})
+					bitsEqual(t, fmt.Sprintf("dk=%d/trial=%d/simd=%v/width=%d", dk, trial, simd, width), got, want)
+				}
+			}
 		}
 	}
 }
