@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -71,7 +70,7 @@ func NewHandler(c *Cluster) http.Handler {
 			return
 		}
 		if stream {
-			streamSSE(w, st)
+			serve.StreamSSE(w, st)
 			return
 		}
 		tokens, err := st.Wait()
@@ -119,30 +118,6 @@ func writeClusterOverload(w http.ResponseWriter, e *serve.OverloadError) {
 		return
 	}
 	serve.WriteOverload(w, e)
-}
-
-// streamSSE mirrors the single-replica SSE framing over a routed stream.
-func streamSSE(w http.ResponseWriter, st *Stream) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	flusher, _ := w.(http.Flusher)
-	step := 0
-	for tok := range st.Tokens() {
-		fmt.Fprintf(w, "data: {\"step\":%d,\"token\":%d}\n\n", step, tok)
-		step++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, err := st.Wait()
-	status := "ok"
-	if err != nil {
-		status = err.Error()
-	}
-	fmt.Fprintf(w, "event: done\ndata: %q\n\n", status)
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 // statsPayload assembles the cluster /stats document: router counters plus

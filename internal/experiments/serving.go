@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -176,7 +175,7 @@ func runServingStatic(cfg model.Config, slots int, trace []servingArrival) (*Ser
 		Wall:       time.Since(start),
 	}
 	row.TokPerSec = float64(tokens) / row.Wall.Seconds()
-	row.TTFTMean, _, row.TTFTP99 = servingQuantiles(ttfts)
+	row.TTFTMean, _, row.TTFTP99 = stats.Quantiles(ttfts)
 	if busySteps > 0 {
 		row.AvgOccupancy = float64(occupancy) / float64(busySteps)
 	}
@@ -252,21 +251,8 @@ func runServingContinuous(cfg model.Config, slots int, trace []servingArrival) (
 		AvgOccupancy: m.Serve.AvgOccupancy,
 	}
 	row.TokPerSec = float64(tokens) / wall.Seconds()
-	row.TTFTMean, _, row.TTFTP99 = servingQuantiles(ttfts)
+	row.TTFTMean, _, row.TTFTP99 = stats.Quantiles(ttfts)
 	return row, nil
-}
-
-func servingQuantiles(samples []time.Duration) (mean, p50, p99 time.Duration) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	return sum / time.Duration(len(sorted)), sorted[len(sorted)/2], sorted[(len(sorted)*99)/100]
 }
 
 // Format renders the discipline comparison.

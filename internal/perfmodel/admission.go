@@ -143,12 +143,7 @@ func satScale(x int64, f float64) int64 {
 // coefficients). All methods are safe for concurrent use: the scheduler
 // observes from its loop goroutine while the background adapt refitter reads
 // coefficients and predictions off it.
-type StepCostModel struct {
-	mu sync.Mutex
-	// decayed sufficient statistics for least squares on y = α + β·b
-	n, sb, sbb, sy, sby float64
-	samples             int64
-}
+type StepCostModel struct{ fit decayedFit }
 
 // stepCostDecay is the per-observation decay: ~0.97 keeps roughly the last
 // 30 steps dominant, long enough to smooth fault noise and short enough to
@@ -158,42 +153,67 @@ const stepCostDecay = 0.97
 // stepCostMinSamples gates predictions until the fit has seen enough steps.
 const stepCostMinSamples = 8
 
+// decayedFit is the exponentially-decayed least-squares fit y ≈ fixed +
+// slope·x both cost models share: decayed sufficient statistics, a sample
+// count gating readiness, and a mutex making it safe for concurrent use.
+type decayedFit struct {
+	mu                  sync.Mutex
+	n, sx, sxx, sy, sxy float64
+	samples             int64
+}
+
+// observe folds one (x, duration) sample into the fit.
+func (f *decayedFit) observe(x float64, d time.Duration) {
+	y := d.Seconds()
+	f.mu.Lock()
+	f.n = f.n*stepCostDecay + 1
+	f.sx = f.sx*stepCostDecay + x
+	f.sxx = f.sxx*stepCostDecay + x*x
+	f.sy = f.sy*stepCostDecay + y
+	f.sxy = f.sxy*stepCostDecay + x*y
+	f.samples++
+	f.mu.Unlock()
+}
+
+// fitted returns the constrained coefficients (seconds) and whether the fit
+// has seen enough samples to predict, read under one lock.
+func (f *decayedFit) fitted() (fixed, slope float64, ready bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fixed, slope = affineFit(f.n, f.sx, f.sxx, f.sy, f.sxy)
+	return fixed, slope, f.samples >= stepCostMinSamples
+}
+
+// predict returns fixed + slope·x as a duration (zero before the fit is
+// ready).
+func (f *decayedFit) predict(x float64) time.Duration {
+	fixed, slope, ready := f.fitted()
+	if !ready {
+		return 0
+	}
+	return time.Duration((fixed + slope*x) * float64(time.Second))
+}
+
 // Observe folds one decode step at the given occupancy into the fit.
 func (m *StepCostModel) Observe(occupancy int, d time.Duration) {
 	if occupancy <= 0 || d <= 0 {
 		return
 	}
-	b, y := float64(occupancy), d.Seconds()
-	m.mu.Lock()
-	m.n = m.n*stepCostDecay + 1
-	m.sb = m.sb*stepCostDecay + b
-	m.sbb = m.sbb*stepCostDecay + b*b
-	m.sy = m.sy*stepCostDecay + y
-	m.sby = m.sby*stepCostDecay + b*y
-	m.samples++
-	m.mu.Unlock()
+	m.fit.observe(float64(occupancy), d)
 }
 
 // Ready reports whether the model has enough samples to predict.
 func (m *StepCostModel) Ready() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ready()
+	_, _, ready := m.fit.fitted()
+	return ready
 }
-
-func (m *StepCostModel) ready() bool { return m.samples >= stepCostMinSamples }
 
 // Coefficients returns the fitted (fixed, perSlot) parts in seconds. Before
 // Ready, or when the observed occupancies are degenerate (all equal), the
 // per-slot part is folded into an occupancy-independent mean.
 func (m *StepCostModel) Coefficients() (fixed, perSlot float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coefficients()
-}
-
-func (m *StepCostModel) coefficients() (fixed, perSlot float64) {
-	return affineFit(m.n, m.sb, m.sbb, m.sy, m.sby)
+	fixed, perSlot, _ = m.fit.fitted()
+	return fixed, perSlot
 }
 
 // affineFit solves the weighted least-squares fit y ≈ fixed + slope·x from
@@ -234,30 +254,21 @@ func affineFit(n, sx, sxx, sy, sxy float64) (fixed, slope float64) {
 // occupancy (each step yields one token per active slot, so TPOT equals step
 // time). Zero before the model is Ready.
 func (m *StepCostModel) PredictTPOT(occupancy int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.predictTPOT(occupancy)
-}
-
-func (m *StepCostModel) predictTPOT(occupancy int) time.Duration {
-	if !m.ready() || occupancy <= 0 {
+	if occupancy <= 0 {
 		return 0
 	}
-	fixed, perSlot := m.coefficients()
-	return time.Duration((fixed + perSlot*float64(occupancy)) * float64(time.Second))
+	return m.fit.predict(float64(occupancy))
 }
 
 // PredictDrain estimates how long the server needs to finish remainingTokens
 // across the given occupancy — the Retry-After hint for rejected requests.
 // Zero when the model is not Ready or there is nothing to drain.
 func (m *StepCostModel) PredictDrain(remainingTokens int64, occupancy int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if remainingTokens <= 0 || occupancy <= 0 || !m.ready() {
+	if remainingTokens <= 0 || occupancy <= 0 {
 		return 0
 	}
 	steps := (remainingTokens + int64(occupancy) - 1) / int64(occupancy)
-	return time.Duration(steps) * m.predictTPOT(occupancy)
+	return time.Duration(steps) * m.PredictTPOT(occupancy)
 }
 
 // PrefillCostModel predicts admission prefill latency as a function of the
@@ -271,11 +282,7 @@ func (m *StepCostModel) PredictDrain(remainingTokens int64, occupancy int) time.
 // same decay and readiness gate as StepCostModel; like it, safe for
 // concurrent use (the scheduler observes from its loop goroutine while the
 // adapt refitter and routers read predictions concurrently).
-type PrefillCostModel struct {
-	mu                  sync.Mutex
-	n, st, stt, sy, sty float64
-	samples             int64
-}
+type PrefillCostModel struct{ fit decayedFit }
 
 // Observe folds one admission: tokens actually prefilled (suffix length
 // under reuse) against the measured prefill duration.
@@ -283,46 +290,27 @@ func (m *PrefillCostModel) Observe(tokens int, d time.Duration) {
 	if tokens <= 0 || d <= 0 {
 		return
 	}
-	t, y := float64(tokens), d.Seconds()
-	m.mu.Lock()
-	m.n = m.n*stepCostDecay + 1
-	m.st = m.st*stepCostDecay + t
-	m.stt = m.stt*stepCostDecay + t*t
-	m.sy = m.sy*stepCostDecay + y
-	m.sty = m.sty*stepCostDecay + t*y
-	m.samples++
-	m.mu.Unlock()
+	m.fit.observe(float64(tokens), d)
 }
 
 // Ready reports whether the model has enough samples to predict.
 func (m *PrefillCostModel) Ready() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ready()
+	_, _, ready := m.fit.fitted()
+	return ready
 }
-
-func (m *PrefillCostModel) ready() bool { return m.samples >= stepCostMinSamples }
 
 // Coefficients returns the fitted (fixed, perToken) parts in seconds, with
 // the same degenerate-input and negative-slope fallbacks as the step model.
 func (m *PrefillCostModel) Coefficients() (fixed, perToken float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coefficients()
-}
-
-func (m *PrefillCostModel) coefficients() (fixed, perToken float64) {
-	return affineFit(m.n, m.st, m.stt, m.sy, m.sty)
+	fixed, perToken, _ = m.fit.fitted()
+	return fixed, perToken
 }
 
 // Predict returns the expected prefill stall for the given token count
 // (zero before Ready or for nothing to prefill).
 func (m *PrefillCostModel) Predict(tokens int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.ready() || tokens <= 0 {
+	if tokens <= 0 {
 		return 0
 	}
-	fixed, perToken := m.coefficients()
-	return time.Duration((fixed + perToken*float64(tokens)) * float64(time.Second))
+	return m.fit.predict(float64(tokens))
 }

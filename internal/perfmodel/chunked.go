@@ -147,12 +147,10 @@ func (m *PrefillCostModel) PredictChunked(tokens, chunk int) time.Duration {
 	if chunk <= 0 || chunk >= tokens {
 		return m.Predict(tokens)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.ready() {
+	fixed, perToken, ready := m.fit.fitted()
+	if !ready {
 		return 0
 	}
-	fixed, perToken := m.coefficients()
 	chunks := float64((tokens + chunk - 1) / chunk)
 	return time.Duration((fixed*chunks + perToken*float64(tokens)) * float64(time.Second))
 }

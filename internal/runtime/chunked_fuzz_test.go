@@ -27,6 +27,7 @@ import (
 //     engine's own all-at-once path, which chunking must reproduce bit for
 //     bit), or, under arena pressure, failure cleans up completely (no
 //     chunk bytes, no arena bytes, slot admissible again).
+//
 // monolithicReference runs the prompt through a fresh session's all-at-once
 // AdmitKV path with the same quantization settings — the engine's own
 // monolithic behavior, which chunked admission must reproduce exactly.

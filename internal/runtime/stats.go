@@ -2,9 +2,10 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Stats accumulates the engine's I/O and task accounting — the functional
@@ -284,27 +285,9 @@ func (s *Stats) ServeSummary() ServeSummary {
 	if s.serve.batchSteps > 0 {
 		out.AvgOccupancy = float64(s.serve.occupancySum) / float64(s.serve.batchSteps)
 	}
-	out.TTFTMean, out.TTFTP50, out.TTFTP99 = quantiles(s.serve.ttft.buf)
-	out.TPOTMean, _, _ = quantiles(s.serve.tpot.buf)
+	out.TTFTMean, out.TTFTP50, out.TTFTP99 = stats.Quantiles(s.serve.ttft.buf)
+	out.TPOTMean, _, _ = stats.Quantiles(s.serve.tpot.buf)
 	return out
-}
-
-// quantiles returns the mean, p50, and p99 of a sample set (zeros when
-// empty). The input is not modified.
-func quantiles(samples []time.Duration) (mean, p50, p99 time.Duration) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	mean = sum / time.Duration(len(sorted))
-	p50 = sorted[len(sorted)/2]
-	p99 = sorted[(len(sorted)*99)/100]
-	return mean, p50, p99
 }
 
 func newStats() *Stats {

@@ -136,6 +136,7 @@ func TestChunkedCancellationMidPrefill(t *testing.T) {
 // requests must be token-exact against the solo reference, and the drain
 // must leak neither goroutines nor arena bytes.
 func TestChunkedSoak(t *testing.T) {
+	checkSlotInvariants(t)
 	n := 24
 	if testing.Short() {
 		n = 12

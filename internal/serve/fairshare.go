@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -90,13 +91,14 @@ func (c Config) fillTenant(tc TenantConfig) TenantConfig {
 func (c Config) fairShare() bool { return len(c.Tenants) > 0 }
 
 // tenantConfig resolves a request's tenant tag to its effective name and
-// contract. With no tenants configured every request shares one FIFO and the
-// tag is metadata only. Otherwise empty/unknown tags bill to DefaultTenant,
+// contract. With no tenants configured every request bills to one implicit
+// tenant, named "", with the global slots and depth and weight 1 (the tag is
+// metadata only). Otherwise empty/unknown tags bill to DefaultTenant,
 // governed by an explicit "default" entry when present and by an open
 // default (global slots/depth, weight 1) when not.
 func (c Config) tenantConfig(name string) (string, TenantConfig) {
 	if !c.fairShare() {
-		return name, TenantConfig{Slots: c.Slots, QueueDepth: c.QueueDepth, Weight: 1}
+		return "", TenantConfig{Slots: c.Slots, QueueDepth: c.QueueDepth, Weight: 1}
 	}
 	if name == "" {
 		name = DefaultTenant
@@ -116,77 +118,66 @@ type tenantState struct {
 	cfg    TenantConfig
 	q      admitQueue
 	credit int
+	// full is what a push onto this tenant's full queue returns: the bare
+	// ErrQueueFull for the implicit single tenant, tenant-wrapped otherwise.
+	full error
 }
 
-// fairQueue is the scheduler's admission queue. With no tenants configured it
-// degenerates to the PR 2 bounded FIFO. With tenants it keeps one bounded
-// FIFO per tenant and dispatches by weighted round-robin with credits: each
-// refill round grants every tenant Weight admissions, the cursor walks the
-// (sorted) tenant order, and a tenant with queued work is skipped only while
-// it is out of credit or its caller-supplied eligibility (active-slot quota)
-// says no. Resumed evictees sit in a capacity-exempt front lane dispatched
-// before everything, preserving the PR 3 recompute-on-resume contract.
+// fairQueue is the scheduler's admission queue: one bounded FIFO per tenant,
+// dispatched by weighted round-robin with credits. Each refill round grants
+// every tenant Weight admissions, the cursor walks the (sorted) tenant
+// order, and a tenant with queued work is skipped only while it is out of
+// credit or its caller-supplied eligibility (active-slot quota) says no.
+// Single-tenant mode is the one-tenant case: one implicit tenant of weight 1
+// and depth QueueDepth, which credit round-robin dispatches in FIFO order.
+// Resumed evictees sit in a capacity-exempt front lane dispatched before
+// everything, preserving the recompute-on-resume contract.
 //
 // Invariants (fuzzed in FuzzFairShareQueue): per-tenant depth never exceeds
 // its capacity, push fails exactly when the owning queue is full, no request
 // is ever lost or duplicated, and an always-eligible tenant with queued work
 // is dispatched at least once per refill round (no starvation).
 type fairQueue struct {
-	fair    bool
-	front   []*pending // evict-resume lane: capacity-exempt, dispatched first
-	fifo    admitQueue // single-tenant mode
+	front   admitQueue // evict-resume lane: capacity-exempt, dispatched first
 	tenants map[string]*tenantState
 	order   []string // sorted tenant names: deterministic round-robin walk
 	cursor  int
 }
 
-// newFairQueue builds the queue for the config's tenancy mode.
+// newFairQueue builds the queue for the config's tenancy mode: the
+// configured tenants plus the default, or the one implicit tenant.
 func newFairQueue(cfg Config) *fairQueue {
-	q := &fairQueue{fifo: admitQueue{capacity: cfg.QueueDepth}}
-	if !cfg.fairShare() {
-		return q
-	}
-	q.fair = true
-	q.tenants = map[string]*tenantState{}
-	add := func(name string, tc TenantConfig) {
+	q := &fairQueue{tenants: map[string]*tenantState{}}
+	add := func(name string, tc TenantConfig, full error) {
 		q.tenants[name] = &tenantState{
 			name:   name,
 			cfg:    tc,
 			q:      admitQueue{capacity: tc.QueueDepth},
 			credit: tc.Weight,
+			full:   full,
 		}
 		q.order = append(q.order, name)
 	}
+	if !cfg.fairShare() {
+		name, tc := cfg.tenantConfig("")
+		add(name, tc, ErrQueueFull)
+		return q
+	}
+	wrapped := func(name string) error { return fmt.Errorf("serve: tenant %s: %w", name, ErrQueueFull) }
 	for name, tc := range cfg.Tenants {
-		add(name, cfg.fillTenant(tc))
+		add(name, cfg.fillTenant(tc), wrapped(name))
 	}
 	if _, ok := q.tenants[DefaultTenant]; !ok {
-		_, tc := cfg.tenantConfig("")
-		add(DefaultTenant, tc)
+		name, tc := cfg.tenantConfig("")
+		add(name, tc, wrapped(name))
 	}
-	sortStrings(q.order)
+	sort.Strings(q.order)
 	return q
 }
 
-// sortStrings is a dependency-free insertion sort (the tenant list is tiny
-// and sorted once).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// push enqueues p on its tenant's queue (the shared FIFO in single-tenant
-// mode), reporting a wrapped ErrQueueFull when that queue is at capacity.
+// push enqueues p on its tenant's queue, reporting the tenant's queue-full
+// error when that queue is at capacity.
 func (q *fairQueue) push(p *pending) error {
-	if !q.fair {
-		if !q.fifo.push(p) {
-			return ErrQueueFull
-		}
-		return nil
-	}
 	ts := q.tenants[p.tenant]
 	if ts == nil {
 		// Submit resolves tenants before queueing; an unknown name here is a
@@ -194,16 +185,14 @@ func (q *fairQueue) push(p *pending) error {
 		return fmt.Errorf("serve: unresolved tenant %q", p.tenant)
 	}
 	if !ts.q.push(p) {
-		return fmt.Errorf("serve: tenant %s: %w", p.tenant, ErrQueueFull)
+		return ts.full
 	}
 	return nil
 }
 
 // pushFront re-enqueues an evicted request on the capacity-exempt resume
 // lane, ahead of every tenant queue.
-func (q *fairQueue) pushFront(p *pending) {
-	q.front = append([]*pending{p}, q.front...)
-}
+func (q *fairQueue) pushFront(p *pending) { q.front.pushFront(p) }
 
 // next returns the request the dispatcher would admit now, without removing
 // it: the resume lane's head if any (evictees bypass eligibility — their
@@ -213,11 +202,8 @@ func (q *fairQueue) pushFront(p *pending) {
 // which is the only state next mutates; repeated calls without an intervening
 // take return the same request.
 func (q *fairQueue) next(eligible func(tenant string) bool) *pending {
-	if len(q.front) > 0 {
-		return q.front[0]
-	}
-	if !q.fair {
-		return q.fifo.peek()
+	if p := q.front.peek(); p != nil {
+		return p
 	}
 	for pass := 0; pass < 2; pass++ {
 		workable := false
@@ -247,16 +233,7 @@ func (q *fairQueue) next(eligible func(tenant string) bool) *pending {
 // credit runs out. Removal is by identity, so a racing push cannot make take
 // remove the wrong request.
 func (q *fairQueue) take(p *pending) {
-	for i, fp := range q.front {
-		if fp == p {
-			copy(q.front[i:], q.front[i+1:])
-			q.front[len(q.front)-1] = nil
-			q.front = q.front[:len(q.front)-1]
-			return
-		}
-	}
-	if !q.fair {
-		q.fifo.remove(p)
+	if q.front.remove(p) {
 		return
 	}
 	for idx, name := range q.order {
@@ -275,7 +252,7 @@ func (q *fairQueue) take(p *pending) {
 
 // len is the total queued count across every lane.
 func (q *fairQueue) len() int {
-	n := len(q.front) + q.fifo.len()
+	n := q.front.len()
 	for _, ts := range q.tenants {
 		n += ts.q.len()
 	}
@@ -291,12 +268,39 @@ func (q *fairQueue) depth(tenant string) int {
 }
 
 // snapshot returns every queued request (resume lane first, then tenants in
-// round-robin order, then the FIFO) for drain estimation.
+// round-robin order) for drain estimation.
 func (q *fairQueue) snapshot() []*pending {
-	out := append([]*pending(nil), q.front...)
+	out := append([]*pending(nil), q.front.items...)
 	for _, name := range q.order {
 		out = append(out, q.tenants[name].q.items...)
 	}
-	out = append(out, q.fifo.items...)
 	return out
+}
+
+// bumpTenant applies a counter update under the scheduler mutex (no-op in
+// single-tenant mode).
+func (s *Scheduler) bumpTenant(name string, f func(*TenantMetrics)) {
+	if !s.cfg.fairShare() {
+		return
+	}
+	s.mu.Lock()
+	m := s.tenantCounts[name]
+	if m == nil {
+		m = &TenantMetrics{}
+		s.tenantCounts[name] = m
+	}
+	f(m)
+	s.mu.Unlock()
+}
+
+// tenantEligibleLocked is the dispatcher's quota check: a tenant may only
+// take a slot while its active count is below its quota (always true for the
+// implicit single tenant, whose quota is every slot). Called by
+// fairQueue.next with s.mu held.
+func (s *Scheduler) tenantEligibleLocked(name string) bool {
+	_, tc := s.cfg.tenantConfig(name)
+	if tc.Slots <= 0 {
+		return false
+	}
+	return s.tenantActive[name] < tc.Slots
 }

@@ -104,7 +104,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			return
 		}
 		if stream {
-			streamSSE(w, st)
+			StreamSSE(w, st)
 			return
 		}
 		tokens, err := st.Wait()
@@ -150,10 +150,15 @@ func WriteOverload(w http.ResponseWriter, e *OverloadError) {
 	})
 }
 
-// streamSSE delivers a request's tokens as server-sent events: one
+// StreamSSE delivers a request's tokens as server-sent events: one
 // `data: {"step":N,"token":T}` event per token, then `event: done` carrying
-// the terminal status.
-func streamSSE(w http.ResponseWriter, st *Stream) {
+// the terminal status. It takes any stream with a token channel and a
+// terminal Wait (*Stream, or a cluster's routed stream), so the single-replica
+// and cluster frontends share one wire framing.
+func StreamSSE(w http.ResponseWriter, st interface {
+	Tokens() <-chan int
+	Wait() ([]int, error)
+}) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)

@@ -104,6 +104,7 @@ func overloadTrace(seed int64, n, vocab int) []arrival {
 // stays bounded, the admission estimate dominates the observed arena peak,
 // and health returns to normal after the storm.
 func TestOverloadSoak(t *testing.T) {
+	checkSlotInvariants(t)
 	n := 48
 	if testing.Short() {
 		n = 24

@@ -111,6 +111,7 @@ func prefixSoakTrace(seed int64, n, vocab int) []arrival {
 // all interleave. Completed requests stay token-exact against the matching
 // no-cache solo reference, and nothing leaks. Run with -race in CI.
 func TestPrefixSoak(t *testing.T) {
+	checkSlotInvariants(t)
 	n := 48
 	if testing.Short() {
 		n = 24
@@ -292,7 +293,7 @@ func TestTPOTExcludesPrefillGaps(t *testing.T) {
 	p.noteDecodeToken(base.Add(10 * time.Millisecond)) // gap 10ms
 	p.noteDecodeToken(base.Add(20 * time.Millisecond)) // gap 10ms
 	// Eviction + resume: 500ms of queue dead time, then the re-prefill token.
-	p.noteAdmitToken(base.Add(520 * time.Millisecond)) // no gap recorded
+	p.noteAdmitToken(base.Add(520 * time.Millisecond))  // no gap recorded
 	p.noteDecodeToken(base.Add(530 * time.Millisecond)) // gap 10ms
 	if got := p.tpot(); got != 10*time.Millisecond {
 		t.Errorf("tpot = %v, want 10ms (prefill/resume gaps must not count)", got)

@@ -348,11 +348,19 @@ func TestCancellationRetiresSlot(t *testing.T) {
 	}
 }
 
+// checkSlotInvariants switches on the scheduler loop's slot-table check
+// (checkSlots) for the rest of the test: a violation panics the loop.
+func checkSlotInvariants(t *testing.T) {
+	checkSlotTable.Store(true)
+	t.Cleanup(func() { checkSlotTable.Store(false) })
+}
+
 // TestSchedulerStress hammers one scheduler with concurrent submitters,
 // cancellers, and deadline-bound clients, then asserts a clean drain: every
 // stream terminates, no goroutine outlives Close, and the arena holds no
 // leaked staging bytes.
 func TestSchedulerStress(t *testing.T) {
+	checkSlotInvariants(t)
 	const clients = 24
 	cfg := DefaultConfig(model.Tiny().Vocab)
 	cfg.Slots = 3

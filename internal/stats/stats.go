@@ -1,13 +1,15 @@
 // Package stats provides the small numeric and formatting helpers the
 // experiment generators share: aligned text tables (the tool output mirrors
 // the paper's tables) and aggregate statistics (means, geometric means,
-// speedup summaries).
+// speedup summaries, latency quantiles).
 package stats
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
+	"time"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -113,6 +115,22 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// Quantiles returns the mean, p50, and p99 of a latency sample set (zeros
+// when empty); p50 and p99 are the sorted samples at indexes n/2 and
+// 99n/100. The input is not modified.
+func Quantiles(samples []time.Duration) (mean, p50, p99 time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0, 0
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, d := range sorted {
+		sum += d
+	}
+	return sum / time.Duration(len(sorted)), sorted[len(sorted)/2], sorted[(len(sorted)*99)/100]
 }
 
 // Min returns the minimum, or 0 for empty input.
