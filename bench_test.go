@@ -270,7 +270,7 @@ func BenchmarkModelValidation(b *testing.B) {
 }
 
 // BenchmarkServeThroughput compares the two serving disciplines on the same
-// ragged request mix (baselined in BENCH_serve.json): "static" admits a wave
+// ragged request mix (the serving experiment's shape): "static" admits a wave
 // of requests into the Session and drains it to the slowest member before
 // the next wave; "continuous" pushes the same requests through the
 // internal/serve scheduler, which refills slots at decode-step boundaries.

@@ -18,7 +18,7 @@
 //	          [-workers 4] [-seed 42] [-faults spec] [-step-timeout dur]
 //	          [-arena-mb 2048] [-admission] [-hwm 0.85] [-lwm 0.65]
 //	          [-tpot-budget dur] [-host-kv-mb 0] [-prefix-cache-mb 0]
-//	          [-chunk-tokens 0] [-fair-share -tenants "free=1,pro=2/3"]
+//	          [-chunk-tokens 0] [-tenants "free=1,pro=2/3"]
 //	          [-latency-samples 4096] [-adapt]
 //
 // With -chunk-tokens N, prompts longer than N are admitted incrementally:
@@ -35,8 +35,9 @@
 // gains an "adapt" block (state, drift factor, swap/commit/rollback
 // counters). Requires -admission (the TPOT estimator feeds the detector).
 //
-// With -fair-share, -tenants declares per-tenant active-slot quotas, queue
-// depths, and weighted-round-robin shares; requests carrying a "tenant"
+// A non-empty -tenants enables weighted fair-share scheduling: it declares
+// per-tenant active-slot quotas, queue depths, and weighted-round-robin
+// shares; requests carrying a "tenant"
 // field bill against their tenant and untagged requests bill to "default".
 // /stats then reports per-tenant queued/active/completed counters.
 //
@@ -94,16 +95,11 @@ func main() {
 	prefixMB := flag.Int64("prefix-cache-mb", 0, "shared-prefix KV cache budget in MiB (0 = off); admissions reuse cached prompt prefixes and prefill only the suffix")
 	chunkTokens := flag.Int("chunk-tokens", 0, "chunked prefill: admit prompts longer than this incrementally, one chunk between decode steps, bounding the TPOT spike a long arrival can inflict (0 = monolithic admission)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the serving run to this file on shutdown")
-	tenants := flag.String("tenants", "", `fair-share tenants as name=slots[/weight[/depth]] entries, e.g. "free=1,pro=2/3,batch=1/1/16" (slots 0 = suspended; requests tagged "tenant" bill per-tenant, untagged ones bill to "default")`)
-	fairShare := flag.Bool("fair-share", false, "enable weighted fair-share scheduling (requires -tenants)")
+	tenants := flag.String("tenants", "", `enable weighted fair-share scheduling over tenants given as name=slots[/weight[/depth]] entries, e.g. "free=1,pro=2/3,batch=1/1/16" (slots 0 = suspended; requests tagged "tenant" bill per-tenant, untagged ones bill to "default")`)
 	latencySamples := flag.Int("latency-samples", 0, "TTFT/TPOT latency reservoir capacity per ring (0 = default 4096)")
 	adaptOn := flag.Bool("adapt", false, "online self-tuning: drift detection, background re-search, guarded policy hot-swap with canary rollback (requires -admission)")
 	flag.Parse()
 
-	if *fairShare != (*tenants != "") {
-		fmt.Fprintln(os.Stderr, "lmo-serve: -fair-share and -tenants must be used together")
-		os.Exit(2)
-	}
 	if *adaptOn && !*admission {
 		fmt.Fprintln(os.Stderr, "lmo-serve: -adapt requires -admission (the TPOT estimator feeds the drift detector)")
 		os.Exit(2)

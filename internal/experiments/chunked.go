@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -83,29 +80,38 @@ func gapQuantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// runChunkedArm replays one arm: Streams summarize requests (Poisson
-// arrivals, long prompts relative to their budget) plus one long-prompt
-// arrival injected once the streams are decoding. It returns the arm's
-// measurements and every request's served tokens (background in trace order,
-// then the long request) for cross-arm exactness checks.
-func runChunkedArm(cfg model.Config, chunk, promptLen, streams, decodeLen int, seed int64) (ChunkedArm, [][]int, error) {
-	arm := ChunkedArm{ChunkTokens: chunk}
+// chunkedTrace is one arm's arrivals: streams summarize requests (Poisson
+// arrivals within a 20 ms horizon, long prompts relative to their budget),
+// then the long prompt once the streams are decoding, at 60 ms: past the
+// horizon with a margin for their own short prefills.
+func chunkedTrace(vocab, promptLen, streams, decodeLen int, seed int64) (workload.Trace, error) {
 	bg, err := workload.Generate("summarize", workload.Spec{
-		Seed: seed, N: streams, Vocab: cfg.Vocab, Horizon: 20 * time.Millisecond,
+		Seed: seed, N: streams, Vocab: vocab, Horizon: 20 * time.Millisecond,
 		MinNewTokens: decodeLen, MaxNewTokens: decodeLen + 2,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return append(bg, workload.Request{
+		At: 60 * time.Millisecond, Session: -1, Kind: "long",
+		Prompt: chunkedLongPrompt(promptLen, vocab), MaxNewTokens: 4,
+	}), nil
+}
+
+// runChunkedArm replays one arm of chunkedTrace. It returns the arm's
+// measurements and every request's served tokens (background in trace
+// order, then the long request) for cross-arm exactness checks.
+func runChunkedArm(cfg model.Config, chunk, promptLen, streams, decodeLen int, seed int64) (ChunkedArm, [][]int, error) {
+	arm := ChunkedArm{ChunkTokens: chunk}
+	trace, err := chunkedTrace(cfg.Vocab, promptLen, streams, decodeLen, seed)
 	if err != nil {
 		return arm, nil, err
 	}
 
 	// The model seed is fixed so every arm serves the identical model — the
 	// outputs must match token for token across chunk sizes.
-	m, err := model.NewModel(rand.New(rand.NewSource(424242)), cfg)
-	if err != nil {
-		return arm, nil, err
-	}
 	slots := streams + 1
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 2, GPUBatch: slots, Prefetch: true}, 1<<30, threadpool.MustNew(2))
+	eng, err := seededEngine(servingSeed, cfg, runtime.Policy{IntraOp: 2, GPUBatch: slots, Prefetch: true}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
 		return arm, nil, err
 	}
@@ -123,90 +129,32 @@ func runChunkedArm(cfg model.Config, chunk, promptLen, streams, decodeLen int, s
 	}
 	defer sched.Close()
 
-	type tokTime struct{ at time.Time }
-	var (
-		mu       sync.Mutex
-		armErr   error
-		outputs  = make([][]int, streams+1)
-		arrivals = make([][]tokTime, streams)
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if armErr == nil {
-			armErr = err
-		}
-		mu.Unlock()
+	outs := workload.Replay(trace, submitTo(sched))
+	if err := replayErr(outs); err != nil {
+		return arm, nil, err
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, r := range bg {
-		wg.Add(1)
-		go func(i int, r workload.Request) {
-			defer wg.Done()
-			if d := time.Until(start.Add(r.At)); d > 0 {
-				time.Sleep(d)
-			}
-			st, err := sched.Submit(context.Background(), serve.Request{Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens})
-			if err != nil {
-				fail(fmt.Errorf("background %d: %w", i, err))
-				return
-			}
-			var out []int
-			var times []tokTime
-			for tok := range st.Tokens() {
-				out = append(out, tok)
-				times = append(times, tokTime{at: time.Now()})
-			}
-			if _, err := st.Wait(); err != nil {
-				fail(fmt.Errorf("background %d: %w", i, err))
-				return
-			}
-			mu.Lock()
-			outputs[i] = out
-			arrivals[i] = times
-			mu.Unlock()
-		}(i, r)
+	outputs := make([][]int, len(outs))
+	for i, o := range outs {
+		outputs[i] = o.Tokens
 	}
-
-	// Inject the long arrival once the background streams are decoding: past
-	// the 20ms arrival horizon with a margin for their own short prefills.
-	time.Sleep(time.Until(start.Add(60 * time.Millisecond)))
-	longSubmit := time.Now()
-	st, err := sched.Submit(context.Background(), serve.Request{
-		Prompt: chunkedLongPrompt(promptLen, cfg.Vocab), MaxNewTokens: 4,
-	})
-	if err != nil {
-		wg.Wait()
-		return arm, nil, fmt.Errorf("long arrival: %w", err)
-	}
-	var longOut []int
+	long := outs[streams]
 	var longFirst time.Time
-	for tok := range st.Tokens() {
-		if longOut == nil {
-			longFirst = time.Now()
-		}
-		longOut = append(longOut, tok)
+	if len(long.TokenTimes) > 0 {
+		longFirst = long.TokenTimes[0]
+		arm.LongTTFT = longFirst.Sub(long.Submitted)
 	}
-	if _, err := st.Wait(); err != nil {
-		fail(fmt.Errorf("long arrival: %w", err))
-	}
-	wg.Wait()
-	if armErr != nil {
-		return arm, nil, armErr
-	}
-	outputs[streams] = longOut
-	arm.LongTTFT = longFirst.Sub(longSubmit)
 
 	// Background gaps: consecutive inter-token intervals per stream (TTFT
 	// excluded). During counts the tokens landing inside the long prefill
 	// window [submit, first long token].
 	var gaps []time.Duration
-	for _, times := range arrivals {
+	for _, o := range outs[:streams] {
+		times := o.TokenTimes
 		for j := 1; j < len(times); j++ {
-			gaps = append(gaps, times[j].at.Sub(times[j-1].at))
+			gaps = append(gaps, times[j].Sub(times[j-1]))
 		}
-		for _, tt := range times {
-			if tt.at.After(longSubmit) && tt.at.Before(longFirst) {
+		for _, at := range times {
+			if at.After(long.Submitted) && at.Before(longFirst) {
 				arm.During++
 			}
 		}
@@ -250,8 +198,11 @@ func ChunkedBench() (*ChunkedResult, error) {
 		}
 		if ref == nil {
 			ref = outs
-		} else if !tokensEqual(ref, outs) {
-			r.TokenExact = false
+		}
+		for i := range ref {
+			if tokenDiff(outs[i], ref[i]) != nil {
+				r.TokenExact = false
+			}
 		}
 		r.Arms = append(r.Arms, arm)
 	}
@@ -259,24 +210,6 @@ func ChunkedBench() (*ChunkedResult, error) {
 		r.P99Speedup = float64(r.Arms[0].TPOTP99) / float64(r.Arms[1].TPOTP99)
 	}
 	return r, nil
-}
-
-// tokensEqual reports whether two served-token sets match exactly.
-func tokensEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CheckAcceptance enforces the benchmark's committed bar: token-exact output

@@ -50,30 +50,6 @@ type ClusterResult struct {
 
 const clusterSeed = 424242
 
-// clusterEngine builds one replica's engine from the shared seed, so every
-// replica (and the solo reference) is the identical deployment.
-func clusterEngine() (*runtime.Engine, error) {
-	m, err := model.NewModel(rand.New(rand.NewSource(clusterSeed)), model.Tiny())
-	if err != nil {
-		return nil, err
-	}
-	return runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<30, nil)
-}
-
-// clusterSolo regenerates one prompt offline — the token-exactness reference
-// for routed output.
-func clusterSolo(prompt []int, budget int) ([]int, error) {
-	eng, err := clusterEngine()
-	if err != nil {
-		return nil, err
-	}
-	out, err := eng.Generate(context.Background(), [][]int{prompt}, budget)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // clusterLiveKill drives n Poisson requests at three live replicas, kills
 // replica 0 a third of the way through the trace, and restarts it at two
 // thirds. Every request must end with a definite status; availability is the
@@ -95,7 +71,7 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	reps := make([]*cluster.Replica, 3)
 	scheds := make([]*serve.Scheduler, 3)
 	for i := range reps {
-		eng, err := clusterEngine()
+		eng, err := seededEngine(clusterSeed, model.Tiny(), runtime.Policy{IntraOp: 1}, 1<<30, nil)
 		if err != nil {
 			return row, 0, err
 		}
@@ -208,17 +184,8 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 		// Verify a spread sample token-exact against solo replays (replays
 		// build a fresh engine each, so bound the count).
 		if exact < 6 && i%(n/6+1) == 0 {
-			want, err := clusterSolo(results[i].prompt, results[i].budget)
-			if err != nil {
+			if err := checkSolo("cluster", i, clusterSeed, model.Tiny(), results[i].prompt, results[i].budget, nil, results[i].out); err != nil {
 				return row, 0, err
-			}
-			if len(results[i].out) != len(want) {
-				return row, 0, fmt.Errorf("experiments: cluster request %d routed %d tokens, solo %d", i, len(results[i].out), len(want))
-			}
-			for j := range want {
-				if results[i].out[j] != want[j] {
-					return row, 0, fmt.Errorf("experiments: cluster request %d diverged from solo at token %d", i, j)
-				}
 			}
 			exact++
 		}

@@ -89,11 +89,7 @@ type driftStack struct {
 // `workers` background submitters.
 func newDriftStack(seed int64, startIntra, workers int) (*driftStack, error) {
 	cfg := model.Tiny()
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: startIntra, Prefetch: true}, 1<<30, threadpool.MustNew(2))
+	eng, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: startIntra, Prefetch: true}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func FunctionalCheck() (*FunctionalResult, error) {
 	prompts := work.Prompts(rand.New(rand.NewSource(seed)), cfg.Vocab)
 	pool := threadpool.MustNew(4)
 
-	ref, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
+	ref, err := seededModel(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -67,11 +67,7 @@ func FunctionalCheck() (*FunctionalResult, error) {
 		{"gpu-attn, w4+kv4", runtime.Policy{QuantWeights: true, WeightCfg: kv4, QuantKV: true, KVCfg: kv4, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
 	}
 	for _, c := range cases {
-		m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := runtime.NewEngine(m, c.pol, 1<<31, pool)
+		eng, err := seededEngine(seed, cfg, c.pol, 1<<31, pool)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: functional %q: %w", c.label, err)
 		}
@@ -81,10 +77,8 @@ func FunctionalCheck() (*FunctionalResult, error) {
 		}
 		matches := true
 		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					matches = false
-				}
+			if tokenDiff(got[i], want[i]) != nil {
+				matches = false
 			}
 		}
 		st := eng.Stats()

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // OverloadPhaseRow is one traffic phase of the chaos soak.
@@ -56,22 +55,15 @@ type OverloadResult struct {
 	ExactChecked int
 }
 
-// overloadArrival is one request of the soak trace, tagged with its phase.
-type overloadArrival struct {
-	at     time.Duration
-	phase  int
-	prompt []int
-	budget int
-}
-
-// overloadPhases names the trace's three traffic regimes.
+// overloadPhases names the trace's three traffic regimes; each request's
+// Kind is its phase.
 var overloadPhases = []string{"calm", "burst-4x", "recover"}
 
 // overloadSoakTrace builds the three-phase arrival schedule: calm traffic,
 // a burst arriving ~8x faster, then calm again to observe recovery.
-func overloadSoakTrace(seed int64, n, vocab int) []overloadArrival {
+func overloadSoakTrace(seed int64, n, vocab int) workload.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	var out []overloadArrival
+	var out workload.Trace
 	at := time.Duration(0)
 	per := n / 3
 	for i := 0; i < n; i++ {
@@ -88,7 +80,10 @@ func overloadSoakTrace(seed int64, n, vocab int) []overloadArrival {
 		for j := range prompt {
 			prompt[j] = rng.Intn(vocab)
 		}
-		out = append(out, overloadArrival{at: at, phase: phase, prompt: prompt, budget: 8 + rng.Intn(56)})
+		out = append(out, workload.Request{
+			At: at, Session: -1, Kind: overloadPhases[phase],
+			Prompt: prompt, MaxNewTokens: 8 + rng.Intn(56),
+		})
 	}
 	return out
 }
@@ -100,20 +95,16 @@ func Overload(n int) (*OverloadResult, error) {
 	cfg := model.Tiny()
 	const seed = 20250806
 
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
 	// Probe the weight working set, then size the arena to leave only 64 KiB
 	// of KV headroom so the watermarks are reachable with short sequences.
-	probe, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<30, nil)
+	probe, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: 1}, 1<<30, nil)
 	if err != nil {
 		return nil, err
 	}
 	const headroom = 60 << 10
 	capacity := probe.ResidentBaseBytes() + probe.MaxStreamLayerBytes() + headroom
 
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, capacity, threadpool.MustNew(2))
+	eng, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: 1}, capacity, threadpool.MustNew(2))
 	if err != nil {
 		return nil, err
 	}
@@ -138,30 +129,12 @@ func Overload(n int) (*OverloadResult, error) {
 	}
 
 	trace := overloadSoakTrace(seed, n, cfg.Vocab)
-	outs := make([][]int, len(trace))
-	errs := make([]error, len(trace))
-	kvq := make([]bool, len(trace))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, a := range trace {
-		wg.Add(1)
-		go func(i int, a overloadArrival) {
-			defer wg.Done()
-			if wait := a.at - time.Since(start); wait > 0 {
-				time.Sleep(wait)
-			}
-			// The fault window tracks the burst: chaos arrives with the storm.
-			inj.SetActive(a.phase == 1)
-			st, err := sched.Submit(context.Background(), serve.Request{Prompt: a.prompt, MaxNewTokens: a.budget})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i], errs[i] = st.Wait()
-			kvq[i] = st.KVQuantized()
-		}(i, a)
-	}
-	wg.Wait()
+	submit := submitTo(sched)
+	outs := workload.Replay(trace, func(i int, r workload.Request) (workload.Stream, error) {
+		// The fault window tracks the burst: chaos arrives with the storm.
+		inj.SetActive(r.Kind == overloadPhases[1])
+		return submit(i, r)
+	})
 	inj.SetActive(false)
 
 	out := &OverloadResult{
@@ -170,17 +143,17 @@ func Overload(n int) (*OverloadResult, error) {
 		ArenaBytes:    capacity,
 		HeadroomBytes: headroom,
 	}
-	for p, name := range overloadPhases {
+	for _, name := range overloadPhases {
 		row := OverloadPhaseRow{Phase: name}
-		for i, a := range trace {
-			if a.phase != p {
+		for i, r := range trace {
+			if r.Kind != name {
 				continue
 			}
 			row.Submitted++
-			switch {
-			case errs[i] == nil:
+			switch err := outcomeErr(outs[i]); {
+			case err == nil:
 				row.Completed++
-			case errors.Is(errs[i], serve.ErrOverloaded) || errors.Is(errs[i], serve.ErrQueueFull):
+			case errors.Is(err, serve.ErrOverloaded) || errors.Is(err, serve.ErrQueueFull):
 				row.Shed++
 			default:
 				row.Failed++
@@ -223,67 +196,20 @@ func Overload(n int) (*OverloadResult, error) {
 
 	// Sampled token-exactness: replay a few completed requests solo (with the
 	// storage mode the ladder picked for them) and require identical tokens.
-	for i := range trace {
-		if out.ExactChecked >= 3 || errs[i] != nil {
+	for i, o := range outs {
+		if out.ExactChecked >= 3 || outcomeErr(o) != nil {
 			continue
 		}
-		want, err := overloadSoloReplay(seed, cfg, trace[i].prompt, trace[i].budget, kvq[i], scfg.LadderKV)
-		if err != nil {
+		var kvq *quant.Config
+		if o.Stream.(*serve.Stream).KVQuantized() {
+			kvq = &scfg.LadderKV
+		}
+		if err := checkSolo("overload soak", i, seed, cfg, trace[i].Prompt, trace[i].MaxNewTokens, kvq, o.Tokens); err != nil {
 			return nil, err
-		}
-		if len(want) != len(outs[i]) {
-			return nil, fmt.Errorf("experiments: overload soak: request %d length %d != solo %d", i, len(outs[i]), len(want))
-		}
-		for j := range want {
-			if want[j] != outs[i][j] {
-				return nil, fmt.Errorf("experiments: overload soak: request %d token %d = %d, solo %d", i, j, outs[i][j], want[j])
-			}
 		}
 		out.ExactChecked++
 	}
 	return out, nil
-}
-
-// overloadSoloReplay regenerates one request on a dedicated fault-free
-// engine, matching the KV storage mode the serving ladder chose.
-func overloadSoloReplay(seed int64, cfg model.Config, prompt []int, budget int, quantized bool, qcfg quant.Config) ([]int, error) {
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<30, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !quantized {
-		outs, err := eng.Generate(context.Background(), [][]int{prompt}, budget)
-		if err != nil {
-			return nil, err
-		}
-		return outs[0], nil
-	}
-	sess, err := eng.NewSession(1)
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.SetQuantizeNewSlots(true, qcfg); err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	tok, err := sess.AdmitKV(ctx, 0, prompt, true)
-	if err != nil {
-		return nil, err
-	}
-	toks := []int{tok}
-	for len(toks) < budget {
-		step, err := sess.Step(ctx)
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, step[0].Token)
-	}
-	sess.Retire(0)
-	return toks, nil
 }
 
 // Format renders the soak outcome.

@@ -92,11 +92,7 @@ func prefixTrace(rng *rand.Rand, n, promptLen, sharedLen, vocab int) (prompts []
 // previous, spaced by the Poisson gaps) so TTFT isolates prefill cost from
 // queueing, and returns the per-request TTFTs, outputs, and final metrics.
 func prefixServeRun(seed int64, cfg model.Config, prompts [][]int, gaps []time.Duration, budget int, cacheBytes int64) ([]time.Duration, [][]int, serve.Metrics, error) {
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, nil, serve.Metrics{}, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 2, Prefetch: true}, 1<<30, threadpool.MustNew(2))
+	eng, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: 2, Prefetch: true}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
 		return nil, nil, serve.Metrics{}, err
 	}
@@ -232,41 +228,14 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 		// Sampled exactness: reuse must not change a single served token.
 		if overlap >= 0.5 {
 			for i := 0; i < len(prompts) && out.ExactChecked < 4; i += len(prompts) / 2 {
-				want, err := prefixSoloReplay(seed, cfg, prompts[i], budget)
-				if err != nil {
+				if err := checkSolo("prefix", i, seed, cfg, prompts[i], budget, nil, onOuts[i]); err != nil {
 					return nil, err
-				}
-				if len(want) != len(onOuts[i]) {
-					return nil, fmt.Errorf("experiments: prefix: request %d length %d != solo %d", i, len(onOuts[i]), len(want))
-				}
-				for j := range want {
-					if want[j] != onOuts[i][j] {
-						return nil, fmt.Errorf("experiments: prefix: request %d token %d = %d, solo %d", i, j, onOuts[i][j], want[j])
-					}
 				}
 				out.ExactChecked++
 			}
 		}
 	}
 	return out, nil
-}
-
-// prefixSoloReplay regenerates one request on a dedicated engine with no
-// serving layer and no prefix cache — the exactness reference.
-func prefixSoloReplay(seed int64, cfg model.Config, prompt []int, budget int) ([]int, error) {
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<30, nil)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := eng.Generate(context.Background(), [][]int{prompt}, budget)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
 }
 
 // Format renders the overlap sweep.

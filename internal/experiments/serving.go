@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // ServingRow is one batching discipline under the shared arrival trace.
@@ -45,17 +45,11 @@ type ServingResult struct {
 	Rows     []ServingRow
 }
 
-// servingArrival is one offline-generated request: an arrival offset from
-// t=0, a prompt, and a generation budget.
-type servingArrival struct {
-	at     time.Duration
-	prompt []int
-	budget int
-}
-
-func servingTrace(seed int64, n, vocab int, meanGap time.Duration) []servingArrival {
+// servingTrace draws n Poisson arrivals with short prompts and heavily
+// ragged budgets.
+func servingTrace(seed int64, n, vocab int, meanGap time.Duration) workload.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	var out []servingArrival
+	var out workload.Trace
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		at += time.Duration(rng.ExpFloat64() * float64(meanGap))
@@ -69,7 +63,7 @@ func servingTrace(seed int64, n, vocab int, meanGap time.Duration) []servingArri
 		if rng.Intn(4) == 0 {
 			budget = 24 + rng.Intn(24)
 		}
-		out = append(out, servingArrival{at: at, prompt: prompt, budget: budget})
+		out = append(out, workload.Request{At: at, Session: -1, Prompt: prompt, MaxNewTokens: budget, Kind: "serving"})
 	}
 	return out
 }
@@ -83,37 +77,28 @@ func ServingThroughput(slots, n int) (*ServingResult, error) {
 	cfg := model.Small()
 	trace := servingTrace(20240806, n, cfg.Vocab, 15*time.Millisecond)
 	out := &ServingResult{Model: cfg, Slots: slots, Requests: n}
-
-	static, err := runServingStatic(cfg, slots, trace)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: serving static: %w", err)
-	}
-	cont, err := runServingContinuous(cfg, slots, trace)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: serving continuous: %w", err)
-	}
-	out.Rows = []ServingRow{*static, *cont}
-	return out, nil
-}
-
-func servingEngine(cfg model.Config, slots int) (*runtime.Engine, error) {
-	const seed = 424242
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
 	pol := runtime.Policy{IntraOp: 4, Prefetch: true, GPUBatch: slots}
-	return runtime.NewEngine(m, pol, 1<<31, threadpool.MustNew(4))
+	for _, d := range []struct {
+		name string
+		run  func(*runtime.Engine, int, workload.Trace) (*ServingRow, error)
+	}{{"static", runServingStatic}, {"continuous", runServingContinuous}} {
+		eng, err := seededEngine(servingSeed, cfg, pol, 1<<31, threadpool.MustNew(4))
+		if err != nil {
+			return nil, err
+		}
+		row, err := d.run(eng, slots, trace)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: serving %s: %w", d.name, err)
+		}
+		out.Rows = append(out.Rows, *row)
+	}
+	return out, nil
 }
 
 // runServingStatic is the baseline: wave-at-a-time admission over the same
 // Session primitive the continuous scheduler uses, so the only difference
 // measured is the admission discipline.
-func runServingStatic(cfg model.Config, slots int, trace []servingArrival) (*ServingRow, error) {
-	eng, err := servingEngine(cfg, slots)
-	if err != nil {
-		return nil, err
-	}
+func runServingStatic(eng *runtime.Engine, slots int, trace workload.Trace) (*ServingRow, error) {
 	sess, err := eng.NewSession(slots)
 	if err != nil {
 		return nil, err
@@ -127,23 +112,23 @@ func runServingStatic(cfg model.Config, slots int, trace []servingArrival) (*Ser
 	for next < len(trace) {
 		// Wait for at least one arrival, then admit everything that has
 		// arrived, up to a full wave.
-		if wait := trace[next].at - time.Since(start); wait > 0 {
+		if wait := trace[next].At - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
 		type member struct{ slot, budget, produced int }
 		var wave []member
-		for next < len(trace) && len(wave) < slots && trace[next].at <= time.Since(start) {
+		for next < len(trace) && len(wave) < slots && trace[next].At <= time.Since(start) {
 			a := trace[next]
 			slot := len(wave)
-			if _, err := sess.Admit(ctx, slot, a.prompt); err != nil {
+			if _, err := sess.Admit(ctx, slot, a.Prompt); err != nil {
 				return nil, err
 			}
 			tokens++
-			ttfts = append(ttfts, time.Since(start)-a.at)
-			if a.budget <= 1 { // prefill token already satisfied the budget
+			ttfts = append(ttfts, time.Since(start)-a.At)
+			if a.MaxNewTokens <= 1 { // prefill token already satisfied the budget
 				sess.Retire(slot)
 			} else {
-				wave = append(wave, member{slot: slot, budget: a.budget, produced: 1})
+				wave = append(wave, member{slot: slot, budget: a.MaxNewTokens, produced: 1})
 			}
 			next++
 		}
@@ -184,12 +169,8 @@ func runServingStatic(cfg model.Config, slots int, trace []servingArrival) (*Ser
 
 // runServingContinuous replays the same trace through the continuous-batching
 // scheduler.
-func runServingContinuous(cfg model.Config, slots int, trace []servingArrival) (*ServingRow, error) {
-	eng, err := servingEngine(cfg, slots)
-	if err != nil {
-		return nil, err
-	}
-	scfg := serve.DefaultConfig(cfg.Vocab)
+func runServingContinuous(eng *runtime.Engine, slots int, trace workload.Trace) (*ServingRow, error) {
+	scfg := serve.DefaultConfig(eng.ModelConfig().Vocab)
 	scfg.Slots = slots
 	scfg.QueueDepth = len(trace)
 	sched, err := serve.New(eng, scfg)
@@ -197,60 +178,29 @@ func runServingContinuous(cfg model.Config, slots int, trace []servingArrival) (
 		return nil, err
 	}
 	start := time.Now()
-	var (
-		mu     sync.Mutex
-		ttfts  []time.Duration
-		tokens int64
-		firstE error
-	)
-	var wg sync.WaitGroup
-	for _, a := range trace {
-		wg.Add(1)
-		go func(a servingArrival) {
-			defer wg.Done()
-			if wait := a.at - time.Since(start); wait > 0 {
-				time.Sleep(wait)
-			}
-			st, err := sched.Submit(context.Background(), serve.Request{Prompt: a.prompt, MaxNewTokens: a.budget})
-			if err != nil {
-				mu.Lock()
-				if firstE == nil {
-					firstE = err
-				}
-				mu.Unlock()
-				return
-			}
-			first := true
-			var n int64
-			var ttft time.Duration
-			for range st.Tokens() {
-				if first {
-					ttft = time.Since(start) - a.at
-					first = false
-				}
-				n++
-			}
-			mu.Lock()
-			tokens += n
-			ttfts = append(ttfts, ttft)
-			mu.Unlock()
-		}(a)
-	}
-	wg.Wait()
+	outs := workload.Replay(trace, submitTo(sched))
 	wall := time.Since(start)
 	m := sched.Metrics()
 	sched.Close()
-	if firstE != nil {
-		return nil, firstE
+	if err := replayErr(outs); err != nil {
+		return nil, err
 	}
 	row := &ServingRow{
 		Discipline:   "continuous",
 		Requests:     len(trace),
-		Tokens:       tokens,
 		Wall:         wall,
 		AvgOccupancy: m.Serve.AvgOccupancy,
 	}
-	row.TokPerSec = float64(tokens) / wall.Seconds()
+	var ttfts []time.Duration
+	for _, o := range outs {
+		row.Tokens += int64(len(o.TokenTimes))
+		var ttft time.Duration
+		if len(o.TokenTimes) > 0 {
+			ttft = o.TokenTimes[0].Sub(o.Scheduled)
+		}
+		ttfts = append(ttfts, ttft)
+	}
+	row.TokPerSec = float64(row.Tokens) / wall.Seconds()
 	row.TTFTMean, _, row.TTFTP99 = stats.Quantiles(ttfts)
 	return row, nil
 }

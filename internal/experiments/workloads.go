@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -116,11 +114,7 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 		trace = workload.AssignTenants(trace, seed+1, "free", "pro", "batch")
 	}
 
-	m, err := model.NewModel(rand.New(rand.NewSource(424242)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 2, GPUBatch: slots}, 1<<30, threadpool.MustNew(2))
+	eng, err := seededEngine(servingSeed, cfg, runtime.Policy{IntraOp: 2, GPUBatch: slots}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +141,6 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 		return nil, err
 	}
 
-	var (
-		mu        sync.Mutex
-		completed int
-		shed      int
-	)
 	var allSubmitted atomic.Bool
 	done := make(chan struct{})
 
@@ -185,39 +174,14 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 		}
 	}()
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, r := range trace {
-		wg.Add(1)
-		go func(i int, r workload.Request) {
-			defer wg.Done()
-			if d := time.Until(start.Add(r.At)); d > 0 {
-				time.Sleep(d)
-			}
-			st, err := sched.Submit(context.Background(), serve.Request{
-				Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens, Tenant: r.Tenant,
-			})
-			if i == len(trace)-1 {
-				allSubmitted.Store(true)
-			}
-			if err != nil {
-				mu.Lock()
-				shed++
-				mu.Unlock()
-				return
-			}
-			if _, err := st.Wait(); err != nil {
-				mu.Lock()
-				shed++
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			completed++
-			mu.Unlock()
-		}(i, r)
-	}
-	wg.Wait()
+	submit := submitTo(sched)
+	outs := workload.Replay(trace, func(i int, r workload.Request) (workload.Stream, error) {
+		st, err := submit(i, r)
+		if i == len(trace)-1 {
+			allSubmitted.Store(true)
+		}
+		return st, err
+	})
 	drainedAt := time.Now()
 	close(done)
 	samplerWG.Wait()
@@ -240,8 +204,14 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 
 	cell := &WorkloadCell{
 		Workload: kind, Policy: policy, Profile: profile,
-		Requests: len(trace), Completed: completed, Shed: shed,
-		Scores: map[string]perfmodel.EstAccuracy{},
+		Requests: len(trace), Scores: map[string]perfmodel.EstAccuracy{},
+	}
+	for _, o := range outs {
+		if outcomeErr(o) != nil {
+			cell.Shed++
+		} else {
+			cell.Completed++
+		}
 	}
 	for _, est := range workloadEstimators {
 		cell.Scores[est] = collector.Accuracy(est)

@@ -9,25 +9,6 @@ import (
 	"repro/internal/quant"
 )
 
-// FuzzChunkedAdmission fuzzes the chunked-admission state machine over
-// prompt length × chunk size × prefix-hit length × arena pressure × KV
-// quantization, and asserts the invariants the serving layer relies on:
-//
-//   - chunk budget: no PrefillChunk call advances more than the requested
-//     chunk of prompt positions, and progress is monotone with a constant
-//     total — position conservation;
-//   - the live chunk-state footprint never exceeds the admission model's
-//     ChunkStateBytes bound, and drops to zero once the slot activates or
-//     the prefill is cancelled — KV-byte conservation;
-//   - the admission model's peak-arena estimate upper-bounds the observed
-//     arena peak of a completed chunked admission;
-//   - completion is token-exact against the monolithic AdmitKV reference
-//     with identical quantization settings (4-bit KV legitimately drifts
-//     from the *raw* solo run on adversarial prompts, so the oracle is the
-//     engine's own all-at-once path, which chunking must reproduce bit for
-//     bit), or, under arena pressure, failure cleans up completely (no
-//     chunk bytes, no arena bytes, slot admissible again).
-//
 // monolithicReference runs the prompt through a fresh session's all-at-once
 // AdmitKV path with the same quantization settings — the engine's own
 // monolithic behavior, which chunked admission must reproduce exactly.
@@ -62,6 +43,24 @@ func monolithicReference(t *testing.T, seed int64, prompt []int, genLen int, qua
 	return got
 }
 
+// FuzzChunkedAdmission fuzzes the chunked-admission state machine over
+// prompt length × chunk size × prefix-hit length × arena pressure × KV
+// quantization, and asserts the invariants the serving layer relies on:
+//
+//   - chunk budget: no PrefillChunk call advances more than the requested
+//     chunk of prompt positions, and progress is monotone with a constant
+//     total — position conservation;
+//   - the live chunk-state footprint never exceeds the admission model's
+//     ChunkStateBytes bound, and drops to zero once the slot activates or
+//     the prefill is cancelled — KV-byte conservation;
+//   - the admission model's peak-arena estimate upper-bounds the observed
+//     arena peak of a completed chunked admission;
+//   - completion is token-exact against the monolithic AdmitKV reference
+//     with identical quantization settings (4-bit KV legitimately drifts
+//     from the *raw* solo run on adversarial prompts, so the oracle is the
+//     engine's own all-at-once path, which chunking must reproduce bit for
+//     bit), or, under arena pressure, failure cleans up completely (no
+//     chunk bytes, no arena bytes, slot admissible again).
 func FuzzChunkedAdmission(f *testing.F) {
 	f.Add(21, 4, 8, uint8(0), false)
 	f.Add(33, 1, 16, uint8(1), true)

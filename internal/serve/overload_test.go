@@ -479,3 +479,42 @@ func TestFaultWindowGating(t *testing.T) {
 		t.Fatal("reactivated injector never fired")
 	}
 }
+
+// TestDrainEstimateCountsResumedPrefillOnce pins the published drain
+// estimate's token count when an evicted request resumes through a chunked
+// prefill: the tokens it already delivered are part of its resume prompt,
+// so only the rest of its budget is still owed. The scheduler's loop is
+// stopped first so the test can stage the slot table by hand.
+func TestDrainEstimateCountsResumedPrefillOnce(t *testing.T) {
+	cfg := DefaultConfig(model.Tiny().Vocab)
+	cfg.Slots = 2
+	cfg.ChunkTokens = 4
+	sched, err := New(tinyEngine(t, runtime.Policy{IntraOp: 1}, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Close()
+
+	// Slot 0 decodes a fresh request; slot 1 re-prefills an evicted one
+	// that had delivered 4 of its 10 tokens.
+	decoding := &pending{req: Request{Prompt: []int{1, 2, 3}, MaxNewTokens: 8}, produced: 1}
+	if _, err := sched.sess.Admit(context.Background(), 0, decoding.req.Prompt); err != nil {
+		t.Fatal(err)
+	}
+	resumed := &pending{req: Request{Prompt: []int{4, 5, 6, 7, 8, 9}, MaxNewTokens: 10}, produced: 4}
+	resumed.resumePrompt = append(append([]int(nil), resumed.req.Prompt...), 10, 11, 12, 13)
+	if err := sched.sess.BeginPrefill(1, resumed.resumePrompt, false); err != nil {
+		t.Fatal(err)
+	}
+	sched.slots[0], sched.slots[1] = decoding, resumed
+	for i := 0; i < 8; i++ {
+		sched.cost.Observe(1, time.Millisecond)
+	}
+
+	sched.publishPressure(0, 0)
+	owed := int64(8-1) + int64(10-4)
+	if want := sched.cost.PredictDrain(owed, 1); sched.press.drain != want {
+		t.Errorf("published drain %v, want %v for %d owed tokens (over %v per token)",
+			sched.press.drain, want, owed, sched.cost.PredictTPOT(1))
+	}
+}

@@ -207,8 +207,10 @@ func (s *Scheduler) evictOne(gpuHigh bool) {
 
 // publishPressure refreshes the mu-guarded snapshot Submit and Health read.
 func (s *Scheduler) publishPressure(gpuFrac, hostFrac float64) {
-	// Decoding slots owe their unproduced budget; prefilling slots owe their
-	// whole budget plus the remaining chunks of their prefill.
+	// Every occupied slot owes its unproduced budget: a request resuming
+	// after eviction has already delivered the tokens its resume prompt
+	// re-prefills. Prefilling slots also owe the remaining chunks of their
+	// prefill.
 	var remaining int64
 	var occupied int
 	var chunkDrain time.Duration
@@ -217,9 +219,8 @@ func (s *Scheduler) publishPressure(gpuFrac, hostFrac float64) {
 			continue
 		}
 		occupied++
-		remaining += int64(p.req.MaxNewTokens)
+		remaining += int64(p.req.MaxNewTokens - p.produced)
 		if s.sess.IsActive(slot) {
-			remaining -= int64(p.produced)
 			continue
 		}
 		done, total := s.sess.PrefillProgress(slot)

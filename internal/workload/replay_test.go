@@ -1,0 +1,180 @@
+package workload
+
+import (
+	"errors"
+	"testing"
+	"time"
+)
+
+// fakeStream emits its tokens on an unbuffered channel, so each send blocks
+// until the replay's drain goroutine reads it, then reports err from Wait.
+type fakeStream struct {
+	ch   chan int
+	done chan struct{}
+	toks []int
+	err  error
+}
+
+func newFakeStream(toks []int, err error) *fakeStream {
+	st := &fakeStream{ch: make(chan int), done: make(chan struct{}), toks: toks, err: err}
+	go func() {
+		for _, tok := range toks {
+			time.Sleep(200 * time.Microsecond)
+			st.ch <- tok
+		}
+		close(st.ch)
+		close(st.done)
+	}()
+	return st
+}
+
+func (st *fakeStream) Tokens() <-chan int { return st.ch }
+
+func (st *fakeStream) Wait() ([]int, error) {
+	<-st.done
+	return append([]int(nil), st.toks...), st.err
+}
+
+// replayTrace is n requests spaced gap apart, request i budgeting i+1
+// tokens.
+func replayTrace(n int, gap time.Duration) Trace {
+	t := make(Trace, n)
+	for i := range t {
+		t[i] = Request{At: time.Duration(i) * gap, Session: -1, Prompt: []int{i}, MaxNewTokens: i + 1}
+	}
+	return t
+}
+
+// TestReplaySubmitsInOrderNotEarly checks that the dispatcher submits in
+// trace order and never before the replay start plus each request's At, and
+// that every outcome records its scheduled and actual submit instants.
+func TestReplaySubmitsInOrderNotEarly(t *testing.T) {
+	trace := replayTrace(6, 3*time.Millisecond)
+	var (
+		order []int
+		at    []time.Time
+	)
+	before := time.Now()
+	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+		order = append(order, i)
+		at = append(at, time.Now())
+		if r.Prompt[0] != i {
+			t.Errorf("hook got request %v as index %d", r.Prompt, i)
+		}
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	if len(outs) != len(trace) {
+		t.Fatalf("%d outcomes for %d requests", len(outs), len(trace))
+	}
+	for i := range trace {
+		if order[i] != i {
+			t.Fatalf("submission order %v, want trace order", order)
+		}
+		if early := trace[i].At - at[i].Sub(before); early > 0 {
+			t.Errorf("request %d submitted %v before its arrival", i, early)
+		}
+		o := outs[i]
+		if got := o.Scheduled.Sub(outs[0].Scheduled); got != trace[i].At {
+			t.Errorf("request %d scheduled %v after request 0, want %v", i, got, trace[i].At)
+		}
+		if o.Submitted.Before(o.Scheduled) || o.Submitted.After(at[i]) {
+			t.Errorf("request %d: submitted %v, scheduled %v, hook ran %v", i, o.Submitted, o.Scheduled, at[i])
+		}
+	}
+}
+
+// TestReplayDrainsEveryStream checks that Replay returns only after every
+// accepted stream is drained and waited on, recording the Wait result and
+// one arrival time per token, while a rejected request is recorded without
+// a stream or a drain.
+func TestReplayDrainsEveryStream(t *testing.T) {
+	trace := replayTrace(5, 0)
+	errReject := errors.New("rejected")
+	errStream := errors.New("stream failed")
+	streams := make([]*fakeStream, len(trace))
+	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+		if i == 2 {
+			return nil, errReject
+		}
+		var err error
+		if i == 4 {
+			err = errStream
+		}
+		toks := make([]int, r.MaxNewTokens)
+		for j := range toks {
+			toks[j] = 10*i + j
+		}
+		streams[i] = newFakeStream(toks, err)
+		return streams[i], nil
+	})
+	for i, o := range outs {
+		if i == 2 {
+			if o.SubmitErr != errReject || o.Stream != nil || o.Tokens != nil || o.TokenTimes != nil || o.Err != nil {
+				t.Errorf("rejected request outcome %+v, want only the submit error", o)
+			}
+			continue
+		}
+		if o.SubmitErr != nil || o.Stream != Stream(streams[i]) {
+			t.Errorf("request %d: submit error %v, stream %v", i, o.SubmitErr, o.Stream)
+		}
+		if _, open := <-streams[i].ch; open {
+			t.Errorf("request %d: stream still holds tokens after Replay returned", i)
+		}
+		if len(o.Tokens) != trace[i].MaxNewTokens || len(o.TokenTimes) != len(o.Tokens) {
+			t.Errorf("request %d: %d tokens, %d arrival times, want %d each",
+				i, len(o.Tokens), len(o.TokenTimes), trace[i].MaxNewTokens)
+		}
+		for j, tok := range o.Tokens {
+			if tok != 10*i+j {
+				t.Errorf("request %d token %d = %d, want %d", i, j, tok, 10*i+j)
+			}
+		}
+		for j := 1; j < len(o.TokenTimes); j++ {
+			if o.TokenTimes[j].Before(o.TokenTimes[j-1]) {
+				t.Errorf("request %d: token %d arrived before token %d", i, j, j-1)
+			}
+		}
+		if len(o.TokenTimes) > 0 && o.TokenTimes[0].Before(o.Submitted) {
+			t.Errorf("request %d: first token before submission", i)
+		}
+		wantErr := error(nil)
+		if i == 4 {
+			wantErr = errStream
+		}
+		if o.Err != wantErr {
+			t.Errorf("request %d: Wait error %v, want %v", i, o.Err, wantErr)
+		}
+	}
+}
+
+// TestReplayEdgeTraces covers the empty trace (no submissions, no
+// outcomes) and a trace whose every arrival is at 0, which submits
+// back to back in trace order.
+func TestReplayEdgeTraces(t *testing.T) {
+	calls := 0
+	outs := Replay(nil, func(int, Request) (Stream, error) {
+		calls++
+		return nil, nil
+	})
+	if len(outs) != 0 || calls != 0 {
+		t.Errorf("empty trace: %d outcomes, %d submissions", len(outs), calls)
+	}
+
+	trace := replayTrace(8, 0)
+	var order []int
+	outs = Replay(trace, func(i int, r Request) (Stream, error) {
+		order = append(order, i)
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	for i, o := range outs {
+		if order[i] != i {
+			t.Fatalf("all-zero trace submitted in order %v", order)
+		}
+		if !o.Scheduled.Equal(outs[0].Scheduled) {
+			t.Errorf("request %d scheduled at a different instant than request 0", i)
+		}
+		if len(o.Tokens) != trace[i].MaxNewTokens {
+			t.Errorf("request %d: %d tokens, want %d", i, len(o.Tokens), trace[i].MaxNewTokens)
+		}
+	}
+}

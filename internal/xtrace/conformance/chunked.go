@@ -1,11 +1,9 @@
 package conformance
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -111,11 +110,7 @@ func ChunkedEngineBound() (*Report, error) {
 		genLen      = 8
 	)
 	cfg := model.Tiny()
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<31, nil)
+	eng, err := tinyEngine(seed, runtime.Policy{IntraOp: 1}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,37 +128,27 @@ func ChunkedEngineBound() (*Report, error) {
 	}
 	defer sched.Close()
 
+	// Every third request is long; all arrive at once.
 	rng := rand.New(rand.NewSource(seed))
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make(chan error, requests)
-	totalPrompt := 0
-	for i := 0; i < requests; i++ {
+	mix := make(workload.Trace, requests)
+	totalPrompt, minSpans := 0, 0
+	for i := range mix {
 		n := shortPrompt
 		if i%3 == 0 {
 			n = longPrompt
 		}
 		totalPrompt += n
+		// Every request needs at least ceil(prompt/chunk) chunks (prefix
+		// hits could lower it, but the prompts here share no prefix).
+		minSpans += (n + chunkTokens - 1) / chunkTokens
 		prompt := make([]int, n)
 		for j := range prompt {
 			prompt[j] = rng.Intn(cfg.Vocab)
 		}
-		st, err := sched.Submit(ctx, serve.Request{Prompt: prompt, MaxNewTokens: genLen})
-		if err != nil {
-			return nil, fmt.Errorf("conformance: submit %d: %w", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := st.Wait(); err != nil {
-				errs <- err
-			}
-		}()
+		mix[i] = workload.Request{Session: -1, Kind: "bursty-mix", Prompt: prompt, MaxNewTokens: genLen}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, fmt.Errorf("conformance: request failed: %w", err)
+	if err := replayOn(sched, mix); err != nil {
+		return nil, err
 	}
 
 	spans := rec.Spans()
@@ -201,17 +186,6 @@ func ChunkedEngineBound() (*Report, error) {
 		Note:   fmt.Sprintf("%d prompt tokens submitted across %d requests", totalPrompt, requests),
 	})
 
-	// Minimum chunk-span count: every request needs at least
-	// ceil(prompt/chunk) chunks (prefix hits could lower it, but the prompts
-	// here share no prefix).
-	minSpans := 0
-	for i := 0; i < requests; i++ {
-		n := shortPrompt
-		if i%3 == 0 {
-			n = longPrompt
-		}
-		minSpans += (n + chunkTokens - 1) / chunkTokens
-	}
 	rep.add(Row{
 		Suite: "chunked-engine", Case: "bursty-mix", Check: "bound", Task: "chunk-count",
 		Predicted: float64(minSpans), Measured: float64(chunkSpans),

@@ -222,12 +222,7 @@ type engineRun struct {
 func runEngine(pol runtime.Policy, batch, prompt, gen int) (*engineRun, error) {
 	cfg := model.Tiny()
 	const seed = 7
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	pool := threadpool.MustNew(pol.IntraOp)
-	eng, err := runtime.NewEngine(m, pol, 1<<31, pool)
+	eng, err := tinyEngine(seed, pol, threadpool.MustNew(pol.IntraOp))
 	if err != nil {
 		return nil, err
 	}

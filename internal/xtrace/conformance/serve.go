@@ -11,6 +11,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/runtime"
 	"repro/internal/serve"
+	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // ServeBounds drives the continuous-batching scheduler over a steady batch
@@ -33,11 +35,7 @@ func ServeBounds() (*Report, error) {
 		genLen   = 32
 	)
 	cfg := model.Tiny()
-	m, err := model.NewModel(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, 1<<31, nil)
+	eng, err := tinyEngine(seed, runtime.Policy{IntraOp: 1}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,34 +77,19 @@ func ServeBounds() (*Report, error) {
 	}()
 
 	rng := rand.New(rand.NewSource(seed))
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make(chan error, requests)
-	for i := 0; i < requests; i++ {
+	batch := make(workload.Trace, requests)
+	for i := range batch {
 		prompt := make([]int, 6)
 		for j := range prompt {
 			prompt[j] = rng.Intn(cfg.Vocab)
 		}
-		st, err := sched.Submit(ctx, serve.Request{Prompt: prompt, MaxNewTokens: genLen})
-		if err != nil {
-			close(stop)
-			sampleWG.Wait()
-			return nil, fmt.Errorf("conformance: submit %d: %w", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := st.Wait(); err != nil {
-				errs <- err
-			}
-		}()
+		batch[i] = workload.Request{Session: -1, Kind: "steady-batch", Prompt: prompt, MaxNewTokens: genLen}
 	}
-	wg.Wait()
+	err = replayOn(sched, batch)
 	close(stop)
 	sampleWG.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, fmt.Errorf("conformance: request failed: %w", err)
+	if err != nil {
+		return nil, err
 	}
 
 	m2 := sched.Metrics()
@@ -138,4 +121,29 @@ func ServeBounds() (*Report, error) {
 		Note:   fmt.Sprintf("median of %d samples, ratio %.2f", len(samples), ratio),
 	})
 	return rep, nil
+}
+
+// tinyEngine builds an engine over the Tiny model seeded with seed.
+func tinyEngine(seed int64, pol runtime.Policy, pool *threadpool.Pool) (*runtime.Engine, error) {
+	m, err := model.NewModel(rand.New(rand.NewSource(seed)), model.Tiny())
+	if err != nil {
+		return nil, err
+	}
+	return runtime.NewEngine(m, pol, 1<<31, pool)
+}
+
+// replayOn replays t against sched and returns the first request error.
+func replayOn(sched *serve.Scheduler, t workload.Trace) error {
+	outs := workload.Replay(t, func(_ int, r workload.Request) (workload.Stream, error) {
+		return sched.Submit(context.Background(), serve.Request{Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens})
+	})
+	for i, o := range outs {
+		if o.SubmitErr != nil {
+			return fmt.Errorf("conformance: submit %d: %w", i, o.SubmitErr)
+		}
+		if o.Err != nil {
+			return fmt.Errorf("conformance: request %d failed: %w", i, o.Err)
+		}
+	}
+	return nil
 }
