@@ -51,8 +51,9 @@ type OverloadResult struct {
 	// report healthy again once the trace drained (bounded recovery).
 	RecoverySteps int
 	// ExactChecked is how many completed requests were re-verified
-	// token-exact against a dedicated solo replay.
-	ExactChecked int
+	// token-exact against a dedicated solo replay, ExactQuantized how many of
+	// those the ladder had stored with quantized KV.
+	ExactChecked, ExactQuantized int
 }
 
 // overloadPhases names the trace's three traffic regimes; each request's
@@ -194,15 +195,24 @@ func Overload(n int) (*OverloadResult, error) {
 			out.PredictedPeak, out.ArenaPeak)
 	}
 
-	// Sampled token-exactness: replay a few completed requests solo (with the
-	// storage mode the ladder picked for them) and require identical tokens.
+	// Sampled token-exactness: replay solo, with the storage mode the ladder
+	// picked, the first completion of the calm and of the burst phase, and
+	// the first completion stored with quantized KV if the ladder stored one;
+	// each must match token for token.
+	sampled := map[string]bool{overloadPhases[2]: true}
 	for i, o := range outs {
-		if out.ExactChecked >= 3 || outcomeErr(o) != nil {
+		if outcomeErr(o) != nil {
 			continue
 		}
+		quantized := o.Stream.(*serve.Stream).KVQuantized()
+		if sampled[trace[i].Kind] && (!quantized || out.ExactQuantized > 0) {
+			continue
+		}
+		sampled[trace[i].Kind] = true
 		var kvq *quant.Config
-		if o.Stream.(*serve.Stream).KVQuantized() {
+		if quantized {
 			kvq = &scfg.LadderKV
+			out.ExactQuantized++
 		}
 		if err := checkSolo("overload soak", i, seed, cfg, trace[i].Prompt, trace[i].MaxNewTokens, kvq, o.Tokens); err != nil {
 			return nil, err
@@ -226,8 +236,8 @@ func (r *OverloadResult) Format() string {
 		r.Spilled, r.Evicted, r.Rejected429, r.BreakerTransitions, r.QueuePeak)
 	fmt.Fprintf(&b, "admission estimate: predicted peak %d B vs actual %d B (x%.2f over-estimate, must be >= 1 and < 2)\n",
 		r.PredictedPeak, r.ArenaPeak, r.EstimateRatio)
-	fmt.Fprintf(&b, "recovery: healthy after %d health evaluations post-storm; %d completed requests re-verified token-exact\n",
-		r.RecoverySteps, r.ExactChecked)
+	fmt.Fprintf(&b, "recovery: healthy after %d health evaluations post-storm; %d completed requests re-verified token-exact (from the calm and the burst phase; %d stored with quantized KV)\n",
+		r.RecoverySteps, r.ExactChecked, r.ExactQuantized)
 	b.WriteString("every shed request got a structured 429/503 with Retry-After; nothing OOMed, nothing corrupted\n")
 	return b.String()
 }

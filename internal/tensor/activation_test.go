@@ -37,7 +37,7 @@ func geluPatternsMismatch(lo, hi, stride uint64) error {
 		}
 		x := FromSlice(buf.data[:n], n)
 		in := x.Clone()
-		onPath(true, func() { GELU(x) })
+		OnPath(true, func() { GELU(x) })
 		for i, v := range in.data {
 			if want := gelu(v); !sameFloat32(x.data[i], want) {
 				return fmt.Errorf("GELU(%g [%#08x]) = %g [%#08x], want %g [%#08x]", v, math.Float32bits(v),
@@ -103,8 +103,8 @@ func TestGELUMatchesPortable(t *testing.T) {
 	for n := 1; n <= len(sp); n++ {
 		x := FromSlice(append([]float32(nil), sp[:n]...), n)
 		want := x.Clone()
-		onPath(false, func() { GELU(want) })
-		onPath(true, func() { GELU(x) })
+		OnPath(false, func() { GELU(want) })
+		OnPath(true, func() { GELU(x) })
 		bitsEqual(t, fmt.Sprintf("specials[:%d]", n), x, want)
 	}
 	rng := rand.New(rand.NewSource(22))
@@ -112,8 +112,8 @@ func TestGELUMatchesPortable(t *testing.T) {
 		x := RandN(rng, 3, n)
 		injectSpecials(rng, x.data, 0.1)
 		want := x.Clone()
-		onPath(false, func() { GELU(want) })
-		onPath(true, func() { GELU(x) })
+		OnPath(false, func() { GELU(want) })
+		OnPath(true, func() { GELU(x) })
 		bitsEqual(t, fmt.Sprintf("random n=%d", n), x, want)
 	}
 }
@@ -211,8 +211,52 @@ func TestExpLanesMatchMathExp(t *testing.T) {
 				}
 			}
 			copy(x[:], args)
-			onPath(true, func() { expLanes(x[:n]) })
+			OnPath(true, func() { expLanes(x[:n]) })
 			check(fmt.Sprintf("n=%d", n), args)
+		}
+	}
+}
+
+// TestExpSumMatchesLoop: expSumAVX2 covers exactly the groups of four
+// before the first one holding an argument outside [-708, 709], and on
+// those matches softmaxRow's Go loop bit for bit — each output
+// float32(math.Exp(float64(x-max))), and the float64 sum taken in ascending
+// order, compared before any rounding to float32 could hide a reordering.
+func TestExpSumMatchesLoop(t *testing.T) {
+	requireFMAKernels(t)
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 3000; trial++ {
+		n := 4 * (1 + rng.Intn(40))
+		x := RandN(rng, math.Exp(rng.Float64()*7-1), 1, n).data
+		if trial%4 == 0 {
+			injectSpecials(rng, x, 0.02)
+		}
+		maxV := x[rng.Intn(n)]
+		start := float64(rng.Intn(3))
+		want, wantSum, wantDone := append([]float32(nil), x...), start, n
+		for j, v := range want {
+			a := float64(v - maxV)
+			if !(a >= -708 && a <= 709) {
+				wantDone = j &^ 3
+				break
+			}
+		}
+		for j := range want[:wantDone] {
+			e := math.Exp(float64(want[j] - maxV))
+			want[j] = float32(e)
+			wantSum += e
+		}
+		got, sum := append([]float32(nil), x...), start
+		if done := expSumAVX2(&got[0], n, maxV, &sum); done != wantDone {
+			t.Fatalf("trial %d: covered %d elements, want %d", trial, done, wantDone)
+		}
+		if math.Float64bits(sum) != math.Float64bits(wantSum) {
+			t.Fatalf("trial %d: sum %x (%v), want %x (%v)", trial, math.Float64bits(sum), sum, math.Float64bits(wantSum), wantSum)
+		}
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) && !(got[j] != got[j] && want[j] != want[j]) {
+				t.Fatalf("trial %d: element %d = %g, want %g", trial, j, got[j], want[j])
+			}
 		}
 	}
 }
@@ -253,7 +297,7 @@ func TestSoftmaxMatchesPortable(t *testing.T) {
 			base, scale := n-m-rng.Intn(n-m+1), float32(rng.Float64()+0.1)
 			run := func(simd bool) (plain, causal *Tensor) {
 				plain, causal = x.Clone(), x.Clone()
-				onPath(simd, func() {
+				OnPath(simd, func() {
 					SoftmaxRows(pool, 1+trial%2, plain)
 					CausalSoftmaxRows(pool, 1+trial%2, causal, scale, base)
 				})
@@ -304,7 +348,7 @@ func TestCausalSoftmaxMatchesThreePass(t *testing.T) {
 		t.Helper()
 		scale := float32(1 / math.Sqrt(float64(1+rng.Intn(64))))
 		want, got := x.Clone(), x.Clone()
-		onPath(simd, func() {
+		OnPath(simd, func() {
 			threePassSoftmax(want, scale, base)
 			CausalSoftmaxRows(nil, 1, got, scale, base)
 		})

@@ -64,7 +64,7 @@ func FuzzGELU(f *testing.F) {
 			return
 		}
 		x := FromSlice(append([]float32(nil), in...), len(in))
-		onPath(true, func() { GELU(x) })
+		OnPath(true, func() { GELU(x) })
 		for i, v := range in {
 			if want := gelu(v); !sameFloat32(x.data[i], want) {
 				t.Fatalf("GELU(%g [%#08x]) = %g, want %g", v, math.Float32bits(v), x.data[i], want)
@@ -92,7 +92,7 @@ func FuzzSoftmaxRows(f *testing.F) {
 		var plain, causal [2]*Tensor
 		for i, simd := range []bool{false, true} {
 			plain[i], causal[i] = x.Clone(), x.Clone()
-			onPath(simd, func() {
+			OnPath(simd, func() {
 				SoftmaxRows(nil, 1, plain[i])
 				CausalSoftmaxRows(nil, 1, causal[i], scale, base)
 			})

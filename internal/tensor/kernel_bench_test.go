@@ -21,7 +21,7 @@ func benchPaths(b *testing.B, name string, needFMA bool, elems int, f func()) {
 			continue
 		}
 		b.Run(name+"/"+path.name, func(b *testing.B) {
-			onPath(path.simd, func() {
+			OnPath(path.simd, func() {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					f()
@@ -110,6 +110,25 @@ func BenchmarkAttentionScores(b *testing.B) {
 		benchPaths(b, fmt.Sprintf("%dx%d", rows, T), false, rows*T, func() {
 			TransposeCols(keysT, Cols{k, dk, dk})
 			MatMulACols(nil, 1, Cols{q, dk, dk}, keysT, scores)
+		})
+	}
+}
+
+// BenchmarkAttentionHead times one Small-model head (d_k = 16) whole —
+// scores, causal softmax and scores·V through AttentionHead — for a decode
+// row and a 128-row prefill chunk at 512 keys, per path; ns/elem is per
+// score of the rows×512 block, masked ones included:
+//
+//	go test ./internal/tensor -run '^$' -bench AttentionHead
+func BenchmarkAttentionHead(b *testing.B) {
+	const dk, hidden, T = 16, 128, 512
+	for _, rows := range []int{1, 128} {
+		rng := rand.New(rand.NewSource(1))
+		q, ctx := RandN(rng, 1, rows, hidden), New(rows, hidden)
+		k, v := RandN(rng, 1, T, hidden), RandN(rng, 1, T, hidden)
+		var s HeadScratch
+		benchPaths(b, fmt.Sprintf("%dx%d", rows, T), false, rows*T, func() {
+			AttentionHead(&s, Cols{q, dk, dk}, Cols{k, dk, dk}, Cols{v, dk, dk}, Cols{ctx, dk, dk}, 0.25)
 		})
 	}
 }

@@ -66,22 +66,6 @@ func (c Cols) window() (w window, rows int) {
 	return window{data: c.T.data, off: c.Off, stride: c.T.Dim(1)}, c.T.Dim(0)
 }
 
-// MatMulCols writes A·B into the column window c (m×n), overwriting it,
-// where A is the m×k tensor a and B the k×n column window b. Every element
-// is computed exactly as MatMul computes it, zero-skip included.
-func MatMulCols(pool *threadpool.Pool, width int, a *Tensor, b, c Cols) {
-	bw, k := b.window()
-	cw, m := c.window()
-	if a.Rank() != 2 || a.Dim(0) != m || a.Dim(1) != k || b.Width != c.Width {
-		panic(fmt.Sprintf("tensor: MatMulCols shapes %v · [%d %d] -> [%d %d]", a.Shape(), k, b.Width, m, c.Width))
-	}
-	n := c.Width
-	for i := 0; i < m; i++ {
-		clear(cw.row(i, n))
-	}
-	newProduct(dense(a), bw, cw, m, k, n).run(pool, width)
-}
-
 // MatMulACols writes A·B into c (m×n), overwriting it, where A is the m×k
 // column window a and B the k×n tensor b — attention scores Q_h·K_hᵀ read
 // out of Q in place, against one head's keys transposed by TransposeCols.
@@ -113,7 +97,12 @@ func TransposeCols(dst *Tensor, src Cols) {
 	if dst.Rank() != 2 || dst.Dim(0) != w || dst.Dim(1) != rows {
 		panic(fmt.Sprintf("tensor: TransposeCols of [%d %d] into %v", rows, w, dst.Shape()))
 	}
-	d := dst.data
+	transposeCols(dst.data, sw, rows, w)
+}
+
+// transposeCols writes the transpose of the rows×w window sw into d, row q
+// of the transpose at d[q*rows:].
+func transposeCols(d []float32, sw window, rows, w int) {
 	p := 0 // columns the assembly loop covers
 	if r := rows &^ 7; useAVX2 && r > 0 {
 		for ; p+8 <= w; p += 8 {
@@ -156,6 +145,12 @@ type window struct {
 func (w window) row(i, n int) []float32 {
 	s := w.off + i*w.stride
 	return w.data[s : s+n : s+n]
+}
+
+// from returns the window's rows from i on.
+func (w window) from(i int) window {
+	w.off += i * w.stride
+	return w
 }
 
 // dense addresses the whole of the rank-2 tensor t.

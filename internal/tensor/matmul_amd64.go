@@ -23,3 +23,17 @@ func accumOneAVX2(c, b *float32, a float32, n int)
 //
 //go:noescape
 func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride, rows int)
+
+// scoresV4AVX2 sets out[r*outStride+c], r < 4 and c < 16, to
+// Σ_p s[r*sStride+p]·v[p*vStride+c] over p in [0, n), n ≥ 1: each sum starts
+// at +0 and adds its rounded products in ascending p — scoresV's Go loop,
+// eight lanes at a time. The caller has bounds-checked every row it reads
+// and writes.
+//
+//go:noescape
+func scoresV4AVX2(out *float32, outStride int, s *float32, sStride int, v *float32, vStride, n int)
+
+// scoresV1AVX2 is scoresV4AVX2 for one row.
+//
+//go:noescape
+func scoresV1AVX2(out, s, v *float32, vStride, n int)

@@ -144,3 +144,108 @@ tile:
 	JNZ  tile
 	VZEROUPPER
 	RET
+
+// func scoresV4AVX2(out *float32, outStride int, s *float32, sStride int, v *float32, vStride, n int)
+//
+// Four rows of out[r][0:16] = Σ_p s[r][p]·v[p][0:16] over keys p in
+// [0, n), n ≥ 1: the four rows' sixteen sums stay in Y0–Y7 across the keys,
+// each starting at +0 and taking its products in ascending p, the product
+// (score first) and the sum (accumulator first) each rounded — accumRow8AVX2's
+// operations and operand order, lane by lane.
+TEXT ·scoresV4AVX2(SB), NOSPLIT, $0-56
+	MOVQ s+16(FP), SI
+	MOVQ sStride+24(FP), BX
+	SHLQ $2, BX
+	LEAQ (SI)(BX*1), R8  // score row 1
+	LEAQ (SI)(BX*2), R9  // score row 2
+	LEAQ (R8)(BX*2), R10 // score row 3
+	MOVQ v+32(FP), DX
+	MOVQ vStride+40(FP), R11
+	SHLQ $2, R11
+	MOVQ n+48(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+keys4:
+	VMOVUPS      (DX), Y8
+	VMOVUPS      32(DX), Y9
+	VBROADCASTSS (SI)(AX*1), Y10
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y11, Y0, Y0
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y12, Y1, Y1
+	VBROADCASTSS (R8)(AX*1), Y13
+	VMULPS       Y8, Y13, Y14
+	VADDPS       Y14, Y2, Y2
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y15, Y3, Y3
+	VBROADCASTSS (R9)(AX*1), Y10
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y11, Y4, Y4
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y12, Y5, Y5
+	VBROADCASTSS (R10)(AX*1), Y13
+	VMULPS       Y8, Y13, Y14
+	VADDPS       Y14, Y6, Y6
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y15, Y7, Y7
+	ADDQ         R11, DX
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JB           keys4
+
+	MOVQ    out+0(FP), DI
+	MOVQ    outStride+8(FP), BX
+	SHLQ    $2, BX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func scoresV1AVX2(out, s, v *float32, vStride, n int)
+//
+// scoresV4AVX2 for one row: out[0:16] = Σ_p s[p]·v[p][0:16], p in [0, n).
+TEXT ·scoresV1AVX2(SB), NOSPLIT, $0-40
+	MOVQ s+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ vStride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ n+32(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+keys1:
+	VBROADCASTSS (SI)(AX*1), Y10
+	VMULPS       (DX), Y10, Y11
+	VADDPS       Y11, Y0, Y0
+	VMULPS       32(DX), Y10, Y12
+	VADDPS       Y12, Y1, Y1
+	ADDQ         R11, DX
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JB           keys1
+
+	MOVQ    out+0(FP), DI
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET

@@ -203,9 +203,10 @@ func copiedCols(t *Tensor, off, w int) *Tensor {
 
 // TestColumnWindowKernelsMatchReferences: the attention scores Q·Kᵀ as
 // MatMulACols over a column window of Q and TransposeCols of K's window, and
-// MatMulCols over column windows — with NaN/±Inf/±0 in both operands — are
-// bit-identical to the naive references on the copied-out columns, serial
-// and parallel; MatMulT is too. MatMulCols writes only its window's columns.
+// scores·V as scoresV over column windows — with NaN/±Inf/±0 in both
+// operands — are bit-identical to the naive references on the copied-out
+// columns, serial and parallel; MatMulT is too. scoresV writes only its
+// window's columns.
 func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 	pool := threadpool.MustNew(2)
 	rng := rand.New(rand.NewSource(5))
@@ -230,12 +231,14 @@ func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 
 			out := RandN(rng, 1, m, cols)
 			before := out.Clone()
-			MatMulCols(pool, width, scores, Cols{kv, off, w}, Cols{out, off, w})
-			bitsEqual(t, "MatMulCols", copiedCols(out, off, w), naiveMatMul(scores, kh))
+			vw, _ := Cols{kv, off, w}.window()
+			ow, _ := Cols{out, off, w}.window()
+			scoresV(ow, dense(scores), vw, m, n, w)
+			bitsEqual(t, "scoresV", copiedCols(out, off, w), naiveMatMul(scores, kh))
 			for i := 0; i < m; i++ {
 				for j := 0; j < cols; j++ {
 					if (j < off || j >= off+w) && math.Float32bits(out.At(i, j)) != math.Float32bits(before.At(i, j)) {
-						t.Fatalf("MatMulCols wrote column %d outside its window [%d, %d)", j, off, off+w)
+						t.Fatalf("scoresV wrote column %d outside its window [%d, %d)", j, off, off+w)
 					}
 				}
 			}

@@ -68,6 +68,22 @@ func checkSameShape(op string, a, b *Tensor) {
 // architecture.
 var useAVX2FMA = cpufeat.AVX2 && cpufeat.FMA && expKernelMatches()
 
+// fmaKernels records whether the exponential and GELU kernels were
+// selected at start-up.
+var fmaKernels = useAVX2FMA
+
+// OnPath runs f with the assembly kernels selected (simd), where they were
+// available at start-up, or with the portable Go loops only, then restores
+// the selection. It serves differential tests, in this package and in
+// others, that compare a computation's two paths bit for bit. It changes
+// package-wide state: while f runs, nothing but f and the goroutines it
+// starts and waits for may use the package.
+func OnPath(simd bool, f func()) {
+	defer func(a, b bool) { useAVX2, useAVX2FMA = a, b }(useAVX2, useAVX2FMA)
+	useAVX2, useAVX2FMA = simd && cpufeat.AVX2, simd && fmaKernels
+	f()
+}
+
 // expProbes are arguments on which math.Exp's fused and unfused paths
 // return different bits (TestExpProbeSelectsKernels).
 var expProbes = [8]float64{-38.75, -23.5, -13.5, -3.75, 7.25, 14.25, 22, 39.25}
@@ -106,7 +122,7 @@ func SoftmaxRows(pool *threadpool.Pool, width int, t *Tensor) {
 // softmaxRows normalizes rows [lo, hi) of the n-column matrix data.
 func softmaxRows(data []float32, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		softmaxRow(data[i*n : (i+1)*n])
+		softmaxRow(data[i*n:(i+1)*n], 1)
 	}
 }
 
@@ -140,12 +156,9 @@ func CausalSoftmaxRows(pool *threadpool.Pool, width int, t *Tensor, scale float3
 func causalSoftmaxRows(data []float32, n, base int, scale float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := data[i*n : (i+1)*n]
-		vis := row[:base+i+1]
-		for j := range vis {
-			vis[j] *= scale
-		}
-		masked := 0 * softmaxRow(vis)
-		for j := len(vis); j < n; j++ {
+		vis := base + i + 1
+		masked := 0 * softmaxRow(row[:vis], scale)
+		for j := vis; j < n; j++ {
 			row[j] = masked
 		}
 	}
@@ -155,19 +168,47 @@ func causalSoftmaxRows(data []float32, n, base int, scale float32, lo, hi int) {
 // buffer lives on the stack.
 const expBlock = 64
 
-// softmaxRow normalizes row in place and returns the factor it scaled by:
-// row[j] = float32(e_j) * float32(1/Σe), e_j = math.Exp(float64(row[j]-max)),
+// softmaxRow multiplies row by scale, normalizes it in place and returns
+// the factor it normalized by: with r_j = row[j]·scale,
+// row[j] = float32(e_j) * float32(1/Σe), e_j = math.Exp(float64(r_j-max)),
 // the float64 sum taken in ascending j.
-func softmaxRow(row []float32) (inv float32) {
-	maxV := row[0]
-	for _, v := range row[1:] {
-		if v > maxV {
-			maxV = v
+//
+// With AVX2, on rows of at least eight elements, the scale with the maximum
+// and the final multiply run eight lanes at a time, each lane performing
+// the Go loop's one rounded operation. With FMA too, expSumAVX2 forms the
+// exponentials four lanes at a time and adds them to the sum one by one in
+// ascending j, because reordering the sum changes its bits; it stops at the
+// first group of four holding an argument outside its range, and the Go
+// loop finishes the row. The vector maximum can differ from the loop's
+// (row[0], then each element greater than it) only in two ways that change
+// no output. It may be a zero of the other sign, and r_j-max is then ±0
+// exactly where the loop's is ±0, whose exponential is 1 either way. Or the
+// row holds a NaN: its exponential makes the sum NaN, and so every output,
+// whatever the maximum.
+func softmaxRow(row []float32, scale float32) (inv float32) {
+	vec := useAVX2 && len(row) >= 8 // the assembly loops run
+	var maxV float32
+	scaled := 1 // elements scaled and compared before the Go loop
+	if vec {
+		scaled = len(row) &^ 7
+		maxV = scaleMaxAVX2(&row[0], scaled, scale)
+	} else {
+		row[0] *= scale
+		maxV = row[0]
+	}
+	for j := scaled; j < len(row); j++ {
+		row[j] *= scale
+		if row[j] > maxV {
+			maxV = row[j]
 		}
 	}
 	var sum float64
+	done := 0 // elements expSumAVX2 covers
+	if vec && useAVX2FMA {
+		done = expSumAVX2(&row[0], len(row)&^3, maxV, &sum)
+	}
 	var e [expBlock]float64
-	for lo := 0; lo < len(row); lo += expBlock {
+	for lo := done; lo < len(row); lo += expBlock {
 		blk := row[lo:min(lo+expBlock, len(row))]
 		x := e[:len(blk)]
 		for j, v := range blk {
@@ -180,27 +221,41 @@ func softmaxRow(row []float32) (inv float32) {
 		}
 	}
 	inv = float32(1 / sum)
-	for j := range row {
+	w := 0 // elements mulAVX2 covers
+	if vec {
+		w = len(row) &^ 7
+		mulAVX2(&row[0], w, inv)
+	}
+	for j := w; j < len(row); j++ {
 		row[j] *= inv
 	}
 	return inv
 }
 
 // expLanes sets x[j] = math.Exp(x[j]) for up to 64 elements. With AVX2 and
-// FMA, whole groups of four take expAVX2, and the lanes it flags (outside
-// [-708, 709], ±Inf and NaN) and the tail take math.Exp.
+// FMA, every lane takes expAVX2 — the last partial group of four on a
+// zero-padded copy — and the lanes it flags (outside [-708, 709], ±Inf and
+// NaN) take math.Exp.
 func expLanes(x []float64) {
-	v := 0 // elements the assembly loop covers
+	if !useAVX2FMA {
+		for j, v := range x {
+			x[j] = math.Exp(v)
+		}
+		return
+	}
+	v := len(x) &^ 3 // elements the assembly loop covers in place
 	var bad uint64
-	if useAVX2FMA && len(x) >= 4 {
-		v = len(x) &^ 3
+	if v > 0 {
 		bad = expAVX2(&x[0], v)
+	}
+	if v < len(x) {
+		var tail [4]float64
+		copy(tail[:], x[v:])
+		bad |= expAVX2(&tail[0], 4) << v
+		copy(x[v:], tail[:])
 	}
 	for ; bad != 0; bad &= bad - 1 {
 		j := bits.TrailingZeros64(bad)
-		x[j] = math.Exp(x[j])
-	}
-	for j := v; j < len(x); j++ {
 		x[j] = math.Exp(x[j])
 	}
 }

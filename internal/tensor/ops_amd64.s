@@ -103,6 +103,52 @@ loopExp:
 	MOVQ BX, bad+16(FP)
 	RET
 
+// func expSumAVX2(x *float32, n int, max float32, sum *float64) (done int)
+//
+// softmaxRow's exponential pass, four lanes at a time: each lane widens
+// x[j]-max to float64, takes EXP4 and stores the result narrowed to
+// float32 back into x[j], and the four results are then added to *sum one
+// at a time in ascending j — the scalar loop's additions, in its order. It
+// stops before the first group with a lane outside [-708, 709] or NaN.
+TEXT ·expSumAVX2(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), R8
+	VBROADCASTSS max+16(FP), X8
+	MOVQ         sum+24(FP), R9
+	VMOVSD       (R9), X7
+	XORQ         CX, CX
+
+loopExpSum:
+	CMPQ      CX, R8
+	JAE       doneExpSum
+	VMOVUPS   (DI)(CX*4), X0
+	VSUBPS    X8, X0, X0
+	VCVTPS2PD X0, Y0
+	VCMPPD    $0x09, expLo<>(SB), Y0, Y3
+	VCMPPD    $0x06, expHi<>(SB), Y0, Y4
+	VORPD     Y4, Y3, Y3
+	VMOVMSKPD Y3, AX
+	TESTQ     AX, AX
+	JNZ       doneExpSum
+	EXP4
+	VCVTPD2PSY   Y0, X1
+	VMOVUPS      X1, (DI)(CX*4)
+	VADDSD       X0, X7, X7
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X7, X7
+	VEXTRACTF128 $1, Y0, X2
+	VADDSD       X2, X7, X7
+	VPERMILPD    $1, X2, X1
+	VADDSD       X1, X7, X7
+	ADDQ         $4, CX
+	JMP          loopExpSum
+
+doneExpSum:
+	VMOVSD X7, (R9)
+	MOVQ   CX, done+32(FP)
+	VZEROUPPER
+	RET
+
 // func geluAVX2(x *float32, n int)
 TEXT ·geluAVX2(SB), NOSPLIT, $0-16
 	MOVQ x+0(FP), SI
@@ -168,5 +214,60 @@ loopGELU:
 	ADDQ       $16, SI
 	CMPQ       SI, CX
 	JB         loopGELU
+	VZEROUPPER
+	RET
+
+// The softmax's element-wise passes: the scale with the running maximum,
+// and the final multiply. Each product is the scalar loop's one rounded
+// multiply, so they need only AVX.
+
+// func scaleMaxAVX2(x *float32, n int, scale float32) (max float32)
+TEXT ·scaleMaxAVX2(SB), NOSPLIT, $0-28
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHLQ         $2, CX
+	ADDQ         DI, CX
+	VBROADCASTSS scale+16(FP), Y8
+	VMOVUPS      (DI), Y1
+	VMULPS       Y8, Y1, Y1
+	VMOVUPS      Y1, (DI) // Y1: the running maximum
+	ADDQ         $32, DI
+
+loopScaleMax:
+	CMPQ    DI, CX
+	JAE     doneScaleMax
+	VMOVUPS (DI), Y0
+	VMULPS  Y8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	VMAXPS  Y0, Y1, Y1
+	ADDQ    $32, DI
+	JMP     loopScaleMax
+
+doneScaleMax:
+	VEXTRACTF128 $1, Y1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0x4E, X1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0xB1, X1, X3
+	VMAXPS       X3, X1, X1
+	VMOVSS       X1, max+24(FP)
+	VZEROUPPER
+	RET
+
+// func mulAVX2(x *float32, n int, s float32)
+TEXT ·mulAVX2(SB), NOSPLIT, $0-20
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHLQ         $2, CX
+	ADDQ         DI, CX
+	VBROADCASTSS s+16(FP), Y8
+
+loopMul:
+	VMOVUPS (DI), Y0
+	VMULPS  Y8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	CMPQ    DI, CX
+	JB      loopMul
 	VZEROUPPER
 	RET

@@ -9,19 +9,6 @@ import (
 	"repro/internal/threadpool"
 )
 
-// fmaKernels records whether the exponential and GELU kernels were
-// selected at start-up.
-var fmaKernels = useAVX2FMA
-
-// onPath runs f with the assembly kernels selected (simd) or not: the
-// AVX2 multiply loops, and the exponential and GELU kernels where they were
-// selected at start-up.
-func onPath(simd bool, f func()) {
-	defer func(a, b bool) { useAVX2, useAVX2FMA = a, b }(useAVX2, useAVX2FMA)
-	useAVX2, useAVX2FMA = simd, simd && fmaKernels
-	f()
-}
-
 // requireFMAKernels skips unless the exponential and GELU kernels run.
 func requireFMAKernels(t testing.TB) {
 	if !fmaKernels {
@@ -50,8 +37,8 @@ func randomQMat(rng *rand.Rand, bits, group, rows, cols int) QMat {
 }
 
 // TestSIMDMatchesPortable: with the AVX2 inner loops selected, MatMul,
-// MatMulInto, MatMulCols (column windows at non-zero offsets) and MatMulQ
-// are bit-identical to the Go loops, NaN matching any NaN. n sweeps 1..72,
+// MatMulInto, scoresV (column windows at non-zero offsets) and MatMulQ are
+// bit-identical to the Go loops, NaN matching any NaN. n sweeps 1..72,
 // so rows hold zero to nine vector bodies and every tail length; the
 // special density varies, so passes with and without a zero in A (the
 // zero-skip) occur, with ±Inf, NaN, ±0 and subnormals in both operands.
@@ -84,12 +71,14 @@ func TestSIMDMatchesPortable(t *testing.T) {
 
 			type result struct{ mm, mm2, into, cols, q, q2 *Tensor }
 			run := func(simd bool) (r result) {
-				onPath(simd, func() {
+				OnPath(simd, func() {
 					r.mm, r.mm2 = MatMul(nil, 1, a, b), MatMul(pool, 2, a, b)
 					r.into = RandN(rng, 1, m, n)
 					MatMulInto(pool, 2, a, b, r.into)
 					r.cols = wideC.Clone()
-					MatMulCols(pool, 2, a, Cols{wideB, boff, n}, Cols{r.cols, coff, n})
+					bw, _ := Cols{wideB, boff, n}.window()
+					cw, _ := Cols{r.cols, coff, n}.window()
+					scoresV(cw, dense(a), bw, m, k, n)
 					r.q, r.q2 = MatMulQ(nil, 1, aq, qm), MatMulQ(pool, 2, aq, qm)
 				})
 				return r
@@ -98,7 +87,7 @@ func TestSIMDMatchesPortable(t *testing.T) {
 			bitsEqual(t, label+"/MatMul", got.mm, want.mm)
 			bitsEqual(t, label+"/MatMul parallel", got.mm2, want.mm)
 			bitsEqual(t, label+"/MatMulInto", got.into, want.mm)
-			bitsEqual(t, label+"/MatMulCols", got.cols, want.cols)
+			bitsEqual(t, label+"/scoresV", got.cols, want.cols)
 			bitsEqual(t, label+"/MatMulQ", got.q, want.q)
 			bitsEqual(t, label+"/MatMulQ parallel", got.q2, want.q)
 		}
@@ -128,7 +117,7 @@ func TestAttentionScoresMatchReference(t *testing.T) {
 			for _, simd := range []bool{false, true} {
 				for _, width := range []int{1, 2} {
 					keysT, got := RandN(rng, 1, dk, T), RandN(rng, 1, m, T)
-					onPath(simd, func() {
+					OnPath(simd, func() {
 						TransposeCols(keysT, Cols{k, off, dk})
 						MatMulACols(pool, width, Cols{q, off, dk}, keysT, got)
 					})
