@@ -129,7 +129,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	var last *experiments.Table5Result
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table5()
+		r, err := experiments.Table5(experiments.Full)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func BenchmarkTinyEngineDecode(b *testing.B) {
 // BenchmarkFunctionalCheck runs the real-engine strategy matrix.
 func BenchmarkFunctionalCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FunctionalCheck(); err != nil {
+		if _, err := experiments.FunctionalCheck(experiments.Full); err != nil {
 			b.Fatal(err)
 		}
 	}

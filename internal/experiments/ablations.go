@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/parallelism"
 	"repro/internal/perfmodel"
@@ -135,40 +133,26 @@ func uniformAssignmentStep(ctrl *parallelism.Controller, og *parallelism.OpGraph
 	return step
 }
 
-// Format renders all sweeps.
-func (r *AblationResult) Format() string {
-	var b strings.Builder
-	b.WriteString("Ablations\n\n1. Overlap quality (β) on the LM-Offload policy:\n")
-	t := stats.NewTable("beta", "tok/s")
+// Report renders the four sweeps as one table and the two single
+// comparisons as notes.
+func (r *AblationResult) Report() *Report {
+	t := stats.NewTable("ablation", "setting", "tok/s", "SNR dB")
 	for i := range r.OverlapBeta {
-		t.AddRowf("%.2f\t%.1f", r.OverlapBeta[i], r.OverlapTput[i])
+		t.AddRowf("1. overlap quality (β)\t%.2f\t%.1f", r.OverlapBeta[i], r.OverlapTput[i])
 	}
-	b.WriteString(t.String())
-
-	fmt.Fprintf(&b, "\n2. Operator bundling: %d ops -> %d ops, compute %.2fms -> %.2fms\n",
-		r.UnbundledOps, r.BundledOps, r.UnbundledTime*1e3, r.BundledTime*1e3)
-	fmt.Fprintf(&b, "\n3. Transfer threads: proportional %.2fms vs uniform %.2fms per step\n",
-		r.ProportionalStep*1e3, r.UniformStep*1e3)
-
-	b.WriteString("\n4. Quantization group size (KV 4-bit):\n")
-	t2 := stats.NewTable("group", "tok/s")
 	for i := range r.GroupSizes {
-		t2.AddRowf("%d\t%.1f", r.GroupSizes[i], r.GroupTput[i])
+		t.AddRowf("4. group size (KV 4-bit)\t%d\t%.1f", r.GroupSizes[i], r.GroupTput[i])
 	}
-	b.WriteString(t2.String())
-
-	b.WriteString("\n5. KV quantization width (throughput vs accuracy):\n")
-	t3 := stats.NewTable("bits", "tok/s", "SNR dB")
 	for i := range r.Bits {
-		t3.AddRowf("%d\t%.1f\t%.1f", r.Bits[i], r.BitsTput[i], r.BitsSNR[i])
+		t.AddRowf("5. KV bits\t%d\t%.1f\t%.1f", r.Bits[i], r.BitsTput[i], r.BitsSNR[i])
 	}
-	b.WriteString(t3.String())
-
-	b.WriteString("\n6. Zig-zag block size:\n")
-	t4 := stats.NewTable("block", "tok/s")
 	for i := range r.BlockSizes {
-		t4.AddRowf("%d\t%.1f", r.BlockSizes[i], r.BlockTput[i])
+		t.AddRowf("6. zig-zag block\t%d\t%.1f", r.BlockSizes[i], r.BlockTput[i])
 	}
-	b.WriteString(t4.String())
-	return b.String()
+	rep := &Report{Title: "Ablations", Table: t}
+	rep.note("2. Operator bundling: %d ops -> %d ops, compute %.2fms -> %.2fms",
+		r.UnbundledOps, r.BundledOps, r.UnbundledTime*1e3, r.BundledTime*1e3)
+	rep.note("3. Transfer threads: proportional %.2fms vs uniform %.2fms per step",
+		r.ProportionalStep*1e3, r.UniformStep*1e3)
+	return rep
 }

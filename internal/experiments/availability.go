@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/model"
@@ -58,9 +57,13 @@ func availabilityScenarios() []availabilityScenario {
 }
 
 // Availability runs the fault-window study on OPT-30B (s=64, n=32, the Table 3
-// axis) for FlexGen, ZeRO-Inference, and LM-Offload.
-func Availability() (*AvailabilityResult, error) {
-	const steps = 3
+// axis) for FlexGen, ZeRO-Inference, and LM-Offload over three simulated
+// decode steps, one at Smoke.
+func Availability(s Scale) (*AvailabilityResult, error) {
+	steps := 3
+	if s == Smoke {
+		steps = 1
+	}
 	mod, err := model.ByName("OPT-30B")
 	if err != nil {
 		return nil, err
@@ -90,7 +93,7 @@ func Availability() (*AvailabilityResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: availability %s clean: %w", sys.Name, err)
 		}
-		span := clean.StepTime * float64(mod.Layers) * steps
+		span := clean.StepTime * float64(mod.Layers) * float64(steps)
 		for _, sc := range scenarios {
 			res, err := sim.SimulateDecode(sys.Estimator, steps, sc.events(span)...)
 			if err != nil {
@@ -107,25 +110,15 @@ func Availability() (*AvailabilityResult, error) {
 	return out, nil
 }
 
-// Format renders the retention table.
-func (r *AvailabilityResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Availability under platform faults (%s, s=64, n=32, simulated decode)\n", r.Model)
-	b.WriteString("retention = throughput under the fault scenario / clean throughput\n")
+// Report renders the retention table.
+func (r *AvailabilityResult) Report() *Report {
 	t := stats.NewTable("system", "scenario", "tok/s", "retention")
 	for _, c := range r.Cells {
 		t.AddRowf("%s\t%s\t%.1f\t%.0f%%", c.System, c.Scenario, c.Throughput, c.Retention*100)
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// CSV emits the grid for plotting.
-func (r *AvailabilityResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("system,scenario,throughput_tok_s,retention\n")
-	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%s,%s,%.3f,%.4f\n", c.System, c.Scenario, c.Throughput, c.Retention)
+	return &Report{
+		Title: fmt.Sprintf("Availability under platform faults (%s, s=64, n=32, simulated decode)", r.Model),
+		Table: t,
+		Notes: []string{"retention = throughput under the fault scenario / clean throughput"},
 	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -48,36 +47,5 @@ func TestChunkedSummarize4kNoTPOTOutlier(t *testing.T) {
 	// full multi-second duration inside a single gap.
 	if arm.TPOTP99 > 2500*time.Millisecond {
 		t.Errorf("background p99 inter-token gap %v — the 4k arrival produced a TPOT outlier", arm.TPOTP99)
-	}
-}
-
-// TestChunkedResultFormatting pins the report surfaces on a synthetic result
-// so the bench's CSV contract is cheap to check.
-func TestChunkedResultFormatting(t *testing.T) {
-	r := &ChunkedResult{
-		Model: model.Tiny(), PromptLen: 2048, Streams: 3, DecodeLen: 96,
-		TokenExact: true, P99Speedup: 24.5,
-		Arms: []ChunkedArm{
-			{ChunkTokens: 0, TPOTP50: time.Millisecond, TPOTP99: 2450 * time.Millisecond, TPOTMax: 2500 * time.Millisecond, LongTTFT: 2500 * time.Millisecond, Gaps: 280, TPOTQErrP95: 1.4, TPOTQErrMax: 2.1, TPOTQErrN: 200},
-			{ChunkTokens: 32, TPOTP50: time.Millisecond, TPOTP99: 100 * time.Millisecond, TPOTMax: 120 * time.Millisecond, LongTTFT: 2800 * time.Millisecond, During: 150, Gaps: 280, TPOTQErrP95: 1.3, TPOTQErrMax: 1.9, TPOTQErrN: 200},
-		},
-	}
-	if err := r.CheckAcceptance(); err != nil {
-		t.Errorf("synthetic passing result failed acceptance: %v", err)
-	}
-	csv := r.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 1+len(r.Arms) {
-		t.Errorf("CSV has %d lines, want %d", len(lines), 1+len(r.Arms))
-	}
-	if !strings.HasPrefix(csv, "chunk_tokens,prompt_len,streams,decode_len,") {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.Contains(r.Format(), "acceptance:") {
-		t.Error("Format lacks the acceptance verdict")
-	}
-	r.TokenExact = false
-	if err := r.CheckAcceptance(); err == nil {
-		t.Error("token-inexact result passed acceptance")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,9 +42,17 @@ type ClusterRow struct {
 // live harness cannot reach.
 type ClusterResult struct {
 	Rows []ClusterRow
-	// ExactChecked counts live routed outputs re-verified token-exact
-	// against a dedicated solo replay.
-	ExactChecked int
+	clusterLive
+}
+
+// clusterLive is the live run's correctness record.
+type clusterLive struct {
+	// Indefinite counts live requests that ended with an error that is
+	// neither a completion nor a structured rejection.
+	Indefinite int
+	// ExactChecked counts live routed outputs re-verified against a
+	// dedicated solo replay, ExactMismatches how many differed.
+	ExactChecked, ExactMismatches int
 }
 
 const clusterSeed = 424242
@@ -55,10 +62,11 @@ const clusterSeed = 424242
 // thirds. Every request must end with a definite status; availability is the
 // completed fraction. A sample of completed outputs is verified token-exact
 // against solo replays.
-func clusterLiveKill(n int) (ClusterRow, int, error) {
+func clusterLiveKill(n int) (ClusterRow, clusterLive, error) {
 	// Hedging stays off here so failover — not a hedge promotion — is the
 	// rescue path under test; the hedging A/B has its own simulated rows.
 	row := ClusterRow{Scenario: "kill-1-of-3", Mode: "live", Hedge: "off", Offered: n}
+	var live clusterLive
 
 	vocab := model.Tiny().Vocab
 	cfg := serve.DefaultConfig(vocab)
@@ -73,11 +81,11 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	for i := range reps {
 		eng, err := seededEngine(clusterSeed, model.Tiny(), runtime.Policy{IntraOp: 1}, 1<<30, nil)
 		if err != nil {
-			return row, 0, err
+			return row, live, err
 		}
 		s, err := serve.New(eng, cfg)
 		if err != nil {
-			return row, 0, err
+			return row, live, err
 		}
 		scheds[i] = s
 		reps[i] = cluster.NewReplica(fmt.Sprintf("r%d", i), s, nil)
@@ -89,7 +97,7 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	}()
 	c, err := cluster.New(reps, cfg, cluster.Options{})
 	if err != nil {
-		return row, 0, err
+		return row, live, err
 	}
 
 	type outcome struct {
@@ -102,7 +110,6 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	results := make([]outcome, n)
 	rng := rand.New(rand.NewSource(clusterSeed + 1))
 	var rejected int
-	var firstBad error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	consume := func(i int, t0 time.Time, st *cluster.Stream, err error) {
@@ -130,9 +137,7 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 		case errors.As(err, &ovl), errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrClosed):
 			rejected++
 		default:
-			if firstBad == nil {
-				firstBad = err
-			}
+			live.Indefinite++
 		}
 	}
 	victim := 0
@@ -170,11 +175,7 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	wg.Wait()
 	c.Wait()
 
-	if firstBad != nil {
-		return row, 0, fmt.Errorf("experiments: cluster live request ended without a definite status: %w", firstBad)
-	}
 	var ttfts []float64
-	exact := 0
 	for i := range results {
 		if !results[i].ok {
 			continue
@@ -183,11 +184,15 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 		ttfts = append(ttfts, results[i].ttft.Seconds())
 		// Verify a spread sample token-exact against solo replays (replays
 		// build a fresh engine each, so bound the count).
-		if exact < 6 && i%(n/6+1) == 0 {
-			if err := checkSolo("cluster", i, clusterSeed, model.Tiny(), results[i].prompt, results[i].budget, nil, results[i].out); err != nil {
-				return row, 0, err
+		if live.ExactChecked < 6 && i%(n/6+1) == 0 {
+			ok, err := matchesSolo(clusterSeed, model.Tiny(), results[i].prompt, results[i].budget, nil, results[i].out)
+			if err != nil {
+				return row, live, err
 			}
-			exact++
+			if !ok {
+				live.ExactMismatches++
+			}
+			live.ExactChecked++
 		}
 	}
 	row.Failed = n - row.Completed - rejected
@@ -197,16 +202,16 @@ func clusterLiveKill(n int) (ClusterRow, int, error) {
 	sort.Float64s(ttfts)
 	row.TTFTp50 = clusterPercentile(ttfts, 0.50)
 	row.TTFTp99 = clusterPercentile(ttfts, 0.99)
-	return row, exact, nil
+	return row, live, nil
 }
 
 // clusterFleetBase is the simulated counterpart of the live deployment:
 // three 4-slot replicas under Poisson load with fitted per-token costs.
-func clusterFleetBase() sim.FleetConfig {
+func clusterFleetBase(requests int) sim.FleetConfig {
 	return sim.FleetConfig{
 		Replicas:         3,
 		Slots:            4,
-		Requests:         2000,
+		Requests:         requests,
 		ArrivalRate:      400,
 		PromptLen:        64,
 		GenLen:           32,
@@ -237,25 +242,25 @@ func clusterFleetRow(scenario, hedge string, cfg sim.FleetConfig) (ClusterRow, e
 	}, nil
 }
 
-// ClusterBench runs the cluster robustness suite with n live requests. It
-// errors — rather than just reporting — when an acceptance gate fails: live
-// availability under a one-of-three kill must stay >= 99%, and hedging must
-// improve simulated p99 TTFT under a silently slow replica.
-func ClusterBench(n int) (*ClusterResult, error) {
+// ClusterBench runs the cluster robustness suite: 60 live requests and
+// 2000 requests per three-replica fleet run, 20000 at fleet scale. Smoke
+// runs a fifth of each.
+func ClusterBench(s Scale) (*ClusterResult, error) {
+	n, fleet := 60, 2000
+	if s == Smoke {
+		n, fleet = 12, 400
+	}
 	out := &ClusterResult{}
 
-	live, exact, err := clusterLiveKill(n)
+	live, rec, err := clusterLiveKill(n)
 	if err != nil {
 		return nil, err
 	}
-	if live.Availability < 0.99 {
-		return nil, fmt.Errorf("experiments: cluster live availability %.4f under one-of-three kill, want >= 0.99", live.Availability)
-	}
 	out.Rows = append(out.Rows, live)
-	out.ExactChecked = exact
+	out.clusterLive = rec
 
 	// Fleet kill: the same scenario at simulated scale and determinism.
-	kill := clusterFleetBase()
+	kill := clusterFleetBase(fleet)
 	kill.Down = []sim.FleetWindow{{Replica: 0, Start: 0.5, Duration: 2.0}}
 	row, err := clusterFleetRow("kill-1-of-3", "off", kill)
 	if err != nil {
@@ -266,7 +271,7 @@ func ClusterBench(n int) (*ClusterResult, error) {
 	// Hedging A/B: one replica serves 20x slow but its health still reads Up
 	// (the undetected-degradation regime), so score-based routing keeps
 	// feeding it. Hedged second attempts are the only defense.
-	slow := clusterFleetBase()
+	slow := clusterFleetBase(fleet)
 	slow.Slow = []sim.FleetWindow{{Replica: 0, Start: 0.2, Duration: 3.0, Factor: 20, Silent: true}}
 	plain, err := clusterFleetRow("silent-20x-slow", "off", slow)
 	if err != nil {
@@ -277,15 +282,11 @@ func ClusterBench(n int) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hedged.TTFTp99 >= plain.TTFTp99 {
-		return nil, fmt.Errorf("experiments: hedging did not improve p99 TTFT: %.4fs hedged vs %.4fs plain", hedged.TTFTp99, plain.TTFTp99)
-	}
 	out.Rows = append(out.Rows, plain, hedged)
 
-	// Fleet scale: 128 replicas, two kills and a slowdown, 20k requests.
-	big := clusterFleetBase()
+	// Fleet scale: 128 replicas, two kills and a slowdown, 10x the requests.
+	big := clusterFleetBase(10 * fleet)
 	big.Replicas = 128
-	big.Requests = 20000
 	big.ArrivalRate = 20000
 	big.PrefixGroups = 64
 	big.Hedge = true
@@ -302,12 +303,11 @@ func ClusterBench(n int) (*ClusterResult, error) {
 	return out, nil
 }
 
-// Format renders the scenario table.
-func (r *ClusterResult) Format() string {
-	var b strings.Builder
-	b.WriteString("Cluster robustness: availability and tail latency under replica faults\n")
-	fmt.Fprintf(&b, "live = 3 in-process replicas (%d routed outputs verified token-exact vs solo)\n", r.ExactChecked)
-	b.WriteString("sim  = fleet discrete-event run of the same routing policy\n")
+// Report renders the scenario table. It gates live availability under the
+// kill at >= 99%, that every live request ended with a definite status and
+// that sampled live outputs match their solo replays, and that hedging
+// improves the simulated p99 TTFT under a silently slow replica.
+func (r *ClusterResult) Report() *Report {
 	t := stats.NewTable("scenario", "mode", "hedge", "offered", "completed", "failed", "avail", "failovers", "hedges(wins)", "p50 ttft", "p99 ttft")
 	for _, c := range r.Rows {
 		t.AddRowf("%s\t%s\t%s\t%d\t%d\t%d\t%.2f%%\t%d\t%d(%d)\t%s\t%s",
@@ -315,20 +315,22 @@ func (r *ClusterResult) Format() string {
 			c.Availability*100, c.Failovers, c.Hedges, c.HedgeWins,
 			clusterDur(c.TTFTp50), clusterDur(c.TTFTp99))
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// CSV emits the scenario grid for plotting.
-func (r *ClusterResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("scenario,mode,hedge,offered,completed,failed,availability,failovers,hedges,hedge_wins,ttft_p50_s,ttft_p99_s\n")
-	for _, c := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%d,%.4f,%d,%d,%d,%.6f,%.6f\n",
-			c.Scenario, c.Mode, c.Hedge, c.Offered, c.Completed, c.Failed,
-			c.Availability, c.Failovers, c.Hedges, c.HedgeWins, c.TTFTp50, c.TTFTp99)
+	live, plain, hedged := r.Rows[0], r.Rows[2], r.Rows[3]
+	return &Report{
+		Title: "Cluster robustness: availability and tail latency under replica faults",
+		Table: t,
+		Notes: []string{
+			fmt.Sprintf("live = 3 in-process replicas (%d routed outputs re-verified against solo replays)", r.ExactChecked),
+			"sim  = fleet discrete-event run of the same routing policy",
+		},
+		Gates: []Gate{
+			atLeast("live availability under one-of-three kill", WallClock, live.Availability, 0.99),
+			atMost("live requests without a definite status", Exact, float64(r.Indefinite), 0),
+			atMost("sampled live outputs differing from their solo replay", Exact, float64(r.ExactMismatches), 0),
+			{Name: "hedged / plain sim p99 TTFT under a silent 20x-slow replica", Kind: Model,
+				Value: hedged.TTFTp99 / plain.TTFTp99, Bound: "< 1", Pass: hedged.TTFTp99 < plain.TTFTp99},
+		},
 	}
-	return b.String()
 }
 
 func clusterPercentile(sorted []float64, p float64) float64 {

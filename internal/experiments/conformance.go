@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/csv"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"repro/internal/stats"
 	"repro/internal/xtrace/conformance"
 )
 
-// ConformanceResult wraps the model-conformance suite's report: every
+// ConformanceResult wraps the model-conformance suite's rows: every
 // measured-vs-predicted comparison across the simulator, the live engine,
 // and the serving layer, in one table.
 type ConformanceResult struct {
-	Report *conformance.Report
+	Rows []conformance.Row
 }
 
 // Conformance runs the full conformance suite (sim-vs-model equality,
@@ -24,53 +21,50 @@ func Conformance() (*ConformanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ConformanceResult{Report: rep}, nil
+	return &ConformanceResult{Rows: rep.Rows}, nil
 }
 
-// Format renders the measured-vs-predicted table with a per-suite summary.
-func (r *ConformanceResult) Format() string {
-	var b strings.Builder
-	b.WriteString("Model conformance: measured vs predicted (Eq. 2 task decomposition)\n\n")
-	fmt.Fprintf(&b, "%-16s %-18s %-9s %-28s %12s %12s %8s  %s\n",
-		"suite", "case", "check", "task", "predicted", "measured", "relerr", "verdict")
-	for _, row := range r.Report.Rows {
+// conformanceSuites are the suites in report order with the kind of their
+// gate: the simulator arms and the chunked engine's span-count checks are
+// deterministic; the engine ordering and serve bounds are timed.
+var conformanceSuites = []struct {
+	name string
+	kind Kind
+}{
+	{"sim-vs-model", Model},
+	{"chunked-sim-vs-model", Model},
+	{"chunked-engine", Model},
+	{"engine-vs-model", WallClock},
+	{"serve-bounds", WallClock},
+}
+
+// Report renders the measured-vs-predicted table with one gate per suite on
+// its count of failed checks. Informational rows (check "error") assert
+// nothing.
+func (r *ConformanceResult) Report() *Report {
+	t := stats.NewTable("suite", "case", "check", "task", "predicted", "measured", "relerr", "verdict", "note")
+	failed := map[string]int{}
+	pass, fails, info := 0, 0, 0
+	for _, row := range r.Rows {
 		verdict := "pass"
-		if row.Check == "error" {
-			verdict = "info"
-		} else if !row.Pass {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(&b, "%-16s %-18s %-9s %-28s %12.4g %12.4g %8.3f  %s\n",
-			row.Suite, row.Case, row.Check, row.Task,
-			row.Predicted, row.Measured, row.RelErr, verdict)
-	}
-	pass, fail, info := 0, 0, 0
-	for _, row := range r.Report.Rows {
 		switch {
 		case row.Check == "error":
+			verdict = "info"
 			info++
 		case row.Pass:
 			pass++
 		default:
-			fail++
+			verdict = "FAIL"
+			failed[row.Suite]++
+			fails++
 		}
+		t.AddRowf("%s\t%s\t%s\t%s\t%.4g\t%.4g\t%.3f\t%s\t%s",
+			row.Suite, row.Case, row.Check, row.Task, row.Predicted, row.Measured, row.RelErr, verdict, row.Note)
 	}
-	fmt.Fprintf(&b, "\n%d checks passed, %d failed, %d informational rows\n", pass, fail, info)
-	return b.String()
-}
-
-// CSV renders the full row set for the CI error-table artifact.
-func (r *ConformanceResult) CSV() string {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	_ = w.Write([]string{"suite", "case", "check", "task", "predicted", "measured", "relerr", "pass", "note"})
-	for _, row := range r.Report.Rows {
-		_ = w.Write([]string{
-			row.Suite, row.Case, row.Check, row.Task,
-			fmt.Sprintf("%.6g", row.Predicted), fmt.Sprintf("%.6g", row.Measured),
-			fmt.Sprintf("%.4f", row.RelErr), strconv.FormatBool(row.Pass), row.Note,
-		})
+	rep := &Report{Title: "Model conformance: measured vs predicted (Eq. 2 task decomposition)", Table: t}
+	for _, s := range conformanceSuites {
+		rep.Gates = append(rep.Gates, atMost(s.name+" failed checks", s.kind, float64(failed[s.name]), 0))
 	}
-	w.Flush()
-	return buf.String()
+	rep.Notes = []string{fmt.Sprintf("%d checks passed, %d failed, %d informational rows", pass, fails, info)}
+	return rep
 }

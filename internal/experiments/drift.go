@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,9 +194,7 @@ func driftAdaptConfig() adapt.Config {
 }
 
 // DriftAdapt runs the three-way online-adaptation experiment under a
-// sustained `slowdown`x machine drift and gates the outcomes: the adaptive
-// run must settle within 1.25x of the fresh-fit oracle, and the poisoned run
-// must roll back to the exact pre-swap policy.
+// sustained `slowdown`x machine drift; its report gates the outcomes.
 func DriftAdapt(slowdown float64) (*DriftResult, error) {
 	if slowdown <= 1 {
 		slowdown = 2
@@ -223,10 +220,6 @@ func DriftAdapt(slowdown float64) (*DriftResult, error) {
 		return nil, fmt.Errorf("experiments: drift: fresh-fit run measured no TPOT")
 	}
 	out.RecoveryRatio = adaptive.FinalTPOT / fresh.FinalTPOT
-	if out.RecoveryRatio > out.RecoveryGate {
-		return nil, fmt.Errorf("experiments: drift: adaptive settled at %.2fx the fresh-fit oracle (gate %.2fx)",
-			out.RecoveryRatio, out.RecoveryGate)
-	}
 
 	// Run 3: poisoned searcher -> canary regression -> rollback.
 	poisoned, restored, err := driftPoisonedRun(seed, slowdown)
@@ -235,9 +228,6 @@ func DriftAdapt(slowdown float64) (*DriftResult, error) {
 	}
 	out.Rows = append(out.Rows, poisoned)
 	out.PoisonRestored = restored
-	if !restored {
-		return nil, fmt.Errorf("experiments: drift: rollback did not restore the pre-swap policy")
-	}
 	return out, nil
 }
 
@@ -287,9 +277,6 @@ func driftAdaptiveRun(seed int64, slowdown float64) (DriftRunRow, runtime.ExecPo
 	row.Commits = status.Commits
 	row.Rollbacks = status.Rollbacks
 	row.Served = st.served.Load()
-	if row.Served == 0 {
-		return row, committed, fmt.Errorf("experiments: drift: adaptive run served nothing")
-	}
 	return row, committed, nil
 }
 
@@ -368,17 +355,13 @@ func driftPoisonedRun(seed int64, slowdown float64) (DriftRunRow, bool, error) {
 	row.Commits = status.Commits
 	row.Rollbacks = status.Rollbacks
 	row.Served = st.served.Load()
-	if row.Commits != 0 {
-		return row, restored, fmt.Errorf("experiments: drift: poisoned run committed a canary that should have regressed")
-	}
 	return row, restored, nil
 }
 
-// Format renders the experiment.
-func (r *DriftResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Online adaptation under a sustained %.1fx machine slowdown (%s, live scheduler)\n",
-		r.SlowdownX, r.Model.Name)
+// Report renders the three runs. It gates that the adaptive run served
+// requests and settled within RecoveryGate of the fresh-fit oracle, and that
+// the poisoned run committed nothing and restored the pre-swap policy.
+func (r *DriftResult) Report() *Report {
 	t := stats.NewTable("run", "width", "baseline_tpot", "drifted_tpot", "final_tpot", "swaps", "commits", "rollbacks", "served")
 	for _, row := range r.Rows {
 		t.AddRowf("%s\t%d->%d\t%s\t%s\t%s\t%d\t%d\t%d\t%d",
@@ -386,25 +369,18 @@ func (r *DriftResult) Format() string {
 			driftMS(row.BaselineTPOT), driftMS(row.DriftedTPOT), driftMS(row.FinalTPOT),
 			row.Swaps, row.Commits, row.Rollbacks, row.Served)
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "recovery: adaptive settled at %.2fx the fresh-fit oracle (gate <= %.2fx)\n",
-		r.RecoveryRatio, r.RecoveryGate)
-	fmt.Fprintf(&b, "poisoned: canary measured the regression and rolled back; pre-swap policy restored: %v\n",
-		r.PoisonRestored)
-	return b.String()
-}
-
-// CSV emits the per-run rows.
-func (r *DriftResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("run,start_intra_op,final_intra_op,baseline_tpot_s,drifted_tpot_s,final_tpot_s,swaps,commits,rollbacks,served,recovery_ratio\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%.6f,%.6f,%.6f,%d,%d,%d,%d,%.3f\n",
-			row.Run, row.StartIntraOp, row.FinalIntraOp,
-			row.BaselineTPOT, row.DriftedTPOT, row.FinalTPOT,
-			row.Swaps, row.Commits, row.Rollbacks, row.Served, r.RecoveryRatio)
+	adaptive, poisoned := r.Rows[0], r.Rows[2]
+	return &Report{
+		Title: fmt.Sprintf("Online adaptation under a sustained %.1fx machine slowdown (%s, live scheduler)",
+			r.SlowdownX, r.Model.Name),
+		Table: t,
+		Gates: []Gate{
+			atLeast("adaptive run requests served", WallClock, float64(adaptive.Served), 1),
+			atMost("adaptive / fresh-fit settled TPOT", WallClock, r.RecoveryRatio, r.RecoveryGate),
+			atMost("poisoned run commits", WallClock, float64(poisoned.Commits), 0),
+			holds("poisoned run restored the pre-swap policy", WallClock, r.PoisonRestored),
+		},
 	}
-	return b.String()
 }
 
 func driftMS(s float64) string {

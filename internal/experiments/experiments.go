@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§3.1 and §5). Each experiment is a pure function from the
-// built-in platform/model descriptions to a typed result with a Format
-// method that prints rows in the paper's layout; cmd/lmo-bench and the root
-// benchmark suite drive them.
+// evaluation (§3.1 and §5). Each experiment is a function from the built-in
+// platform/model descriptions to a typed result whose Report method renders
+// one table in the paper's layout, with notes and the experiment's gates
+// (report.go); cmd/lmo-bench and the root benchmark suite drive them.
 //
 // Absolute numbers come from this repository's calibrated models and
 // simulators, not the authors' testbed; EXPERIMENTS.md records the

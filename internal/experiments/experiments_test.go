@@ -45,8 +45,8 @@ func TestFigure3ReproducesOrderingAndValues(t *testing.T) {
 			t.Errorf("%s: model %.1f vs paper %.0f (ratio %.2f)", bar.Label, bar.ModelTput, bar.PaperTput, ratio)
 		}
 	}
-	if !strings.Contains(r.Format(), "Figure 3") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Figure 3") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -72,8 +72,8 @@ func TestFigure4ZeroOverheadWithOffload(t *testing.T) {
 	if both.Dequant <= kvOnly.Dequant {
 		t.Error("adding weight quantization should add dequantization time")
 	}
-	if !strings.Contains(r.Format(), "Figure 4") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Figure 4") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -101,8 +101,8 @@ func TestTable1MatchesPaperShape(t *testing.T) {
 	if r.KVSavingsFraction() < 0.98 {
 		t.Errorf("KV savings fraction = %.3f, want >= 0.98 (paper: 99.5%%)", r.KVSavingsFraction())
 	}
-	if !strings.Contains(r.Format(), "Table 1") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Table 1") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -128,8 +128,8 @@ func TestFigure5Shapes(t *testing.T) {
 	if ratio := last.Throughput / at8; ratio < 0.7 || ratio > 1.3 {
 		t.Errorf("intra-op tail not stable: 56-thread/8-thread = %.2f", ratio)
 	}
-	if !strings.Contains(r.Format(), "best inter-op parallelism: 12") {
-		t.Errorf("Format: %s", r.Format())
+	if !strings.Contains(r.Report().Text(), "best inter-op parallelism: 12") {
+		t.Errorf("report text: %s", r.Report().Text())
 	}
 }
 
@@ -167,8 +167,8 @@ func TestTable3HeadlineSpeedups(t *testing.T) {
 	if z66.BlockSize >= z30.BlockSize {
 		t.Errorf("ZeRO block should shrink for OPT-66B: %d >= %d", z66.BlockSize, z30.BlockSize)
 	}
-	if !strings.Contains(r.Format(), "Table 3") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Table 3") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -185,8 +185,8 @@ func TestFigure7GainsInBand(t *testing.T) {
 			t.Errorf("%s n=%d: quantization-aware policy does not beat FlexGen (%.0f%%)", p.Model, p.GenLen, p.GainPct)
 		}
 	}
-	if !strings.Contains(r.Format(), "Figure 7") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Figure 7") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -208,13 +208,13 @@ func TestFigure8Reductions(t *testing.T) {
 	if r.Tuned.InterOpCompute != 12 {
 		t.Errorf("tuned inter-op = %d, want 12", r.Tuned.InterOpCompute)
 	}
-	if !strings.Contains(r.Format(), "Figure 8") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Figure 8") {
+		t.Error("report text missing header")
 	}
 }
 
 func TestTable5CountsAndMechanism(t *testing.T) {
-	r, err := Table5()
+	r, err := Table5(Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,8 @@ func TestTable5CountsAndMechanism(t *testing.T) {
 	if r.SimDefault.LoadMissRate() <= r.SimControlled.LoadMissRate() {
 		t.Error("cache simulation does not show the thrashing mechanism")
 	}
-	if !strings.Contains(r.Format(), "Table 5") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Table 5") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -263,8 +263,8 @@ func TestFigure9ScalingStory(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(r.Format(), "Figure 9") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Figure 9") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -299,13 +299,13 @@ func TestAblations(t *testing.T) {
 	if r.BitsTput[0] <= r.BitsTput[2] {
 		t.Errorf("2-bit (%.1f) should beat 8-bit (%.1f) on pure transfer time", r.BitsTput[0], r.BitsTput[2])
 	}
-	if !strings.Contains(r.Format(), "Ablations") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Ablations") {
+		t.Error("report text missing header")
 	}
 }
 
 func TestFunctionalCheck(t *testing.T) {
-	r, err := FunctionalCheck()
+	r, err := FunctionalCheck(Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +338,8 @@ func TestFunctionalCheck(t *testing.T) {
 	if kv4.QuantOps == 0 || kv4.DequantOps == 0 {
 		t.Error("kv4 run recorded no quantization work")
 	}
-	if !strings.Contains(r.Format(), "Functional cross-check") {
-		t.Error("Format missing header")
+	if !strings.Contains(r.Report().Text(), "Functional cross-check") {
+		t.Error("report text missing header")
 	}
 }
 
@@ -399,39 +399,8 @@ func TestScaleSweep(t *testing.T) {
 	if last.Feasible {
 		t.Errorf("OPT-175B should be infeasible on the 240 GB host")
 	}
-	if !strings.Contains(r.Format(), "infeasible") {
-		t.Error("Format missing infeasible marker")
-	}
-}
-
-func TestCSVExports(t *testing.T) {
-	r3, err := Table3(nil, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := r3.CSV(); !strings.Contains(out, "framework,model") || !strings.Contains(out, "LM-Offload") {
-		t.Errorf("Table3 CSV malformed:\n%s", out)
-	}
-	r5, err := Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := r5.CSV(); !strings.Contains(out, "intra-op,1,") {
-		t.Errorf("Figure5 CSV malformed:\n%s", out)
-	}
-	r9, err := Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := r9.CSV(); !strings.Contains(out, "OPT-13B,4,FlexGen") {
-		t.Errorf("Figure9 CSV malformed:\n%s", out)
-	}
-	rs, err := ScaleSweep(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := rs.CSV(); !strings.Contains(out, "OPT-175B") {
-		t.Errorf("Scale CSV malformed:\n%s", out)
+	if !strings.Contains(r.Report().Text(), "infeasible") {
+		t.Error("report text missing infeasible marker")
 	}
 }
 
@@ -456,8 +425,8 @@ func TestValidateModel(t *testing.T) {
 	if r.PessimisticFraction < 0.95 {
 		t.Errorf("β model optimistic on %.0f%% of samples", (1-r.PessimisticFraction)*100)
 	}
-	if !strings.Contains(r.Format(), "MAPE") {
-		t.Error("Format missing MAPE")
+	if !strings.Contains(r.Report().Text(), "MAPE") {
+		t.Error("report text missing MAPE")
 	}
 	if _, err := ValidateModel(0, 1); err == nil {
 		t.Error("zero samples accepted")
@@ -477,7 +446,7 @@ func TestPlatformWhatIf(t *testing.T) {
 			t.Errorf("%s: H100 speedup %.2fx not above 1", mod, speedup)
 		}
 	}
-	if !strings.Contains(r.Format(), "H100/A100") {
-		t.Error("Format missing speedup lines")
+	if !strings.Contains(r.Report().Text(), "H100/A100") {
+		t.Error("report text missing speedup lines")
 	}
 }

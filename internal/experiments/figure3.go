@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -62,16 +61,13 @@ func Figure3() (*Figure3Result, error) {
 	return out, nil
 }
 
-// Format renders the figure as a table.
-func (r *Figure3Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 3: throughput by offloading x quantization strategy (OPT-30B, s=64, n=128, bls=640)\n")
+// Report renders the figure as a table.
+func (r *Figure3Result) Report() *Report {
 	t := stats.NewTable("strategy", "paper tok/s", "model tok/s", "sim tok/s")
 	for _, bar := range r.Bars {
 		t.AddRowf("%s\t%.0f\t%.1f\t%.1f", bar.Label, bar.PaperTput, bar.ModelTput, bar.SimTput)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return &Report{Title: "Figure 3: throughput by offloading x quantization strategy (OPT-30B, s=64, n=128, bls=640)", Table: t}
 }
 
 // Bar returns the named bar, or nil.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
@@ -52,10 +50,8 @@ func Figure4() (*Figure4Result, error) {
 	return out, nil
 }
 
-// Format renders the rows with percentage shares.
-func (r *Figure4Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 4: per-token time breakdown (OPT-30B, s=64, n=128, bls=640)\n")
+// Report renders the rows with percentage shares.
+func (r *Figure4Result) Report() *Report {
 	t := stats.NewTable("strategy", "quant s", "dequant s", "other s", "quant+dequant %")
 	for _, row := range r.Rows {
 		share := 0.0
@@ -64,8 +60,7 @@ func (r *Figure4Result) Format() string {
 		}
 		t.AddRowf("%s\t%.4f\t%.4f\t%.4f\t%.0f%%", row.Label, row.Quant, row.Dequant, row.Other, share)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return &Report{Title: "Figure 4: per-token time breakdown (OPT-30B, s=64, n=128, bls=640)", Table: t}
 }
 
 // Row returns the labeled row, or nil.

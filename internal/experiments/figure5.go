@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"math"
 
 	"repro/internal/parallelism"
 	"repro/internal/stats"
@@ -77,32 +77,22 @@ func (r *Figure5Result) BestInterOp() int {
 	return best
 }
 
-// Format renders both series normalized to their best point.
-func (r *Figure5Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 5: performance vs thread-level parallelism (OPT-30B, s=64, n=8)\n")
-	norm := func(pts []parallelism.SweepPoint) float64 {
+// Report renders both series, each normalized to its best point.
+func (r *Figure5Result) Report() *Report {
+	t := stats.NewTable("series", "parallelism", "relative tput", "step ms")
+	for _, s := range []struct {
+		name string
+		pts  []parallelism.SweepPoint
+	}{{"intra-op threads", r.IntraOp}, {"inter-op parallelism", r.InterOp}} {
 		m := 0.0
-		for _, p := range pts {
-			if p.Throughput > m {
-				m = p.Throughput
-			}
+		for _, p := range s.pts {
+			m = math.Max(m, p.Throughput)
 		}
-		return m
+		for _, p := range s.pts {
+			t.AddRowf("%s\t%d\t%.2f\t%.2f", s.name, p.Parallelism, p.Throughput/m, p.StepTime*1e3)
+		}
 	}
-	t1 := stats.NewTable("intra-op threads", "relative tput", "step ms")
-	m := norm(r.IntraOp)
-	for _, p := range r.IntraOp {
-		t1.AddRowf("%d\t%.2f\t%.2f", p.Parallelism, p.Throughput/m, p.StepTime*1e3)
-	}
-	b.WriteString(t1.String())
-	b.WriteString("\n")
-	t2 := stats.NewTable("inter-op parallelism", "relative tput", "step ms")
-	m = norm(r.InterOp)
-	for _, p := range r.InterOp {
-		t2.AddRowf("%d\t%.2f\t%.2f", p.Parallelism, p.Throughput/m, p.StepTime*1e3)
-	}
-	b.WriteString(t2.String())
-	b.WriteString(fmt.Sprintf("best inter-op parallelism: %d (paper: 12)\n", r.BestInterOp()))
-	return b.String()
+	rep := &Report{Title: "Figure 5: performance vs thread-level parallelism (OPT-30B, s=64, n=8)", Table: t}
+	rep.note("best inter-op parallelism: %d (paper: 12)", r.BestInterOp())
+	return rep
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/model"
@@ -55,15 +54,15 @@ func Figure7() (*Figure7Result, error) {
 	return out, nil
 }
 
-// Format renders the ablation.
-func (r *Figure7Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 7: quantization-aware modeling without parallelism control vs FlexGen\n")
+// Report renders the ablation.
+func (r *Figure7Result) Report() *Report {
 	t := stats.NewTable("model", "len", "FlexGen tok/s", "LM-Offload(no PC) tok/s", "gain", "no-PC wg")
 	for _, p := range r.Points {
 		t.AddRowf("%s\t%d\t%.1f\t%.1f\t%.0f%%\t%.0f%%", p.Model, p.GenLen, p.FlexGen, p.NoPC, p.GainPct, p.WeightsGPU)
 	}
-	b.WriteString(t.String())
-	b.WriteString("paper: 90-121% gains on the 30B models, consistent at larger sizes\n")
-	return b.String()
+	return &Report{
+		Title: "Figure 7: quantization-aware modeling without parallelism control vs FlexGen",
+		Table: t,
+		Notes: []string{"paper: 90-121% gains on the 30B models, consistent at larger sizes"},
+	}
 }

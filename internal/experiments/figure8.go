@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/parallelism"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
@@ -106,12 +103,8 @@ func transferTimeFor(c *parallelism.Controller, tr parallelism.TransferTask, thr
 	return tr.Bytes / (c.LinkBandwidth * eff)
 }
 
-// Format renders the per-task comparison.
-func (r *Figure8Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 8: task times, default threading vs parallelism control (OPT-30B, n=8)\n")
-	fmt.Fprintf(&b, "default: intra-op %d, inter-op %d; tuned: intra-op %d, inter-op %d (paper: 16/12)\n",
-		r.Default.IntraOp, r.Default.InterOp, r.Tuned.IntraOp, r.Tuned.InterOp)
+// Report renders the per-task comparison.
+func (r *Figure8Result) Report() *Report {
 	t := stats.NewTable("task", "default ms", "tuned ms", "reduction")
 	for i, name := range r.TaskNames {
 		red := 0.0
@@ -120,9 +113,11 @@ func (r *Figure8Result) Format() string {
 		}
 		t.AddRowf("%s\t%.2f\t%.2f\t%.0f%%", name, r.DefaultT[i]*1e3, r.TunedT[i]*1e3, red)
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "compute reduction:   %.0f%% (paper: 32%%)\n", r.ComputeReductionPct)
-	fmt.Fprintf(&b, "average reduction:   %.0f%% (paper: 19%%)\n", r.AvgReductionPct)
-	fmt.Fprintf(&b, "end-to-end (async):  %.0f%% (paper: 38%%)\n", r.EndToEndReductionPct)
-	return b.String()
+	rep := &Report{Title: "Figure 8: task times, default threading vs parallelism control (OPT-30B, n=8)", Table: t}
+	rep.note("default: intra-op %d, inter-op %d; tuned: intra-op %d, inter-op %d (paper: 16/12)",
+		r.Default.IntraOp, r.Default.InterOp, r.Tuned.IntraOp, r.Tuned.InterOp)
+	rep.note("compute reduction:   %.0f%% (paper: 32%%)", r.ComputeReductionPct)
+	rep.note("average reduction:   %.0f%% (paper: 19%%)", r.AvgReductionPct)
+	rep.note("end-to-end (async):  %.0f%% (paper: 38%%)", r.EndToEndReductionPct)
+	return rep
 }

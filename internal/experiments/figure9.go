@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -62,10 +61,8 @@ func Figure9() (*Figure9Result, error) {
 	return out, nil
 }
 
-// Format renders the scaling curves.
-func (r *Figure9Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Figure 9: multi-GPU weak scaling (4x V100, s=256, n=64)\n")
+// Report renders the scaling curves.
+func (r *Figure9Result) Report() *Report {
 	t := stats.NewTable("model", "GPUs", "LM-Offload tok/s", "FlexGen tok/s", "gain")
 	for _, s := range r.Series {
 		for i := range s.LMOffload {
@@ -74,8 +71,8 @@ func (r *Figure9Result) Format() string {
 				s.Model, s.LMOffload[i].GPUs, s.LMOffload[i].Throughput, s.FlexGen[i].Throughput, gain)
 		}
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "max gain %.0f%% (paper: up to 327%%), average %.0f%% (paper: 112%%), gap growth 1->4 GPUs %.1fx (paper: up to 13.9x)\n",
+	rep := &Report{Title: "Figure 9: multi-GPU weak scaling (4x V100, s=256, n=64)", Table: t}
+	rep.note("max gain %.0f%% (paper: up to 327%%), average %.0f%% (paper: 112%%), gap growth 1->4 GPUs %.1fx (paper: up to 13.9x)",
 		r.MaxGainPct, r.AvgGainPct, r.GapGrowth)
-	return b.String()
+	return rep
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/quant"
@@ -24,6 +24,7 @@ type FunctionalRow struct {
 	// MatchesReference reports bit-identical output to the unoffloaded
 	// model (only expected for lossless policies).
 	MatchesReference bool
+	Lossless         bool
 }
 
 // FunctionalResult is the executable cross-check of the paper's §3.1
@@ -36,9 +37,13 @@ type FunctionalResult struct {
 	Rows  []FunctionalRow
 }
 
-// FunctionalCheck runs the engine matrix on the Small model.
-func FunctionalCheck() (*FunctionalResult, error) {
+// FunctionalCheck runs the engine matrix on the Small model, or on the Tiny
+// model at Smoke.
+func FunctionalCheck(s Scale) (*FunctionalResult, error) {
 	cfg := model.Small()
+	if s == Smoke {
+		cfg = model.Tiny()
+	}
 	work := trace.Workload{PromptLen: 8, GenLen: 8, GPUBatch: 2, NumBatches: 2}
 	out := &FunctionalResult{Model: cfg, Work: work}
 
@@ -57,14 +62,15 @@ func FunctionalCheck() (*FunctionalResult, error) {
 
 	kv4 := quant.Config{Bits: 4, GroupSize: 32}
 	cases := []struct {
-		label string
-		pol   runtime.Policy
+		label    string
+		lossless bool
+		pol      runtime.Policy
 	}{
-		{"cpu-attn, no quant", runtime.Policy{AttnOnCPU: true, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
-		{"gpu-attn, no quant", runtime.Policy{IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
-		{"gpu-attn, fp16 host", runtime.Policy{IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch, HostF16: true}},
-		{"gpu-attn, kv4", runtime.Policy{QuantKV: true, KVCfg: kv4, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
-		{"gpu-attn, w4+kv4", runtime.Policy{QuantWeights: true, WeightCfg: kv4, QuantKV: true, KVCfg: kv4, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
+		{"cpu-attn, no quant", true, runtime.Policy{AttnOnCPU: true, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
+		{"gpu-attn, no quant", true, runtime.Policy{IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
+		{"gpu-attn, fp16 host", false, runtime.Policy{IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch, HostF16: true}},
+		{"gpu-attn, kv4", false, runtime.Policy{QuantKV: true, KVCfg: kv4, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
+		{"gpu-attn, w4+kv4", false, runtime.Policy{QuantWeights: true, WeightCfg: kv4, QuantKV: true, KVCfg: kv4, IntraOp: 4, Prefetch: true, GPUBatch: work.GPUBatch}},
 	}
 	for _, c := range cases {
 		eng, err := seededEngine(seed, cfg, c.pol, 1<<31, pool)
@@ -77,7 +83,7 @@ func FunctionalCheck() (*FunctionalResult, error) {
 		}
 		matches := true
 		for i := range want {
-			if tokenDiff(got[i], want[i]) != nil {
+			if !slices.Equal(got[i], want[i]) {
 				matches = false
 			}
 		}
@@ -90,6 +96,7 @@ func FunctionalCheck() (*FunctionalResult, error) {
 			QuantOps:         st.QuantizeOps,
 			DequantOps:       st.DequantizeOps,
 			MatchesReference: matches,
+			Lossless:         c.lossless,
 		})
 	}
 	return out, nil
@@ -105,18 +112,27 @@ func (r *FunctionalResult) Row(label string) *FunctionalRow {
 	return nil
 }
 
-// Format renders the measured byte counts.
-func (r *FunctionalResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Functional cross-check: real engine runs (%s, %s)\n", r.Model.Name, r.Work)
+// Report renders the measured byte counts and gates the lossless policies
+// on reproducing the reference model token for token.
+func (r *FunctionalResult) Report() *Report {
 	t := stats.NewTable("policy", "weights up MB", "KV up MB", "KV down MB", "quant ops", "dequant ops", "matches ref")
 	for _, row := range r.Rows {
 		t.AddRowf("%s\t%.2f\t%.2f\t%.2f\t%d\t%d\t%v",
 			row.Label, float64(row.WeightUp)/1e6, float64(row.KVUp)/1e6, float64(row.KVDown)/1e6,
 			row.QuantOps, row.DequantOps, row.MatchesReference)
 	}
-	b.WriteString(t.String())
-	b.WriteString("attention offloading moves zero KV bytes; KV quantization divides KV traffic ~6-8x;\n")
-	b.WriteString("lossless policies reproduce the reference model token-for-token\n")
-	return b.String()
+	rep := &Report{
+		Title: fmt.Sprintf("Functional cross-check: real engine runs (%s, %s)", r.Model.Name, r.Work),
+		Table: t,
+		Notes: []string{
+			"attention offloading moves zero KV bytes; KV quantization divides KV traffic ~6-8x;",
+			"lossless policies reproduce the reference model token-for-token",
+		},
+	}
+	for _, row := range r.Rows {
+		if row.Lossless {
+			rep.Gates = append(rep.Gates, holds(row.Label+" matches the reference", Exact, row.MatchesReference))
+		}
+	}
+	return rep
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/quant"
@@ -75,29 +76,14 @@ func soloReference(seed int64, cfg model.Config, prompt []int, budget int, kvq *
 	return toks, nil
 }
 
-// tokenDiff returns nil when got equals the reference want token for token,
-// and otherwise an error locating the first difference.
-func tokenDiff(got, want []int) error {
-	j := 0
-	for j < len(got) && j < len(want) && got[j] == want[j] {
-		j++
-	}
-	if j == len(got) && j == len(want) {
-		return nil
-	}
-	return fmt.Errorf("%d tokens differ from the %d-token reference at token %d", len(got), len(want), j)
-}
-
-// checkSolo verifies request i's served tokens against its solo reference.
-func checkSolo(exp string, i int, seed int64, cfg model.Config, prompt []int, budget int, kvq *quant.Config, got []int) error {
+// matchesSolo reports whether a request's served tokens equal its solo
+// reference; the error is the reference's.
+func matchesSolo(seed int64, cfg model.Config, prompt []int, budget int, kvq *quant.Config, got []int) (bool, error) {
 	want, err := soloReference(seed, cfg, prompt, budget, kvq)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if err := tokenDiff(got, want); err != nil {
-		return fmt.Errorf("experiments: %s: request %d: %w", exp, i, err)
-	}
-	return nil
+	return slices.Equal(got, want), nil
 }
 
 // submitTo is the replay hook that submits each trace request to sched.

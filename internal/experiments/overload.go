@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -48,12 +47,13 @@ type OverloadResult struct {
 	ArenaPeak          int64
 	EstimateRatio      float64
 	// RecoverySteps is how many health evaluations the breaker needed to
-	// report healthy again once the trace drained (bounded recovery).
+	// report healthy again once the trace drained (bounded recovery); 0
+	// when it never did.
 	RecoverySteps int
-	// ExactChecked is how many completed requests were re-verified
-	// token-exact against a dedicated solo replay, ExactQuantized how many of
-	// those the ladder had stored with quantized KV.
-	ExactChecked, ExactQuantized int
+	// ExactChecked is how many completed requests were re-verified against
+	// a dedicated solo replay, ExactQuantized how many of those the ladder
+	// had stored with quantized KV, and ExactMismatches how many differed.
+	ExactChecked, ExactQuantized, ExactMismatches int
 }
 
 // overloadPhases names the trace's three traffic regimes; each request's
@@ -89,10 +89,14 @@ func overloadSoakTrace(seed int64, n, vocab int) workload.Trace {
 	return out
 }
 
-// Overload runs the chaos soak with n requests (n is split across the three
-// phases) and returns the phase breakdown plus the overload-protection
-// counters.
-func Overload(n int) (*OverloadResult, error) {
+// Overload runs the chaos soak with 48 requests, 24 at Smoke, split across
+// the three phases, and returns the phase breakdown plus the
+// overload-protection counters.
+func Overload(s Scale) (*OverloadResult, error) {
+	n := 48
+	if s == Smoke {
+		n = 24
+	}
 	cfg := model.Tiny()
 	const seed = 20250806
 
@@ -162,11 +166,6 @@ func Overload(n int) (*OverloadResult, error) {
 		}
 		out.Phases = append(out.Phases, row)
 	}
-	for _, row := range out.Phases {
-		if row.Failed > 0 {
-			return nil, fmt.Errorf("experiments: overload soak: %d requests failed with non-overload errors in phase %s", row.Failed, row.Phase)
-		}
-	}
 
 	// Bounded recovery: poll health until the breaker walks back to healthy.
 	for i := 1; i <= 20*scfg.HealthyStreak; i++ {
@@ -175,9 +174,6 @@ func Overload(n int) (*OverloadResult, error) {
 			break
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if out.RecoverySteps == 0 {
-		return nil, fmt.Errorf("experiments: overload soak: breaker never recovered to healthy")
 	}
 
 	met := sched.Metrics()
@@ -190,10 +186,6 @@ func Overload(n int) (*OverloadResult, error) {
 	out.PredictedPeak = met.PredictedPeakBytes
 	out.ArenaPeak = met.ArenaPeak
 	out.EstimateRatio = met.EstimateRatio
-	if out.PredictedPeak < out.ArenaPeak {
-		return nil, fmt.Errorf("experiments: overload soak: admission estimate %d below actual arena peak %d",
-			out.PredictedPeak, out.ArenaPeak)
-	}
 
 	// Sampled token-exactness: replay solo, with the storage mode the ladder
 	// picked, the first completion of the calm and of the burst phase, and
@@ -214,42 +206,46 @@ func Overload(n int) (*OverloadResult, error) {
 			kvq = &scfg.LadderKV
 			out.ExactQuantized++
 		}
-		if err := checkSolo("overload soak", i, seed, cfg, trace[i].Prompt, trace[i].MaxNewTokens, kvq, o.Tokens); err != nil {
+		ok, err := matchesSolo(seed, cfg, trace[i].Prompt, trace[i].MaxNewTokens, kvq, o.Tokens)
+		if err != nil {
 			return nil, err
+		}
+		if !ok {
+			out.ExactMismatches++
 		}
 		out.ExactChecked++
 	}
 	return out, nil
 }
 
-// Format renders the soak outcome.
-func (r *OverloadResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overload soak: %s, %d slots, %d B arena (%d B KV headroom), faults during burst\n",
-		r.Model.Name, r.Slots, r.ArenaBytes, r.HeadroomBytes)
+// Report renders the soak outcome. It gates that no request failed with a
+// non-overload error, that sampled completions match their solo replays,
+// that the breaker recovered and that the admission estimate bounded the
+// arena peak.
+func (r *OverloadResult) Report() *Report {
 	t := stats.NewTable("phase", "submitted", "completed", "shed", "failed")
+	failed := 0
 	for _, row := range r.Phases {
 		t.AddRowf("%s\t%d\t%d\t%d\t%d", row.Phase, row.Submitted, row.Completed, row.Shed, row.Failed)
+		failed += row.Failed
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "ladder: %d spills, %d evictions; %d structured rejections; %d breaker transitions; queue peak %d\n",
+	rep := &Report{
+		Title: fmt.Sprintf("Overload soak: %s, %d slots, %d B arena (%d B KV headroom), faults during burst",
+			r.Model.Name, r.Slots, r.ArenaBytes, r.HeadroomBytes),
+		Table: t,
+		Gates: []Gate{
+			atMost("requests failed with non-overload errors", Exact, float64(failed), 0),
+			atMost("sampled completions differing from their solo replay", Exact, float64(r.ExactMismatches), 0),
+			atLeast("health evaluations until the breaker recovered", WallClock, float64(r.RecoverySteps), 1),
+			atLeast("admission estimate / arena peak", WallClock, float64(r.PredictedPeak)/float64(r.ArenaPeak), 1),
+		},
+	}
+	rep.note("ladder: %d spills, %d evictions; %d structured rejections; %d breaker transitions; queue peak %d",
 		r.Spilled, r.Evicted, r.Rejected429, r.BreakerTransitions, r.QueuePeak)
-	fmt.Fprintf(&b, "admission estimate: predicted peak %d B vs actual %d B (x%.2f over-estimate, must be >= 1 and < 2)\n",
+	rep.note("admission estimate: predicted peak %d B vs actual %d B (x%.2f over-estimate, must be >= 1 and < 2)",
 		r.PredictedPeak, r.ArenaPeak, r.EstimateRatio)
-	fmt.Fprintf(&b, "recovery: healthy after %d health evaluations post-storm; %d completed requests re-verified token-exact (from the calm and the burst phase; %d stored with quantized KV)\n",
+	rep.note("recovery: healthy after %d health evaluations post-storm; %d completed requests re-verified against solo replays (from the calm and the burst phase; %d stored with quantized KV)",
 		r.RecoverySteps, r.ExactChecked, r.ExactQuantized)
-	b.WriteString("every shed request got a structured 429/503 with Retry-After; nothing OOMed, nothing corrupted\n")
-	return b.String()
-}
-
-// CSV emits the phase breakdown.
-func (r *OverloadResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("phase,submitted,completed,shed,failed,spilled,evicted,rejected_429,breaker_transitions,estimate_ratio\n")
-	for _, row := range r.Phases {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%.3f\n",
-			row.Phase, row.Submitted, row.Completed, row.Shed, row.Failed,
-			r.Spilled, r.Evicted, r.Rejected429, r.BreakerTransitions, r.EstimateRatio)
-	}
-	return b.String()
+	rep.note("every shed request got a structured 429/503 with Retry-After; nothing OOMed, nothing corrupted")
+	return rep
 }

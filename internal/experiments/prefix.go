@@ -3,9 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/model"
@@ -32,6 +32,8 @@ type PrefixRow struct {
 	// HitRate and ReusedTokens come from the cache-on run's counters.
 	HitRate      float64
 	ReusedTokens int64
+	// Attempts is how many times the level was measured.
+	Attempts int
 }
 
 // PrefixResult is the shared-prefix KV reuse experiment: Poisson arrivals of
@@ -46,8 +48,11 @@ type PrefixResult struct {
 	CacheBytes int64
 	Rows       []PrefixRow
 	// ExactChecked is how many cache-on completions were re-verified
-	// token-exact against a dedicated solo replay.
-	ExactChecked int
+	// against a dedicated solo replay, ExactMismatches how many differed.
+	ExactChecked, ExactMismatches int
+	// MinEstimateRatio is the smallest admission-estimate / arena-peak
+	// ratio over every cache-on run.
+	MinEstimateRatio float64
 }
 
 // prefixPromptLen is long enough that per-token prefill compute dominates the
@@ -58,16 +63,8 @@ const prefixPromptLen = 160
 // prefixOverlaps are the shared-prefix fractions swept.
 var prefixOverlaps = []float64{0, 0.5, 0.75}
 
-// prefixReps is how many times each off/on pair is repeated. The reported
-// TTFT is the median over requests of each request's *minimum* across
-// repetitions: a load spike only corrupts a request's sample if it hits that
-// request in every repetition, so the envelope tracks the machine's true
-// prefill floor even when whole runs land on a busy interval.
-const prefixReps = 5
-
-// prefixAttempts bounds how many times an overlap level that misses the
-// speedup bar is re-measured before the experiment fails.
-const prefixAttempts = 3
+// prefixSpeedupBar is the TTFT speedup the cache must buy at >= 50% overlap.
+const prefixSpeedupBar = 1.5
 
 // prefixTrace builds n prompts of promptLen tokens sharing the first
 // sharedLen tokens, plus Poisson inter-arrival gaps.
@@ -157,21 +154,28 @@ func medianSkipFirst(ds []time.Duration) time.Duration {
 	return warm[mid]
 }
 
-// PrefixReuse runs the shared-prefix experiment with n requests per overlap
-// level. It fails if reuse at >= 50% overlap does not improve median TTFT by
-// at least 1.5x, if any cache-on completion diverges from its solo replay, or
-// if the admission estimate falls below the measured arena peak. Because the
-// speedup is a wall-clock ratio, a level that misses the bar is re-measured
-// up to prefixAttempts times before failing: a load spike does not recur
-// across attempts, a real regression (ratio near 1x) fails every one.
-func PrefixReuse(n int) (*PrefixResult, error) {
+// PrefixReuse runs the shared-prefix experiment with 12 requests per overlap
+// level, 4 at Smoke. Each off/on pair is repeated reps times: the reported
+// TTFT is the median over requests of each request's *minimum* across
+// repetitions, so a load spike only corrupts a request's sample if it hits
+// that request in every repetition, and the envelope tracks the machine's
+// true prefill floor even when whole runs land on a busy interval. Because
+// the speedup is a wall-clock ratio, a level at >= 50% overlap that misses
+// the bar is re-measured up to attempts times: a load spike does not recur
+// across attempts, a real regression (ratio near 1x) misses every one.
+// Smoke measures once and does not re-measure.
+func PrefixReuse(s Scale) (*PrefixResult, error) {
+	n, reps, attempts := 12, 5, 3
+	if s == Smoke {
+		n, reps, attempts = 4, 1, 1
+	}
 	cfg := model.Tiny()
 	const (
 		seed       = 20250806
 		budget     = 8
 		cacheBytes = 16 << 20
 	)
-	out := &PrefixResult{Model: cfg, PromptLen: prefixPromptLen, CacheBytes: cacheBytes}
+	out := &PrefixResult{Model: cfg, PromptLen: prefixPromptLen, CacheBytes: cacheBytes, MinEstimateRatio: math.Inf(1)}
 
 	for _, overlap := range prefixOverlaps {
 		rng := rand.New(rand.NewSource(seed + int64(overlap*100)))
@@ -186,7 +190,7 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 				offEnv, onEnv []time.Duration
 				met           serve.Metrics
 			)
-			for rep := 0; rep < prefixReps; rep++ {
+			for rep := 0; rep < reps; rep++ {
 				offTTFT, _, _, err := prefixServeRun(seed, cfg, prompts, gaps, budget, 0)
 				if err != nil {
 					return nil, err
@@ -195,10 +199,7 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if repMet.PredictedPeakBytes < repMet.ArenaPeak {
-					return nil, fmt.Errorf("experiments: prefix: admission estimate %d below arena peak %d at overlap %.0f%%",
-						repMet.PredictedPeakBytes, repMet.ArenaPeak, overlap*100)
-				}
+				out.MinEstimateRatio = math.Min(out.MinEstimateRatio, float64(repMet.PredictedPeakBytes)/float64(repMet.ArenaPeak))
 				offEnv = minEnvelope(offEnv, offTTFT)
 				onEnv = minEnvelope(onEnv, onTTFT)
 				onOuts, met = repOuts, repMet
@@ -211,16 +212,13 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 				TTFTOn:       medianSkipFirst(onEnv),
 				HitRate:      met.PrefixHitRate,
 				ReusedTokens: met.Serve.PrefixReusedTokens,
+				Attempts:     attempt,
 			}
 			if row.TTFTOn > 0 {
 				row.Speedup = float64(row.TTFTOff) / float64(row.TTFTOn)
 			}
-			if overlap < 0.5 || row.Speedup >= 1.5 {
+			if overlap < 0.5 || row.Speedup >= prefixSpeedupBar || attempt == attempts {
 				break
-			}
-			if attempt == prefixAttempts {
-				return nil, fmt.Errorf("experiments: prefix: TTFT speedup %.2fx below 1.5x at overlap %.0f%% after %d attempts (off %v, on %v)",
-					row.Speedup, overlap*100, attempt, row.TTFTOff, row.TTFTOn)
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -228,8 +226,12 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 		// Sampled exactness: reuse must not change a single served token.
 		if overlap >= 0.5 {
 			for i := 0; i < len(prompts) && out.ExactChecked < 4; i += len(prompts) / 2 {
-				if err := checkSolo("prefix", i, seed, cfg, prompts[i], budget, nil, onOuts[i]); err != nil {
+				ok, err := matchesSolo(seed, cfg, prompts[i], budget, nil, onOuts[i])
+				if err != nil {
 					return nil, err
+				}
+				if !ok {
+					out.ExactMismatches++
 				}
 				out.ExactChecked++
 			}
@@ -238,35 +240,27 @@ func PrefixReuse(n int) (*PrefixResult, error) {
 	return out, nil
 }
 
-// Format renders the overlap sweep.
-func (r *PrefixResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shared-prefix KV reuse: %s, %d-token prompts, %d MiB cache, Poisson arrivals\n",
-		r.Model.Name, r.PromptLen, r.CacheBytes>>20)
-	t := stats.NewTable("overlap", "requests", "ttft off (ms)", "ttft on (ms)", "speedup", "hit rate", "reused tokens")
-	for _, row := range r.Rows {
-		t.AddRowf("%.0f%%\t%d\t%.2f\t%.2f\t%.2fx\t%.2f\t%d",
-			row.Overlap*100, row.Requests,
-			float64(row.TTFTOff)/float64(time.Millisecond),
-			float64(row.TTFTOn)/float64(time.Millisecond),
-			row.Speedup, row.HitRate, row.ReusedTokens)
+// Report renders the overlap sweep. It gates the TTFT speedup at each
+// overlap of 50% or more, token equality of the sampled cache-on completions
+// with their solo replays, and the admission estimate against the arena peak.
+func (r *PrefixResult) Report() *Report {
+	t := stats.NewTable("overlap", "requests", "ttft off (ms)", "ttft on (ms)", "speedup", "hit rate", "reused tokens", "attempts")
+	rep := &Report{
+		Title: fmt.Sprintf("Shared-prefix KV reuse: %s, %d-token prompts, %d MiB cache, Poisson arrivals",
+			r.Model.Name, r.PromptLen, r.CacheBytes>>20),
+		Table: t,
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "%d cache-on completions re-verified token-exact against solo replays; admission estimate upper-bounded the arena peak in every run\n",
-		r.ExactChecked)
-	return b.String()
-}
-
-// CSV emits the overlap sweep.
-func (r *PrefixResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("overlap,requests,ttft_off_ms,ttft_on_ms,speedup,hit_rate,reused_tokens\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%.2f,%d,%.3f,%.3f,%.3f,%.3f,%d\n",
-			row.Overlap, row.Requests,
-			float64(row.TTFTOff)/float64(time.Millisecond),
-			float64(row.TTFTOn)/float64(time.Millisecond),
-			row.Speedup, row.HitRate, row.ReusedTokens)
+		t.AddRowf("%.0f%%\t%d\t%.2f\t%.2f\t%.2fx\t%.2f\t%d\t%d",
+			row.Overlap*100, row.Requests, ms(row.TTFTOff), ms(row.TTFTOn),
+			row.Speedup, row.HitRate, row.ReusedTokens, row.Attempts)
+		if row.Overlap >= 0.5 {
+			rep.Gates = append(rep.Gates, atLeast(fmt.Sprintf("TTFT speedup at %.0f%% overlap", row.Overlap*100), WallClock, row.Speedup, prefixSpeedupBar))
+		}
 	}
-	return b.String()
+	rep.Gates = append(rep.Gates,
+		atMost("sampled cache-on completions differing from their solo replay", Exact, float64(r.ExactMismatches), 0),
+		atLeast("smallest admission estimate / arena peak", WallClock, r.MinEstimateRatio, 1))
+	rep.note("%d cache-on completions re-verified against solo replays", r.ExactChecked)
+	return rep
 }

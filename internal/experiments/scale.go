@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/model"
@@ -60,10 +59,8 @@ func ScaleSweep(genLen int) (*ScaleResult, error) {
 	return out, nil
 }
 
-// Format renders the sweep.
-func (r *ScaleResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scale sweep (beyond the paper): OPT family at n=%d on the A100 platform\n", r.GenLen)
+// Report renders the sweep.
+func (r *ScaleResult) Report() *Report {
 	t := stats.NewTable("model", "params B", "FlexGen", "ZeRO", "LM-Offload", "LM/FG")
 	for _, p := range r.Points {
 		if !p.Feasible {
@@ -76,6 +73,5 @@ func (r *ScaleResult) Format() string {
 		}
 		t.AddRowf("%s\t%.1f\t%.1f\t%.1f\t%.1f\t%s", p.Model, p.ParamsB, p.FlexGen, p.ZeRO, p.LM, ratio)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return &Report{Title: fmt.Sprintf("Scale sweep (beyond the paper): OPT family at n=%d on the A100 platform", r.GenLen), Table: t}
 }

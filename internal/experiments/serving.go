@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/model"
@@ -68,12 +67,16 @@ func servingTrace(seed int64, n, vocab int, meanGap time.Duration) workload.Trac
 	return out
 }
 
-// ServingThroughput runs both disciplines on the Small model with the given
-// slot count over n Poisson arrivals. Small (not Tiny) is deliberate: its
+// ServingThroughput runs both disciplines on the Small model with 4 slots
+// over 32 Poisson arrivals, 8 at Smoke. Small (not Tiny) is deliberate: its
 // per-step weight streaming is the fixed cost continuous batching amortizes
 // across occupied slots, which is the regime the offloading serving story
 // lives in.
-func ServingThroughput(slots, n int) (*ServingResult, error) {
+func ServingThroughput(s Scale) (*ServingResult, error) {
+	slots, n := 4, 32
+	if s == Smoke {
+		n = 8
+	}
 	cfg := model.Small()
 	trace := servingTrace(20240806, n, cfg.Vocab, 15*time.Millisecond)
 	out := &ServingResult{Model: cfg, Slots: slots, Requests: n}
@@ -205,11 +208,8 @@ func runServingContinuous(eng *runtime.Engine, slots int, trace workload.Trace) 
 	return row, nil
 }
 
-// Format renders the discipline comparison.
-func (r *ServingResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Serving throughput: static-wave vs continuous batching (%s, %d slots, %d Poisson arrivals)\n",
-		r.Model.Name, r.Slots, r.Requests)
+// Report renders the discipline comparison.
+func (r *ServingResult) Report() *Report {
 	t := stats.NewTable("discipline", "tok/s", "TTFT mean", "TTFT p99", "occupancy", "wall")
 	for _, row := range r.Rows {
 		t.AddRowf("%s\t%.1f\t%v\t%v\t%.2f\t%v",
@@ -217,23 +217,15 @@ func (r *ServingResult) Format() string {
 			row.TTFTMean.Round(time.Microsecond), row.TTFTP99.Round(time.Microsecond),
 			row.AvgOccupancy, row.Wall.Round(time.Millisecond))
 	}
-	b.WriteString(t.String())
-	b.WriteString("continuous batching refills slots at decode-step boundaries, roughly doubling occupancy\n")
-	b.WriteString("and cutting mean TTFT vs draining each wave to its slowest member; tok/s is near parity\n")
-	b.WriteString("here because this functional engine's step cost is compute-bound (scales with occupancy) —\n")
-	b.WriteString("the throughput gap widens with the fixed per-step cost (weight streaming) a real GPU has\n")
-	return b.String()
-}
-
-// CSV emits the comparison for plotting.
-func (r *ServingResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("discipline,requests,tokens,tok_s,ttft_mean_us,ttft_p99_us,avg_occupancy,wall_ms\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%.3f,%.1f,%.1f,%.3f,%.2f\n",
-			row.Discipline, row.Requests, row.Tokens, row.TokPerSec,
-			float64(row.TTFTMean)/float64(time.Microsecond), float64(row.TTFTP99)/float64(time.Microsecond),
-			row.AvgOccupancy, float64(row.Wall)/float64(time.Millisecond))
+	return &Report{
+		Title: fmt.Sprintf("Serving throughput: static-wave vs continuous batching (%s, %d slots, %d Poisson arrivals)",
+			r.Model.Name, r.Slots, r.Requests),
+		Table: t,
+		Notes: []string{
+			"continuous batching refills slots at decode-step boundaries, roughly doubling occupancy",
+			"and cutting mean TTFT vs draining each wave to its slowest member; tok/s is near parity",
+			"here because this functional engine's step cost is compute-bound (scales with occupancy) —",
+			"the throughput gap widens with the fixed per-step cost (weight streaming) a real GPU has",
+		},
 	}
-	return b.String()
 }

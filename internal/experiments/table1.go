@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
@@ -37,10 +35,8 @@ func Table1() (*Table1Result, error) {
 	}, nil
 }
 
-// Format renders the table in the paper's layout.
-func (r *Table1Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Table 1: per-token I/O traffic for all layers (OPT-30B, s=64, n=128, bls=640)\n")
+// Report renders the table in the paper's layout.
+func (r *Table1Result) Report() *Report {
 	t := stats.NewTable("config", "direction", "tensor", "measured", "paper")
 	add := func(cfg, dir, tensor string, got, paper float64) {
 		paperStr := "-"
@@ -60,8 +56,7 @@ func (r *Table1Result) Format() string {
 	add("without attn offload", "CPU->GPU", "activation", wo.ActivationUp, r.PaperActivation)
 	add("without attn offload", "GPU->CPU", "KV cache (new)", wo.KVCacheDown, r.PaperWithoutKVDown)
 	add("without attn offload", "GPU->CPU", "activation", wo.ActivationDown, r.PaperActivation)
-	b.WriteString(t.String())
-	return b.String()
+	return &Report{Title: "Table 1: per-token I/O traffic for all layers (OPT-30B, s=64, n=128, bls=640)", Table: t}
 }
 
 // KVSavingsFraction returns the share of the old-KV upload removed by

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/model"
@@ -96,19 +95,17 @@ func Table3(models []model.Config, genLens []int) (*Table3Result, error) {
 	return out, nil
 }
 
-// Format renders the grid in the paper's row layout.
-func (r *Table3Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Table 3: FlexGen vs ZeRO-Inference vs LM-Offload (A100 platform, s=64)\n")
+// Report renders the grid in the paper's row layout.
+func (r *Table3Result) Report() *Report {
 	t := stats.NewTable("framework", "model", "len", "bls", "wg", "cg", "hg", "mem GB", "tok/s", "norm")
 	for _, c := range r.Cells {
 		t.AddRowf("%s\t%s\t%d\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.1f\t%.2f",
 			c.Framework, c.Model, c.GenLen, c.BlockSize, c.WG, c.CG, c.HG, c.MemGB, c.Throughput, c.NormTput)
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "LM-Offload vs FlexGen:        %s (paper: up to 2.95x, 2.34x avg)\n", r.VsFlexGen)
-	fmt.Fprintf(&b, "LM-Offload vs ZeRO-Inference: %s (paper: up to 2.88x, 1.57x avg)\n", r.VsZeRO)
-	return b.String()
+	rep := &Report{Title: "Table 3: FlexGen vs ZeRO-Inference vs LM-Offload (A100 platform, s=64)", Table: t}
+	rep.note("LM-Offload vs FlexGen:        %s (paper: up to 2.95x, 2.34x avg)", r.VsFlexGen)
+	rep.note("LM-Offload vs ZeRO-Inference: %s (paper: up to 2.88x, 1.57x avg)", r.VsZeRO)
+	return rep
 }
 
 // Cell returns the first cell matching the selector, or nil.

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/cachesim"
 	"repro/internal/parallelism"
 	"repro/internal/stats"
@@ -26,8 +23,9 @@ type Table5Result struct {
 	SimDefault, SimControlled cachesim.Stats
 }
 
-// Table5 computes both views.
-func Table5() (*Table5Result, error) {
+// Table5 computes both views. Smoke replays an eighth of the working-set
+// slice through an eighth of the LLC.
+func Table5(s Scale) (*Table5Result, error) {
 	mod, _ := motivationWorkload()
 	work := trace.ParallelismStudy()
 	m := parallelism.Xeon6330()
@@ -51,10 +49,7 @@ func Table5() (*Table5Result, error) {
 
 	// Mechanism demonstration on the real cache model: one socket's LLC,
 	// a slice of the working set.
-	llc, err := cachesim.New(48<<20, 12, 64)
-	if err != nil {
-		return nil, err
-	}
+	llcBytes := int64(48 << 20)
 	// Replay a representative slice of the working set; the rates are what
 	// matter, and the full set would take minutes to stream.
 	slice := ws / 8
@@ -64,10 +59,17 @@ func Table5() (*Table5Result, error) {
 	if slice < 96<<20 {
 		slice = 96 << 20
 	}
+	if s == Smoke {
+		llcBytes, slice = llcBytes/8, slice/8
+	}
+	llc, err := cachesim.New(llcBytes, 12, 64)
+	if err != nil {
+		return nil, err
+	}
 	if out.SimDefault, err = cachesim.ReplayAttention(llc, slice, cachesim.DefaultThreadingStreams()); err != nil {
 		return nil, err
 	}
-	llc2, err := cachesim.New(48<<20, 12, 64)
+	llc2, err := cachesim.New(llcBytes, 12, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -93,23 +95,20 @@ func (r *Table5Result) StoreReductionPct() float64 {
 	return (1 - float64(r.TunedStores)/float64(r.DefaultStores)) * 100
 }
 
-// Format renders both tables.
-func (r *Table5Result) Format() string {
-	var b strings.Builder
-	b.WriteString("Table 5: CPU last-level cache misses (OPT-30B, n=8)\n")
+// Report renders the modeled counts as the table and the cache simulation
+// as a note.
+func (r *Table5Result) Report() *Report {
 	t := stats.NewTable("parallelism control", "load misses", "store misses", "paper loads", "paper stores")
 	t.AddRowf("disable (default)\t%.1fB\t%.1fB\t%.0fB\t%.0fB",
 		float64(r.DefaultLoads)/1e9, float64(r.DefaultStores)/1e9, r.PaperDefaultLoads/1e9, r.PaperDefaultStores/1e9)
 	t.AddRowf("enable\t%.1fB\t%.1fB\t%.0fB\t%.0fB",
 		float64(r.TunedLoads)/1e9, float64(r.TunedStores)/1e9, r.PaperTunedLoads/1e9, r.PaperTunedStores/1e9)
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "load reduction %.0f%%, store reduction %.0f%% (paper: ~40%%/37%%)\n\n",
+	rep := &Report{Title: "Table 5: CPU last-level cache misses (OPT-30B, n=8)", Table: t}
+	rep.note("load reduction %.0f%%, store reduction %.0f%% (paper: ~40%%/37%%)",
 		r.LoadReductionPct(), r.StoreReductionPct())
-
-	b.WriteString("mechanism (set-associative LLC simulation, per-socket):\n")
 	t2 := stats.NewTable("stream shape", "load miss rate", "store miss rate")
 	t2.AddRowf("default threading\t%.3f\t%.3f", r.SimDefault.LoadMissRate(), r.SimDefault.StoreMissRate())
 	t2.AddRowf("parallelism control\t%.3f\t%.3f", r.SimControlled.LoadMissRate(), r.SimControlled.StoreMissRate())
-	b.WriteString(t2.String())
-	return b.String()
+	rep.note("mechanism (set-associative LLC simulation, per-socket):\n%s", t2)
+	return rep
 }

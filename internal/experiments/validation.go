@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -102,13 +101,8 @@ func ValidateModel(n int, seed int64) (*ValidationResult, error) {
 	return out, nil
 }
 
-// Format renders the summary with the five worst points.
-func (r *ValidationResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Model validation across %d random strategies:\n", len(r.Points))
-	fmt.Fprintf(&b, "Eq. 2 ideal vs DES:    %.1f%% MAPE (the simulator realizes the idealized schedule)\n", r.MAPEPaper*100)
-	fmt.Fprintf(&b, "β model vs DES:        %.1f%% above (worst %.0f%%) — the modeled software-overhead margin\n", r.MAPEModel*100, r.WorstModel*100)
-	fmt.Fprintf(&b, "β model pessimistic on %.0f%% of samples (it never promises more than the ideal)\n\n", r.PessimisticFraction*100)
+// Report renders the five worst points and the error summary.
+func (r *ValidationResult) Report() *Report {
 	pts := append([]ValidationPoint(nil), r.Points...)
 	sort.Slice(pts, func(i, j int) bool {
 		return math.Abs(pts[i].Model-pts[i].Sim)/pts[i].Sim > math.Abs(pts[j].Model-pts[j].Sim)/pts[j].Sim
@@ -120,6 +114,9 @@ func (r *ValidationResult) Format() string {
 		}
 		t.AddRowf("%v\t%.1f\t%.1f\t%.1f", p.Strategy, p.Model*1e3, p.Paper*1e3, p.Sim*1e3)
 	}
-	b.WriteString(t.String())
-	return b.String()
+	rep := &Report{Title: fmt.Sprintf("Model validation across %d random strategies:", len(r.Points)), Table: t}
+	rep.note("Eq. 2 ideal vs DES:    %.1f%% MAPE (the simulator realizes the idealized schedule)", r.MAPEPaper*100)
+	rep.note("β model vs DES:        %.1f%% above (worst %.0f%%) — the modeled software-overhead margin", r.MAPEModel*100, r.WorstModel*100)
+	rep.note("β model pessimistic on %.0f%% of samples (it never promises more than the ideal)", r.PessimisticFraction*100)
+	return rep
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/hw"
@@ -56,17 +55,15 @@ func PlatformWhatIf(genLen int) (*WhatIfResult, error) {
 	return out, nil
 }
 
-// Format renders the comparison.
-func (r *WhatIfResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Platform what-if (beyond the paper): LM-Offload on A100/PCIe4 vs H100/PCIe5, n=%d\n", r.GenLen)
+// Report renders the comparison.
+func (r *WhatIfResult) Report() *Report {
 	t := stats.NewTable("platform", "model", "strategy", "tok/s")
 	for _, row := range r.Rows {
 		t.AddRowf("%s\t%s\t%s\t%.1f", row.Platform, row.Model, row.Strategy, row.Throughput)
 	}
-	b.WriteString(t.String())
+	rep := &Report{Title: fmt.Sprintf("Platform what-if (beyond the paper): LM-Offload on A100/PCIe4 vs H100/PCIe5, n=%d", r.GenLen), Table: t}
 	for _, mod := range model.Evaluated() {
-		fmt.Fprintf(&b, "%s: H100/A100 = %.2fx\n", mod.Name, r.SpeedupByModel[mod.Name])
+		rep.note("%s: H100/A100 = %.2fx", mod.Name, r.SpeedupByModel[mod.Name])
 	}
-	return b.String()
+	return rep
 }

@@ -251,29 +251,6 @@ func (r *WorkloadResult) WorstMedian(est string) float64 {
 	return worst
 }
 
-// CheckAcceptance enforces the grid's committed bar: on every calm diurnal
-// cell the admission model's peak-arena median q-error and the step-cost
-// TPOT median q-error must stay ≤ 2.0.
-func (r *WorkloadResult) CheckAcceptance() error {
-	for _, c := range r.Cells {
-		if c.Workload != "diurnal" || c.Profile != "calm" {
-			continue
-		}
-		for _, est := range []string{perfmodel.EstPeakArena, perfmodel.EstTPOT} {
-			acc := c.Scores[est]
-			if acc.Count() == 0 {
-				return fmt.Errorf("experiments: %s/%s/%s: estimator %s never scored",
-					c.Workload, c.Policy, c.Profile, est)
-			}
-			if med := acc.Median(); med > 2.0 {
-				return fmt.Errorf("experiments: %s/%s/%s: %s median q-error %.2f exceeds 2.0",
-					c.Workload, c.Policy, c.Profile, est, med)
-			}
-		}
-	}
-	return nil
-}
-
 // cellLabel is the compact workload/policy/profile cell name.
 func (c WorkloadCell) cellLabel() string {
 	return c.Workload + "/" + c.Policy + "/" + c.Profile
@@ -309,54 +286,43 @@ func qErrorBars(cells []WorkloadCell, est string) string {
 	return b.String()
 }
 
-// Format renders the grid with per-estimator medians/p95s per cell plus the
-// TPOT and peak-arena charts.
-func (r *WorkloadResult) Format() string {
-	var b strings.Builder
+// Report renders the grid with per-estimator medians/p95s per cell plus the
+// TPOT and peak-arena charts. It gates the grid's committed bar: on every
+// calm diurnal cell the admission model's peak-arena median q-error and the
+// step-cost TPOT median q-error must be scored and stay ≤ 2.0.
+func (r *WorkloadResult) Report() *Report {
 	mode := "full"
 	if r.Reduced {
 		mode = "reduced"
 	}
-	fmt.Fprintf(&b, "Workload grid: estimator q-error over workload × policy × profile (%s, %s grid, %d slots, %d req/cell)\n",
-		r.Model.Name, mode, r.Slots, r.PerCell)
-	t := stats.NewTable("cell", "done", "shed", "estimator", "n", "q50", "q95", "qmax")
+	t := stats.NewTable("workload", "policy", "profile", "requests", "done", "shed", "estimator", "n", "q50", "q95", "qmax")
+	rep := &Report{
+		Title: fmt.Sprintf("Workload grid: estimator q-error over workload × policy × profile (%s, %s grid, %d slots, %d req/cell)",
+			r.Model.Name, mode, r.Slots, r.PerCell),
+		Table: t,
+		Notes: []string{
+			qErrorBars(r.Cells, perfmodel.EstTPOT),
+			qErrorBars(r.Cells, perfmodel.EstPeakArena),
+			"q-error = max(predicted/actual, actual/predicted): 1.0 is exact, 2.0 is off by 2x either way.",
+			"tpot/prefill score the live least-squares fits step by step; peak_arena scores the admission",
+			"estimate against the arena high-water mark; drain scores Retry-After against the measured drain.",
+		},
+	}
 	for _, c := range r.Cells {
 		for _, est := range workloadEstimators {
 			acc := c.Scores[est]
+			cells := fmt.Sprintf("%s\t%s\t%s\t%d\t%d\t%d\t%s\t%d", c.Workload, c.Policy, c.Profile, c.Requests, c.Completed, c.Shed, est, acc.Count())
 			if acc.Count() == 0 {
-				t.AddRowf("%s\t%d\t%d\t%s\t0\t-\t-\t-", c.cellLabel(), c.Completed, c.Shed, est)
-				continue
+				t.AddRowf("%s\t-\t-\t-", cells)
+			} else {
+				t.AddRowf("%s\t%.2f\t%.2f\t%.2f", cells, acc.Median(), acc.P95(), acc.Max())
 			}
-			t.AddRowf("%s\t%d\t%d\t%s\t%d\t%.2f\t%.2f\t%.2f",
-				c.cellLabel(), c.Completed, c.Shed, est,
-				acc.Count(), acc.Median(), acc.P95(), acc.Max())
+			if c.Workload == "diurnal" && c.Profile == "calm" && (est == perfmodel.EstPeakArena || est == perfmodel.EstTPOT) {
+				g := atMost(c.cellLabel()+" "+est+" median q-error", WallClock, acc.Median(), 2.0)
+				g.Pass = g.Pass && acc.Count() > 0
+				rep.Gates = append(rep.Gates, g)
+			}
 		}
 	}
-	b.WriteString(t.String())
-	b.WriteString(qErrorBars(r.Cells, perfmodel.EstTPOT))
-	b.WriteString(qErrorBars(r.Cells, perfmodel.EstPeakArena))
-	b.WriteString("q-error = max(predicted/actual, actual/predicted): 1.0 is exact, 2.0 is off by 2x either way.\n")
-	b.WriteString("tpot/prefill score the live least-squares fits step by step; peak_arena scores the admission\n")
-	b.WriteString("estimate against the arena high-water mark; drain scores Retry-After against the measured drain.\n")
-	if err := r.CheckAcceptance(); err != nil {
-		fmt.Fprintf(&b, "ACCEPTANCE FAILED: %v\n", err)
-	} else {
-		b.WriteString("acceptance: calm/diurnal peak_arena and tpot medians within 2.0 ✓\n")
-	}
-	return b.String()
-}
-
-// CSV emits one row per cell × estimator.
-func (r *WorkloadResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("workload,policy,profile,requests,completed,shed,estimator,count,q50,q95,qmax\n")
-	for _, c := range r.Cells {
-		for _, est := range workloadEstimators {
-			acc := c.Scores[est]
-			fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%d,%s,%d,%.3f,%.3f,%.3f\n",
-				c.Workload, c.Policy, c.Profile, c.Requests, c.Completed, c.Shed,
-				est, acc.Count(), acc.Median(), acc.P95(), acc.Max())
-		}
-	}
-	return b.String()
+	return rep
 }

@@ -1,10 +1,12 @@
 // Package stats provides the small numeric and formatting helpers the
-// experiment generators share: aligned text tables (the tool output mirrors
-// the paper's tables) and aggregate statistics (means, geometric means,
+// experiment generators share: tables rendered as aligned text (the tool
+// output mirrors the paper's tables) or CSV, and aggregate statistics (means, geometric means,
 // speedup summaries, latency quantiles).
 package stats
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math"
 	"sort"
@@ -74,6 +76,18 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// CSV renders the same header and rows as comma-separated values.
+func (t *Table) CSV() string {
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	_ = w.Write(t.header) // a bytes.Buffer write cannot fail
+	_ = w.WriteAll(t.rows)
+	return buf.String()
+}
+
+// Columns returns the column headers.
+func (t *Table) Columns() []string { return t.header }
 
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
