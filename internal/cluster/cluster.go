@@ -62,7 +62,7 @@ type Replica struct {
 }
 
 // NewReplica wraps a scheduler as a cluster member. inj may be nil; when
-// set, SetFaultWindow opens and closes its injection window.
+// set, the replica reports itself degraded while inj's fault window is open.
 func NewReplica(name string, s *serve.Scheduler, inj *faults.Injector) *Replica {
 	return &Replica{name: name, be: schedulerBackend{s}, inj: inj, inflight: map[*attempt]context.CancelFunc{}}
 }
@@ -241,13 +241,6 @@ func (c *Cluster) Down(i int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.down
-}
-
-// SetFaultWindow opens or closes replica i's fault-injection window (no-op
-// without an injector) — the knob chaos harnesses use to synthesize
-// slow-replica windows the hedging rule must beat.
-func (c *Cluster) SetFaultWindow(i int, active bool) {
-	c.replicas[i].inj.SetActive(active)
 }
 
 // States returns every replica's routing state.

@@ -19,7 +19,8 @@ import (
 //     fit is scored on the timed decode window only. Chunk compute runs in
 //     the scheduler loop outside that window; a regression that leaks a
 //     ~chunk-sized cost into the decode measurement inflates p95 by an
-//     order of magnitude.
+//     order of magnitude. This pin and the p99 gap ceiling are wall-clock
+//     bounds, asserted with -wallclock.
 func TestChunkedSummarize4kNoTPOTOutlier(t *testing.T) {
 	arm, outs, err := runChunkedArm(model.Tiny(), 32, 4096, 3, 96, 7103)
 	if err != nil {
@@ -39,13 +40,13 @@ func TestChunkedSummarize4kNoTPOTOutlier(t *testing.T) {
 	// Healthy runs sit near 2 (the occupancy-linear fit underpredicts steps
 	// whose batch holds the 4k-row slot); leaking one ~chunk-sized cost into
 	// the measured decode steps inflates this past 20.
-	if arm.TPOTQErrP95 > 5.0 {
+	if *wallclock && arm.TPOTQErrP95 > 5.0 {
 		t.Errorf("EstTPOT q-error p95 = %.2f, want <= 5.0 — chunk compute is leaking into the decode-step measurement", arm.TPOTQErrP95)
 	}
 	// Generous absolute ceiling: a chunked gap is bounded by one chunk's
 	// compute (~tens of ms here), while an unchunked 4k prefill lands its
 	// full multi-second duration inside a single gap.
-	if arm.TPOTP99 > 2500*time.Millisecond {
+	if *wallclock && arm.TPOTP99 > 2500*time.Millisecond {
 		t.Errorf("background p99 inter-token gap %v — the 4k arrival produced a TPOT outlier", arm.TPOTP99)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,26 +216,6 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 		cell.Scores[est] = collector.Accuracy(est)
 	}
 	return cell, nil
-}
-
-// MedianFor returns the median q-error for one estimator across the cells
-// selected by the filter (0 when nothing matched — callers decide whether
-// absence is a failure).
-func (r *WorkloadResult) MedianFor(est string, keep func(WorkloadCell) bool) float64 {
-	var meds []float64
-	for _, c := range r.Cells {
-		if keep != nil && !keep(c) {
-			continue
-		}
-		if acc, ok := c.Scores[est]; ok && acc.Count() > 0 {
-			meds = append(meds, acc.Median())
-		}
-	}
-	if len(meds) == 0 {
-		return 0
-	}
-	sort.Float64s(meds)
-	return meds[len(meds)/2]
 }
 
 // WorstMedian returns the worst per-cell median for one estimator across the

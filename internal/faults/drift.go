@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -57,37 +56,6 @@ func (ds DriftSchedule) FactorAt(t time.Duration) float64 {
 // and stayed.
 func SustainedSlowdown(start time.Duration, factor float64) DriftSchedule {
 	return DriftSchedule{{At: start, Factor: factor}}
-}
-
-// RampSlowdown models progressive thermal throttling: nominal until start,
-// then the factor climbs linearly from 1 to peak over rampDur in `steps`
-// piecewise-constant increments, holding peak afterwards.
-func RampSlowdown(start, rampDur time.Duration, peak float64, steps int) DriftSchedule {
-	if steps < 1 {
-		steps = 1
-	}
-	ds := make(DriftSchedule, 0, steps)
-	for i := 1; i <= steps; i++ {
-		frac := float64(i) / float64(steps)
-		ds = append(ds, DriftPoint{
-			At:     start + time.Duration(frac*float64(rampDur)),
-			Factor: 1 + frac*(peak-1),
-		})
-	}
-	return ds
-}
-
-// InterferenceWindows models a bursty co-tenant: `count` windows of `width`
-// at the given period (first window opens at start), each slowing compute by
-// factor, nominal in between.
-func InterferenceWindows(start, period, width time.Duration, factor float64, count int) DriftSchedule {
-	var ds DriftSchedule
-	for i := 0; i < count; i++ {
-		at := start + time.Duration(i)*period
-		ds = append(ds, DriftPoint{At: at, Factor: factor}, DriftPoint{At: at + width, Factor: 1})
-	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a].At < ds[b].At })
-	return ds
 }
 
 // SetDrift installs a drift schedule anchored at time.Now. The schedule is

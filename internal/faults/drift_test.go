@@ -19,45 +19,26 @@ func TestDriftScheduleFactorAt(t *testing.T) {
 	if f := ds.FactorAt(time.Hour); f != 2 {
 		t.Fatalf("sustained factor = %g, want 2", f)
 	}
-}
 
-func TestRampSlowdown(t *testing.T) {
-	ds := RampSlowdown(0, 100*time.Millisecond, 3, 4)
+	// A rise, a higher step, and a fall back to nominal written as two
+	// points at the same offset: the later one wins from that offset on.
+	ms := time.Millisecond
+	ds = DriftSchedule{{At: 10 * ms, Factor: 1.5}, {At: 30 * ms, Factor: 3}, {At: 60 * ms, Factor: 2.5}, {At: 60 * ms, Factor: 1}}
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The ramp is monotone non-decreasing and reaches the peak.
-	prev := 0.0
-	for off := time.Duration(0); off <= 150*time.Millisecond; off += 5 * time.Millisecond {
-		f := ds.FactorAt(off)
-		if f < prev {
-			t.Fatalf("ramp decreased at %v: %g < %g", off, f, prev)
-		}
-		prev = f
-	}
-	if prev != 3 {
-		t.Fatalf("ramp peak = %g, want 3", prev)
-	}
-}
-
-func TestInterferenceWindows(t *testing.T) {
-	ds := InterferenceWindows(10*time.Millisecond, 50*time.Millisecond, 20*time.Millisecond, 4, 2)
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
+	for _, c := range []struct {
 		at   time.Duration
 		want float64
 	}{
 		{0, 1},
-		{15 * time.Millisecond, 4},  // inside window 1
-		{35 * time.Millisecond, 1},  // between windows
-		{65 * time.Millisecond, 4},  // inside window 2
-		{200 * time.Millisecond, 1}, // after the last window closes
-	}
-	for _, c := range cases {
+		{10*ms - 1, 1}, {10 * ms, 1.5}, {10*ms + 1, 1.5},
+		{30*ms - 1, 1.5}, {30 * ms, 3}, {30*ms + 1, 3},
+		{60*ms - 1, 3}, {60 * ms, 1}, {60*ms + 1, 1},
+		{time.Hour, 1},
+	} {
 		if f := ds.FactorAt(c.at); f != c.want {
-			t.Fatalf("factor at %v = %g, want %g", c.at, f, c.want)
+			t.Errorf("factor at %v = %g, want %g", c.at, f, c.want)
 		}
 	}
 }

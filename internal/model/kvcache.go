@@ -114,9 +114,6 @@ func truncRows(t *tensor.Tensor, n int) *tensor.Tensor {
 	return tensor.FromSlice(append([]float32(nil), t.Data()[:n*w]...), n, w)
 }
 
-// Batch returns the sequence count.
-func (kc *KVCache) Batch() int { return kc.batch }
-
 // Layers returns the layer count.
 func (kc *KVCache) Layers() int { return kc.layers }
 

@@ -155,23 +155,6 @@ func (m *PrefillCostModel) PredictChunked(tokens, chunk int) time.Duration {
 	return time.Duration((fixed*chunks + perToken*float64(tokens)) * float64(time.Second))
 }
 
-// PredictTPOTWithChunk is the step-cost model's bound on a decode stream's
-// inter-token gap while a chunked prefill interleaves: one decode step at the
-// given occupancy plus at most one chunk's prefill cost. This is the
-// TPOT-spike bound chunking buys — chunkCost is bounded by construction
-// (ChunkTokens), where a monolithic admission's stall is bounded only by the
-// arriving prompt's length.
-func (m *StepCostModel) PredictTPOTWithChunk(occupancy int, chunkCost time.Duration) time.Duration {
-	step := m.PredictTPOT(occupancy)
-	if step <= 0 {
-		return 0
-	}
-	if chunkCost < 0 {
-		chunkCost = 0
-	}
-	return step + chunkCost
-}
-
 // ChunkStateBytes is the admission model's bound on the host memory a
 // chunked prefill retains while in flight: the raw float32 rows of the whole
 // prompt across every layer (the live cache quantized slots keep so later

@@ -121,26 +121,6 @@ func TestPredictChunked(t *testing.T) {
 	}
 }
 
-func TestPredictTPOTWithChunk(t *testing.T) {
-	m := &StepCostModel{}
-	if m.PredictTPOTWithChunk(2, time.Second) != 0 {
-		t.Fatal("prediction before ready should be zero")
-	}
-	for _, occ := range []int{1, 2, 3, 4, 1, 2, 3, 4} {
-		m.Observe(occ, 10*time.Millisecond+time.Duration(occ)*5*time.Millisecond)
-	}
-	base := m.PredictTPOT(2)
-	if base <= 0 {
-		t.Fatal("model should be ready")
-	}
-	if got := m.PredictTPOTWithChunk(2, 7*time.Millisecond); got != base+7*time.Millisecond {
-		t.Errorf("PredictTPOTWithChunk = %v, want %v", got, base+7*time.Millisecond)
-	}
-	if got := m.PredictTPOTWithChunk(2, -time.Second); got != base {
-		t.Errorf("negative chunk cost should clamp to the bare step, got %v want %v", got, base)
-	}
-}
-
 func TestChunkStateBytes(t *testing.T) {
 	a := AdmissionModel{HiddenDim: 64, BytesPerElem: 4}
 	// 2 (K+V) * layers * tokens * hidden * bytes

@@ -58,39 +58,3 @@ func (e *Estimator) KVQuantizationBeneficial(bits int) bool {
 func AttentionOffloadComparison(withOffload, withoutOffload *Estimator) (offloadTput, noOffloadTput float64) {
 	return withOffload.Throughput(), withoutOffload.Throughput()
 }
-
-// BestKVBits scans the supported code widths and returns the most profitable
-// KV quantization width, or 0 when no width beats uncompressed transfer.
-func (e *Estimator) BestKVBits() int {
-	best, bestTput := 0, e.Throughput()
-	for _, bits := range []int{2, 4, 8} {
-		cand := *e
-		cand.Strat.QuantKV = true
-		cand.Strat.KVBits = bits
-		if cand.Strat.GroupSize <= 0 {
-			cand.Strat.GroupSize = 64
-		}
-		if tput := cand.Throughput(); tput > bestTput {
-			best, bestTput = bits, tput
-		}
-	}
-	return best
-}
-
-// BestWeightBits scans code widths for weight quantization, returning 0 when
-// uncompressed is best.
-func (e *Estimator) BestWeightBits() int {
-	best, bestTput := 0, e.Throughput()
-	for _, bits := range []int{2, 4, 8} {
-		cand := *e
-		cand.Strat.QuantWeights = true
-		cand.Strat.WeightBits = bits
-		if cand.Strat.GroupSize <= 0 {
-			cand.Strat.GroupSize = 64
-		}
-		if tput := cand.Throughput(); tput > bestTput {
-			best, bestTput = bits, tput
-		}
-	}
-	return best
-}

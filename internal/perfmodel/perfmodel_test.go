@@ -175,13 +175,6 @@ func TestDecisionProcedures(t *testing.T) {
 	if off.KVQuantizationBeneficial(4) {
 		t.Error("KV quantization must never be beneficial with attention offloading")
 	}
-	// BestKVBits agrees with the boolean procedure.
-	if bits := no.BestKVBits(); bits == 0 {
-		t.Error("BestKVBits found no profitable width without attention offloading")
-	}
-	if bits := off.BestKVBits(); bits != 0 {
-		t.Errorf("BestKVBits = %d with attention offloading, want 0", bits)
-	}
 }
 
 // TestAttentionOffloadComparison: for the long-generation workload the KV

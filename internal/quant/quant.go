@@ -105,9 +105,6 @@ func (q *Tensor) Verify() error {
 	return nil
 }
 
-// Checksum returns the sealed CRC.
-func (q *Tensor) Checksum() uint32 { return q.crc }
-
 // Clone returns a deep copy sharing no storage with q.
 func (q *Tensor) Clone() *Tensor {
 	cp := &Tensor{

@@ -160,28 +160,10 @@ func (s *Session) Pos(slot int) int { return s.pos[slot] }
 // individually spilled or because the whole session migrated).
 func (s *Session) slotOnHost(slot int) bool { return s.kv == nil || s.spilled[slot] }
 
-// SlotSpilled reports whether the slot's KV was spilled to the host cache by
-// the pressure ladder (false after a full degradation migration, which is a
-// session-wide mode rather than per-slot pressure state).
-func (s *Session) SlotSpilled(slot int) bool {
-	return slot >= 0 && slot < s.slots && s.spilled[slot]
-}
-
 // SlotQuantizedKV reports whether the slot stores its KV quantized (by
 // policy or by the pressure ladder's quantize-new-slots rung).
 func (s *Session) SlotQuantizedKV(slot int) bool {
 	return slot >= 0 && slot < s.slots && s.quantKV[slot]
-}
-
-// NumSpilled returns how many active slots are host-resident by spill.
-func (s *Session) NumSpilled() int {
-	n := 0
-	for i, sp := range s.spilled {
-		if sp && s.active[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // StagedKVBytes returns the GPU-arena bytes the slot stages per decode step

@@ -294,17 +294,6 @@ func (st *KVStore) SetSlotQuant(seq int, cfg *quant.Config) error {
 	return nil
 }
 
-// SlotQuantized reports whether (store-wide or per-slot) appends to seq are
-// quantized.
-func (st *KVStore) SlotQuantized(seq int) bool {
-	if st.quantized {
-		return true
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.slotCfg[seq] != nil
-}
-
 // Append stores the new K/V rows for (layer, seq), quantizing them when
 // enabled (the store_cache task). It returns the bytes that crossed the
 // interconnect.

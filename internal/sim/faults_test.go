@@ -62,6 +62,60 @@ func TestFaultWindowBeforeAndAfterTaskIsFree(t *testing.T) {
 	}
 }
 
+// TestFaultTaskAcrossWindows runs one task through several slowdown
+// windows and checks its completion against the closed form: a window of
+// duration D and factor f serves D/f of work, a gap serves its length.
+func TestFaultTaskAcrossWindows(t *testing.T) {
+	cases := []struct {
+		name string
+		work float64
+		evs  []FaultEvent
+		want float64
+	}{
+		{
+			// A thermal ramp: back-to-back windows with rising factors,
+			// the last one held; the rest runs after it closes at 32.5.
+			name: "contiguous rising",
+			work: 30,
+			evs: []FaultEvent{
+				{Resource: "gpu", Start: 5, Duration: 2.5, Factor: 1.5},
+				{Resource: "gpu", Start: 7.5, Duration: 2.5, Factor: 2},
+				{Resource: "gpu", Start: 10, Duration: 2.5, Factor: 2.5},
+				{Resource: "gpu", Start: 12.5, Duration: 20, Factor: 3},
+			},
+			want: 32.5 + (30 - 5 - 2.5/1.5 - 2.5/2 - 2.5/2.5 - 20/3.0),
+		},
+		{
+			// [0,1) serves 1, [1,3) serves 2/2, the gap [3,5) serves 2,
+			// and the remaining 0.2 takes 0.2*4 inside [5,7).
+			name: "gap between windows",
+			work: 4.2,
+			evs: []FaultEvent{
+				{Resource: "gpu", Start: 1, Duration: 2, Factor: 2},
+				{Resource: "gpu", Start: 5, Duration: 2, Factor: 4},
+			},
+			want: 5 + (4.2-1-2.0/2-2)*4,
+		},
+	}
+	for _, c := range cases {
+		s := New()
+		s.AddResource("gpu")
+		for _, ev := range c.evs {
+			if err := s.AddFault(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := s.AddTask(TaskSpec{Name: "work", Resource: "gpu", Duration: c.work})
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.End[id]-c.want) > 1e-9 {
+			t.Errorf("%s: end = %.12g, want %.12g", c.name, res.End[id], c.want)
+		}
+	}
+}
+
 func TestFaultZeroDurationSyncNotDelayed(t *testing.T) {
 	// A synchronize() pseudo-task carries no work, so an open outage window
 	// must not push it: it completes the instant its dependencies do.

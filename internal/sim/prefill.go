@@ -67,21 +67,3 @@ func SimulatePrefill(e *perfmodel.Estimator) (*PrefillResult, error) {
 	}
 	return out, nil
 }
-
-// SimulateRun combines the simulated prefill with the simulated decode into
-// an end-to-end throughput figure (tokens/s over the whole workload),
-// replacing both analytical phase estimates with DES results.
-func SimulateRun(e *perfmodel.Estimator, decodeSteps int) (float64, error) {
-	pf, err := SimulatePrefill(e)
-	if err != nil {
-		return 0, err
-	}
-	dec, err := SimulateDecode(e, decodeSteps)
-	if err != nil {
-		return 0, err
-	}
-	l := float64(e.Mod.Layers)
-	n := float64(e.Work.GenLen)
-	total := pf.Total + dec.StepTime*l*(n-1)
-	return float64(e.Work.TotalTokens()) / total, nil
-}

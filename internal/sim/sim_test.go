@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,39 +282,6 @@ func TestSimulateSteadyState(t *testing.T) {
 	}
 }
 
-func TestChromeTraceExport(t *testing.T) {
-	s := New()
-	s.AddResource("gpu")
-	s.AddResource("sync")
-	a := s.AddTask(TaskSpec{Name: "compute", Resource: "gpu", Duration: 0.5})
-	s.AddTask(TaskSpec{Name: "barrier", Resource: "sync", Duration: 0, Deps: []TaskID{a}})
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := s.ChromeTrace(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []ChromeTraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// The zero-duration barrier is filtered; the compute event remains.
-	if len(doc.TraceEvents) != 1 {
-		t.Fatalf("events = %d, want 1", len(doc.TraceEvents))
-	}
-	ev := doc.TraceEvents[0]
-	if ev.Name != "compute" || ev.DurUS != 0.5e6 || ev.Phase != "X" {
-		t.Errorf("unexpected event %+v", ev)
-	}
-	if _, err := s.ChromeTrace(nil); err == nil {
-		t.Error("nil result accepted")
-	}
-}
-
 func TestSimulatePrefill(t *testing.T) {
 	e := mkEstimator(t, perfmodel.Strategy{AttnOnCPU: true, WeightsGPUPct: 0.55}, perfmodel.FlexGenProfile())
 	res, err := SimulatePrefill(e)
@@ -334,25 +300,6 @@ func TestSimulatePrefill(t *testing.T) {
 	analytic := e.TPrefill()
 	if r := res.PerLayer / analytic; r < 0.5 || r > 2.5 {
 		t.Errorf("DES/analytic prefill ratio = %.2f", r)
-	}
-}
-
-func TestSimulateRunCombines(t *testing.T) {
-	e := mkEstimator(t, perfmodel.Strategy{WeightsGPUPct: 0.55, QuantKV: true, KVBits: 4, GroupSize: 64}, perfmodel.FlexGenProfile())
-	tput, err := SimulateRun(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tput <= 0 {
-		t.Fatal("non-positive end-to-end throughput")
-	}
-	// End-to-end includes prefill, so it is below the decode-only figure.
-	dec, err := SimulateDecode(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tput >= dec.Throughput*1.001 {
-		t.Errorf("end-to-end %.1f should not exceed decode-only %.1f", tput, dec.Throughput)
 	}
 }
 

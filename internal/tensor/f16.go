@@ -138,11 +138,3 @@ func (s *F16Slice) Shape() []int { return s.shape }
 
 // Numel returns the element count.
 func (s *F16Slice) Numel() int { return len(s.data) }
-
-// RoundTripF16 applies FP16 rounding to every element in place, modeling a
-// tensor that lived in half precision.
-func RoundTripF16(t *Tensor) {
-	for i, v := range t.Data() {
-		t.Data()[i] = F16FromFloat32(v).Float32()
-	}
-}

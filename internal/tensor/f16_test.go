@@ -131,12 +131,3 @@ func TestF16SliceRoundTrip(t *testing.T) {
 		t.Errorf("second round trip changed values by %g", d)
 	}
 }
-
-func TestRoundTripF16InPlace(t *testing.T) {
-	x := FromSlice([]float32{1.0000001, 2, 3.14159}, 3)
-	want := ToF16(x).ToFloat32()
-	RoundTripF16(x)
-	if !x.Equal(want) {
-		t.Errorf("RoundTripF16 = %v, want %v", x.Data(), want.Data())
-	}
-}

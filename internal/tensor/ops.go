@@ -27,20 +27,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// AddBias adds a length-n bias vector to every row of an m×n tensor in place.
-func AddBias(t *Tensor, bias *Tensor) {
-	if t.Rank() != 2 || bias.Rank() != 1 || bias.Dim(0) != t.Dim(1) {
-		panic(fmt.Sprintf("tensor: AddBias shapes %v and %v incompatible", t.Shape(), bias.Shape()))
-	}
-	m, n := t.Dim(0), t.Dim(1)
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += bias.data[j]
-		}
-	}
-}
-
 // Scale multiplies every element by s in place and returns t for chaining.
 func Scale(t *Tensor, s float32) *Tensor {
 	for i := range t.data {
@@ -321,15 +307,6 @@ func gelu(v float32) float32 {
 	return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 }
 
-// ReLU applies max(0, x) in place.
-func ReLU(t *Tensor) {
-	for i, v := range t.data {
-		if v < 0 {
-			t.data[i] = 0
-		}
-	}
-}
-
 // ConcatRows stacks two rank-2 tensors with equal column counts vertically
 // into a new tensor — the KV-cache append operation.
 func ConcatRows(a, b *Tensor) *Tensor {
@@ -377,22 +354,4 @@ func ArgmaxRows(t *Tensor) []int {
 		out[i] = best
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of all elements.
-func Mean(t *Tensor) float64 {
-	var sum float64
-	for _, v := range t.data {
-		sum += float64(v)
-	}
-	return sum / float64(len(t.data))
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func L2Norm(t *Tensor) float64 {
-	var sum float64
-	for _, v := range t.data {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
 }

@@ -97,16 +97,6 @@ func (t *Tensor) Clone() *Tensor {
 	return &Tensor{data: data, shape: append([]int(nil), t.shape...)}
 }
 
-// Reshape returns a view with a new shape sharing the same data. The element
-// count must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkedNumel(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{data: t.data, shape: append([]int(nil), shape...)}
-}
-
 // Row returns row i of a rank-2 tensor as a shared view of length cols.
 func (t *Tensor) Row(i int) []float32 {
 	if len(t.shape) != 2 {

@@ -262,62 +262,3 @@ func (s *InterOpScheduler) Wait() error {
 	s.wg.Wait()
 	return s.catcher.err()
 }
-
-// RunGraph executes ops respecting a dependency relation: deps[i] lists the
-// indices that must finish before ops[i] starts. The scheduler's inter-op
-// bound still applies. It returns an error on out-of-range dependencies,
-// cycles (detected as a stall), or a recovered op panic.
-func (s *InterOpScheduler) RunGraph(ops []Op, deps [][]int) error {
-	n := len(ops)
-	remaining := make([]int, n)
-	dependents := make([][]int, n)
-	for i, ds := range deps {
-		if i >= n {
-			return fmt.Errorf("threadpool: deps has %d entries for %d ops", len(deps), n)
-		}
-		for _, d := range ds {
-			if d < 0 || d >= n {
-				return fmt.Errorf("threadpool: op %d depends on out-of-range op %d", i, d)
-			}
-			remaining[i]++
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-	done := make(chan int, n)
-	launched := 0
-	launch := func(i int) {
-		launched++
-		op := ops[i]
-		s.slots <- struct{}{}
-		s.wg.Add(1)
-		go func() {
-			// The completion send is deferred so a panicking op still
-			// reports in and the drain loop below cannot deadlock.
-			defer func() { done <- i }()
-			defer s.wg.Done()
-			defer func() { <-s.slots }()
-			defer s.catcher.capture(op.Name)
-			op.Run(s.pool, op.Width)
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			launch(i)
-		}
-	}
-	finished := 0
-	for finished < n {
-		if launched == finished {
-			return fmt.Errorf("threadpool: dependency cycle, %d/%d ops finished", finished, n)
-		}
-		i := <-done
-		finished++
-		for _, dep := range dependents[i] {
-			remaining[dep]--
-			if remaining[dep] == 0 {
-				launch(dep)
-			}
-		}
-	}
-	return s.catcher.err()
-}

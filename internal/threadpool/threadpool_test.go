@@ -119,59 +119,6 @@ func TestNewInterOpRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestRunGraphRespectsDependencies(t *testing.T) {
-	p := MustNew(4)
-	s, err := NewInterOp(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var order []int
-	mk := func(id int) Op {
-		return Op{Name: "op", Width: 1, Run: func(_ *Pool, _ int) {
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-		}}
-	}
-	// Diamond: 0 -> {1, 2} -> 3.
-	ops := []Op{mk(0), mk(1), mk(2), mk(3)}
-	deps := [][]int{nil, {0}, {0}, {1, 2}}
-	if err := s.RunGraph(ops, deps); err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[int]int)
-	for i, id := range order {
-		pos[id] = i
-	}
-	if len(order) != 4 {
-		t.Fatalf("ran %d ops, want 4", len(order))
-	}
-	if pos[0] > pos[1] || pos[0] > pos[2] || pos[1] > pos[3] || pos[2] > pos[3] {
-		t.Errorf("execution order %v violates dependencies", order)
-	}
-}
-
-func TestRunGraphDetectsCycle(t *testing.T) {
-	p := MustNew(2)
-	s, _ := NewInterOp(p, 2)
-	noop := Op{Name: "n", Width: 1, Run: func(_ *Pool, _ int) {}}
-	ops := []Op{noop, noop}
-	deps := [][]int{{1}, {0}}
-	if err := s.RunGraph(ops, deps); err == nil {
-		t.Error("RunGraph accepted a cyclic dependency graph")
-	}
-}
-
-func TestRunGraphRejectsBadDeps(t *testing.T) {
-	p := MustNew(2)
-	s, _ := NewInterOp(p, 2)
-	noop := Op{Name: "n", Width: 1, Run: func(_ *Pool, _ int) {}}
-	if err := s.RunGraph([]Op{noop}, [][]int{{5}}); err == nil {
-		t.Error("RunGraph accepted out-of-range dependency")
-	}
-}
-
 func TestPropertyParallelForSum(t *testing.T) {
 	p := MustNew(6)
 	f := func(nRaw uint16, widthRaw uint8) bool {
@@ -263,38 +210,5 @@ func TestInterOpWaitReturnsPanicError(t *testing.T) {
 	}
 	if !errors.Is(werr, boom) {
 		t.Error("PanicError does not unwrap to the panicked error value")
-	}
-}
-
-// TestRunGraphSurvivesOpPanic: a panicking op still completes the graph (its
-// dependents run) and the panic comes back as the returned error, not a
-// deadlock or crash.
-func TestRunGraphSurvivesOpPanic(t *testing.T) {
-	p := MustNew(2)
-	s, err := NewInterOp(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := make([]bool, 3)
-	var mu sync.Mutex
-	mark := func(i int) { mu.Lock(); ran[i] = true; mu.Unlock() }
-	ops := []Op{
-		{Name: "a", Width: 1, Run: func(*Pool, int) { mark(0); panic("a died") }},
-		{Name: "b", Width: 1, Run: func(*Pool, int) { mark(1) }},
-		{Name: "c", Width: 1, Run: func(*Pool, int) { mark(2) }},
-	}
-	deps := [][]int{nil, {0}, {1}}
-	gerr := s.RunGraph(ops, deps)
-	if gerr == nil {
-		t.Fatal("RunGraph returned nil after op panic")
-	}
-	var pe *PanicError
-	if !errors.As(gerr, &pe) || pe.Op != "a" {
-		t.Fatalf("RunGraph error = %v, want *PanicError from op a", gerr)
-	}
-	for i, r := range ran {
-		if !r {
-			t.Errorf("op %d never ran after upstream panic", i)
-		}
 	}
 }

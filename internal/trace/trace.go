@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Workload is one offline-inference job: every prompt in the batch shares the
@@ -87,68 +86,4 @@ func (w Workload) Prompts(rng *rand.Rand, vocab int) [][]int {
 		out[i] = row
 	}
 	return out
-}
-
-// Bucket groups prompts of nearby lengths so each bucket pads to its own
-// maximum instead of the global one — the standard mitigation for FlexGen's
-// fixed-shape batches when real prompt lengths vary.
-type Bucket struct {
-	// MaxLen is the padded length every prompt in the bucket assumes.
-	MaxLen int
-	// Count is the number of prompts assigned.
-	Count int
-	// PaddingTokens is the total padding the bucket introduces.
-	PaddingTokens int
-}
-
-// Bucketize partitions prompt lengths into at most maxBuckets buckets using
-// equal-population splits over the sorted lengths, and reports the padding
-// each bucket pays. A single bucket reproduces global padding-to-max.
-func Bucketize(lengths []int, maxBuckets int) ([]Bucket, error) {
-	if len(lengths) == 0 {
-		return nil, fmt.Errorf("trace: no prompt lengths")
-	}
-	if maxBuckets < 1 {
-		return nil, fmt.Errorf("trace: need at least one bucket, got %d", maxBuckets)
-	}
-	for _, l := range lengths {
-		if l <= 0 {
-			return nil, fmt.Errorf("trace: non-positive prompt length %d", l)
-		}
-	}
-	sorted := append([]int(nil), lengths...)
-	sort.Ints(sorted)
-	if maxBuckets > len(sorted) {
-		maxBuckets = len(sorted)
-	}
-	var out []Bucket
-	per := (len(sorted) + maxBuckets - 1) / maxBuckets
-	for lo := 0; lo < len(sorted); lo += per {
-		hi := lo + per
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		b := Bucket{MaxLen: sorted[hi-1], Count: hi - lo}
-		for _, l := range sorted[lo:hi] {
-			b.PaddingTokens += b.MaxLen - l
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-// PaddingWaste sums the padding across buckets as a fraction of the useful
-// tokens — the cost the bucket count trades against scheduling simplicity.
-func PaddingWaste(buckets []Bucket, lengths []int) float64 {
-	var useful, pad int
-	for _, l := range lengths {
-		useful += l
-	}
-	for _, b := range buckets {
-		pad += b.PaddingTokens
-	}
-	if useful == 0 {
-		return 0
-	}
-	return float64(pad) / float64(useful)
 }

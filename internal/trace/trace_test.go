@@ -88,61 +88,3 @@ func TestPromptsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestBucketizeReducesPadding(t *testing.T) {
-	// Bimodal lengths: short chats and long documents.
-	var lengths []int
-	for i := 0; i < 50; i++ {
-		lengths = append(lengths, 16+i%8)
-	}
-	for i := 0; i < 50; i++ {
-		lengths = append(lengths, 480+i%32)
-	}
-	one, err := Bucketize(lengths, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := Bucketize(lengths, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := PaddingWaste(one, lengths)
-	w4 := PaddingWaste(four, lengths)
-	if w4 >= w1 {
-		t.Errorf("more buckets should cut padding: %.2f >= %.2f", w4, w1)
-	}
-	if w1 < 0.9 {
-		t.Errorf("global padding on bimodal lengths should be huge, got %.2f", w1)
-	}
-	// Every prompt lands in exactly one bucket.
-	total := 0
-	for _, b := range four {
-		total += b.Count
-		if b.PaddingTokens < 0 {
-			t.Errorf("negative padding in %+v", b)
-		}
-	}
-	if total != len(lengths) {
-		t.Errorf("buckets hold %d prompts, want %d", total, len(lengths))
-	}
-}
-
-func TestBucketizeValidation(t *testing.T) {
-	if _, err := Bucketize(nil, 2); err == nil {
-		t.Error("empty lengths accepted")
-	}
-	if _, err := Bucketize([]int{4}, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := Bucketize([]int{0}, 1); err == nil {
-		t.Error("zero-length prompt accepted")
-	}
-	// More buckets than prompts clamps.
-	b, err := Bucketize([]int{5, 7}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) > 2 {
-		t.Errorf("buckets = %d, want <= 2", len(b))
-	}
-}

@@ -112,25 +112,6 @@ func coveredTime(spans []Span) time.Duration {
 	return total + (curEnd - curStart)
 }
 
-// StepTotals groups per-task time by decode step for spans carrying a step
-// label: result[step][task] = total duration. It is the data behind
-// per-step histograms.
-func StepTotals(spans []Span) map[int]map[string]time.Duration {
-	out := map[int]map[string]time.Duration{}
-	for _, s := range spans {
-		if s.Step < 0 {
-			continue
-		}
-		m := out[s.Step]
-		if m == nil {
-			m = map[string]time.Duration{}
-			out[s.Step] = m
-		}
-		m[s.Name] += s.Dur
-	}
-	return out
-}
-
 // Durations returns every retained duration of one task name in recording
 // order — the raw samples for a per-step histogram of e.g. decode_step.
 func Durations(spans []Span, name string) []time.Duration {

@@ -288,19 +288,6 @@ func decodeTotals(run *engineRun, layers int) map[string]float64 {
 	return out
 }
 
-// spanTotal sums the durations of all spans with the given name.
-func spanTotal(spans []xtrace.Span, name string) (time.Duration, int) {
-	var total time.Duration
-	n := 0
-	for _, s := range spans {
-		if s.Name == name {
-			total += s.Dur
-			n++
-		}
-	}
-	return total, n
-}
-
 // medianDur returns the median of ds (0 when empty). Tiny-model spans sit
 // in the low microseconds, where GC pauses and scheduler preemption put
 // heavy outliers into any mean; the median is the robust rate estimator

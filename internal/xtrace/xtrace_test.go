@@ -116,24 +116,6 @@ func TestArgmaxTask(t *testing.T) {
 	}
 }
 
-// TestStepTotals groups per-task time by decode step and ignores unlabeled
-// spans.
-func TestStepTotals(t *testing.T) {
-	spans := []Span{
-		{Name: TaskCompute, Lane: LaneGPU, Start: 0, Dur: 4, Labels: At(0, 0, -1)},
-		{Name: TaskCompute, Lane: LaneGPU, Start: 4, Dur: 5, Labels: At(0, 1, -1)},
-		{Name: TaskCompute, Lane: LaneGPU, Start: 9, Dur: 6, Labels: At(1, 0, -1)},
-		{Name: TaskPrefill, Lane: LaneEngine, Start: 0, Dur: 2, Labels: NoLabels},
-	}
-	st := StepTotals(spans)
-	if len(st) != 2 {
-		t.Fatalf("got %d steps, want 2", len(st))
-	}
-	if st[0][TaskCompute] != 9 || st[1][TaskCompute] != 6 {
-		t.Errorf("step totals = %v, want step0 compute 9, step1 compute 6", st)
-	}
-}
-
 // TestAttribution checks that shared time splits equally and the totals sum
 // to the union coverage of the named tasks.
 func TestAttribution(t *testing.T) {
