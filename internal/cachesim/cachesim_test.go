@@ -71,8 +71,8 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 	}
 }
 
-// TestRealisticSlicedLLC exercises the geometry the tile tuner uses by
-// default: 33 MB / 12-way / 64 B lines = 45056 sets (2^12 x 11). Thirteen
+// TestRealisticSlicedLLC exercises a sliced server LLC's geometry:
+// 33 MB / 12-way / 64 B lines = 45056 sets (2^12 x 11). Thirteen
 // same-set lines exceed the associativity and evict the LRU.
 func TestRealisticSlicedLLC(t *testing.T) {
 	c, err := New(33<<20, 12, 64)

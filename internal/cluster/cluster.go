@@ -180,9 +180,6 @@ func New(replicas []*Replica, cfg serve.Config, opts Options) (*Cluster, error) 
 // Config returns the shared serving configuration.
 func (c *Cluster) Config() serve.Config { return c.cfg }
 
-// Size returns the replica count.
-func (c *Cluster) Size() int { return len(c.replicas) }
-
 // Replica returns member i.
 func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
 

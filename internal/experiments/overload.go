@@ -203,7 +203,8 @@ func Overload(s Scale) (*OverloadResult, error) {
 		sampled[trace[i].Kind] = true
 		var kvq *quant.Config
 		if quantized {
-			kvq = &scfg.LadderKV
+			ladder := serve.LadderKV()
+			kvq = &ladder
 			out.ExactQuantized++
 		}
 		ok, err := matchesSolo(seed, cfg, trace[i].Prompt, trace[i].MaxNewTokens, kvq, o.Tokens)

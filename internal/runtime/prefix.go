@@ -442,9 +442,6 @@ func (ps *PrefixStore) EvictUnreferenced() int {
 // UsedBytes returns the charged cache bytes.
 func (ps *PrefixStore) UsedBytes() int64 { return ps.arena.Used() }
 
-// CapacityBytes returns the configured budget.
-func (ps *PrefixStore) CapacityBytes() int64 { return ps.arena.Capacity() }
-
 // Blocks returns the number of cached blocks.
 func (ps *PrefixStore) Blocks() int {
 	ps.mu.Lock()

@@ -54,10 +54,10 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
 // newAdmissionModel builds the perfmodel admission estimator from the
 // engine's actual deployment: its pinned resident bytes, its largest
-// streamed layer buffer, and the prefetch depth. This is the closed loop the
-// tentpole asks for — the analytical model parameterized by the running
-// engine rather than by a hypothetical platform.
-func newAdmissionModel(eng *runtime.Engine, cfg Config) perfmodel.AdmissionModel {
+// streamed layer buffer, and the prefetch depth. This closes the loop: the
+// analytical model is parameterized by the running engine rather than by a
+// hypothetical platform.
+func newAdmissionModel(eng *runtime.Engine) perfmodel.AdmissionModel {
 	buffers := 1
 	if eng.Policy().Prefetch {
 		buffers = 2 // current + prefetched next layer
@@ -68,7 +68,7 @@ func newAdmissionModel(eng *runtime.Engine, cfg Config) perfmodel.AdmissionModel
 		ResidentBase:  eng.ResidentBaseBytes(),
 		LayerBytes:    eng.MaxStreamLayerBytes(),
 		WeightBuffers: buffers,
-		Slack:         cfg.FootprintSlack,
+		Slack:         footprintSlack,
 	}
 }
 

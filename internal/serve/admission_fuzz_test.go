@@ -71,7 +71,7 @@ func FuzzAdmissionEstimate(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig(model.Tiny().Vocab)
-		real := newAdmissionModel(probe, cfg)
+		real := newAdmissionModel(probe)
 		estimate := real.PeakBytes(real.SlotKVBytes(plen, ntok))
 
 		eng, err := runtime.NewEngine(m, runtime.Policy{IntraOp: 1}, estimate, nil)

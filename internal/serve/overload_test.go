@@ -197,7 +197,7 @@ func TestOverloadSoak(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, cfg.LadderKV)
+			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, LadderKV())
 		} else {
 			want = soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
 		}
@@ -287,7 +287,7 @@ func TestEvictionResume(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, true, cfg.LadderKV)
+			want = soloSessionReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, true, LadderKV())
 		} else {
 			want = soloReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, cfg.EOS)
 		}
@@ -347,7 +347,7 @@ func TestSpillUnderArenaPressure(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, true, cfg.LadderKV)
+			want = soloSessionReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, true, LadderKV())
 		} else {
 			want = soloReference(t, reqs[i].Prompt, reqs[i].MaxNewTokens, cfg.EOS)
 		}

@@ -206,7 +206,7 @@ func TestPrefixSoak(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, cfg.LadderKV)
+			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, LadderKV())
 		} else {
 			want = soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
 		}

@@ -129,7 +129,7 @@ func (s *Scheduler) escalate(gpuHigh bool) {
 		s.level = 1
 		// Rung 1: new slots store their KV quantized — ~8x less host KV and
 		// proportionally less staging for every future admission.
-		s.sess.SetQuantizeNewSlots(true, s.cfg.LadderKV)
+		s.sess.SetQuantizeNewSlots(true, LadderKV())
 	case s.level == 1:
 		s.level = 2
 		if gpuHigh {

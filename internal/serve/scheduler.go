@@ -217,7 +217,7 @@ func New(eng *runtime.Engine, cfg Config) (*Scheduler, error) {
 	}
 	s.prefillCost = &perfmodel.PrefillCostModel{}
 	if cfg.AdmissionControl {
-		s.adm = newAdmissionModel(eng, cfg)
+		s.adm = newAdmissionModel(eng)
 		if err := s.adm.Validate(); err != nil {
 			return nil, err
 		}
@@ -226,9 +226,9 @@ func New(eng *runtime.Engine, cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("serve: arena capacity %d leaves no KV headroom beyond the weight working set (%d resident + %d buffered)",
 				eng.ArenaCapacity(), s.adm.ResidentBase, int64(s.adm.WeightBuffers)*s.adm.LayerBytes)
 		}
-		if eng.ModelConfig().Hidden%cfg.LadderKV.GroupSize != 0 {
+		if eng.ModelConfig().Hidden%LadderKV().GroupSize != 0 {
 			return nil, fmt.Errorf("serve: ladder KV group size %d must divide the model hidden dimension %d",
-				cfg.LadderKV.GroupSize, eng.ModelConfig().Hidden)
+				LadderKV().GroupSize, eng.ModelConfig().Hidden)
 		}
 		s.cost = &perfmodel.StepCostModel{}
 		s.brk.needStreak = cfg.HealthyStreak

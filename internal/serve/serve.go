@@ -27,6 +27,15 @@ var (
 	ErrClosed = errors.New("serve: scheduler closed")
 )
 
+// LadderKV returns the fixed quantization the pressure ladder's first rung
+// applies to newly admitted slots. Its group size must divide the model's
+// hidden dimension (checked at New) so quantized slots stay token-exact.
+func LadderKV() quant.Config { return quant.Config{Bits: 4, GroupSize: 32} }
+
+// footprintSlack scales admission footprint estimates so transient
+// double-buffering during retries stays inside the estimate.
+const footprintSlack = 1.15
+
 // Config bounds the scheduler: batch width, queue depth, and per-request
 // limits every submission is validated against.
 type Config struct {
@@ -71,19 +80,12 @@ type Config struct {
 	// low watermark.
 	ArenaHighWater float64
 	ArenaLowWater  float64
-	// FootprintSlack scales footprint estimates (≥ 1) so transient
-	// double-buffering during retries stays inside the estimate.
-	FootprintSlack float64
 	// TPOTBudget rejects admissions whose predicted time-per-output-token at
 	// the resulting occupancy exceeds the budget. Zero disables the check.
 	TPOTBudget time.Duration
 	// HostKVBudget bounds the session's host-side KV bytes; pressure against
 	// it escalates the ladder toward eviction. Zero is unlimited.
 	HostKVBudget int64
-	// LadderKV is the quantization applied to newly admitted slots at the
-	// ladder's first rung. Its group size must divide the model's hidden
-	// dimension (checked at New) so quantized slots stay token-exact.
-	LadderKV quant.Config
 	// HealthyStreak is how many consecutive healthy evaluations de-escalate
 	// the ladder and the circuit breaker by one level.
 	HealthyStreak int
@@ -131,8 +133,6 @@ func DefaultConfig(vocab int) Config {
 		AdmissionControl: true,
 		ArenaHighWater:   0.85,
 		ArenaLowWater:    0.65,
-		FootprintSlack:   1.15,
-		LadderKV:         quant.Config{Bits: 4, GroupSize: 32},
 		HealthyStreak:    3,
 	}
 }
@@ -165,17 +165,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: watermarks must satisfy 0 < low (%g) < high (%g) <= 1",
 				c.ArenaLowWater, c.ArenaHighWater)
 		}
-		if c.FootprintSlack < 1 {
-			return fmt.Errorf("serve: footprint slack %g must be >= 1", c.FootprintSlack)
-		}
 		if c.TPOTBudget < 0 {
 			return fmt.Errorf("serve: negative TPOT budget %v", c.TPOTBudget)
 		}
 		if c.HostKVBudget < 0 {
 			return fmt.Errorf("serve: negative host KV budget %d", c.HostKVBudget)
-		}
-		if err := c.LadderKV.Validate(); err != nil {
-			return fmt.Errorf("serve: ladder KV config: %w", err)
 		}
 		if c.HealthyStreak <= 0 {
 			return fmt.Errorf("serve: healthy streak must be positive, got %d", c.HealthyStreak)

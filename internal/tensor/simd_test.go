@@ -16,28 +16,8 @@ func requireFMAKernels(t testing.TB) {
 	}
 }
 
-// randomQMat packs random codes for a rows×cols matrix with random group
-// parameters, some groups degenerate (zero scale).
-func randomQMat(rng *rand.Rand, bits, group, rows, cols int) QMat {
-	n := rows * cols
-	groups := (n + group - 1) / group
-	q := QMat{
-		Packed: make([]byte, (groups*group*bits+7)/8),
-		Mins:   make([]float32, groups), Scales: make([]float32, groups),
-		Bits: bits, GroupSize: group, Rows: rows, Cols: cols,
-	}
-	rng.Read(q.Packed)
-	for g := range q.Mins {
-		q.Mins[g], q.Scales[g] = float32(rng.NormFloat64()), float32(rng.ExpFloat64())
-		if rng.Intn(5) == 0 {
-			q.Scales[g] = 0
-		}
-	}
-	return q
-}
-
 // TestSIMDMatchesPortable: with the AVX2 inner loops selected, MatMul,
-// MatMulInto, scoresV (column windows at non-zero offsets) and MatMulQ are
+// MatMulInto and scoresV (column windows at non-zero offsets) are
 // bit-identical to the Go loops, NaN matching any NaN. n sweeps 1..72,
 // so rows hold zero to nine vector bodies and every tail length; the
 // special density varies, so passes with and without a zero in A (the
@@ -62,14 +42,8 @@ func TestSIMDMatchesPortable(t *testing.T) {
 				copy(wideB.data[p*wideB.Dim(1)+boff:], b.Row(p))
 			}
 			wideC := RandN(rng, 1, m, coff+n+rng.Intn(5))
-			// MatMulQ's tile tuner replays a cache model once per (k, n), so
-			// its A keeps one depth: two eight-row passes and a tail.
-			const kq = 20
-			aq := RandN(rng, 1, m, kq)
-			injectSpecials(rng, aq.data, frac)
-			qm := randomQMat(rng, []int{4, 8, 3}[trial%3], []int{16, 64, 7}[trial%3], kq, n)
 
-			type result struct{ mm, mm2, into, cols, q, q2 *Tensor }
+			type result struct{ mm, mm2, into, cols *Tensor }
 			run := func(simd bool) (r result) {
 				OnPath(simd, func() {
 					r.mm, r.mm2 = MatMul(nil, 1, a, b), MatMul(pool, 2, a, b)
@@ -79,7 +53,6 @@ func TestSIMDMatchesPortable(t *testing.T) {
 					bw, _ := Cols{wideB, boff, n}.window()
 					cw, _ := Cols{r.cols, coff, n}.window()
 					scoresV(cw, dense(a), bw, m, k, n)
-					r.q, r.q2 = MatMulQ(nil, 1, aq, qm), MatMulQ(pool, 2, aq, qm)
 				})
 				return r
 			}
@@ -88,8 +61,6 @@ func TestSIMDMatchesPortable(t *testing.T) {
 			bitsEqual(t, label+"/MatMul parallel", got.mm2, want.mm)
 			bitsEqual(t, label+"/MatMulInto", got.into, want.mm)
 			bitsEqual(t, label+"/scoresV", got.cols, want.cols)
-			bitsEqual(t, label+"/MatMulQ", got.q, want.q)
-			bitsEqual(t, label+"/MatMulQ parallel", got.q2, want.q)
 		}
 	}
 }

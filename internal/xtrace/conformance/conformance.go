@@ -18,8 +18,10 @@
 //     TPOT prediction within 2x of the measured mean).
 //
 // Wall-clock checks on the engine are statements about *ratios*, never
-// absolute times, and only fire above explicit noise margins, so the suite
-// stays stable under -race and loaded CI machines.
+// absolute times, and only fire above explicit noise margins. Their rows
+// are marked Timed: their verdicts depend on the host's load, so the
+// package tests skip them and lmo-bench's conformance WallClock gates
+// assert them, while every other row is asserted in every build.
 package conformance
 
 import (
@@ -81,6 +83,11 @@ type Row struct {
 	RelErr    float64 // |measured-predicted| / predicted (0 when predicted 0)
 	Pass      bool
 	Note      string
+	// Timed rows judge host wall-clock measurements (the engine's argmax,
+	// order and scale checks, the serve-layer TPOT bound), so a loaded
+	// host can flip their verdict; every other row repeats its measurement
+	// and verdict on every run.
+	Timed bool
 }
 
 // Report collects the rows of one or more suites.
@@ -604,12 +611,10 @@ func EngineVsModel() (*Report, error) {
 			case disagree && !anchoredLead:
 				note += " (unanchored KV-path task; per-chunk constants, see package doc)"
 			}
-			pass, note := enforceWallClock(!(disagree && anchoredLead), note)
 			rep.add(Row{
 				Suite: "engine-vs-model", Case: c.label, Check: "argmax", Task: predLead,
 				Predicted: predBest, Measured: meas[predLead],
-				Pass: pass,
-				Note: note,
+				Pass: !(disagree && anchoredLead), Note: note, Timed: true,
 			})
 		}
 
@@ -625,43 +630,28 @@ func EngineVsModel() (*Report, error) {
 				if a == b || pred[a] == 0 || pred[a] < PairMargin*pred[b] {
 					continue
 				}
-				pass, note := enforceWallClock(med[a] > med[b], "")
 				rep.add(Row{
 					Suite: "engine-vs-model", Case: c.label, Check: "order",
 					Task:      fmt.Sprintf("%s>%s", a, b),
 					Predicted: pred[a] / math.Max(pred[b], SimAbsTol),
 					Measured:  med[a] / math.Max(med[b], SimAbsTol),
-					Pass:      pass,
-					Note:      note,
+					Pass:      med[a] > med[b],
+					Timed:     true,
 				})
 			}
 			if pred[a] > 0 && med[a] > 0 {
 				ratio := med[a] / pred[a]
-				pass, note := enforceWallClock(ratio >= 1/ScaleBand && ratio <= ScaleBand,
-					fmt.Sprintf("measured/predicted %.2f", ratio))
 				rep.add(Row{
 					Suite: "engine-vs-model", Case: c.label, Check: "scale", Task: a,
 					Predicted: pred[a], Measured: med[a], RelErr: relErr(pred[a], med[a]),
-					Pass: pass,
-					Note: note,
+					Pass:  ratio >= 1/ScaleBand && ratio <= ScaleBand,
+					Note:  fmt.Sprintf("measured/predicted %.2f", ratio),
+					Timed: true,
 				})
 			}
 		}
 	}
 	return rep, nil
-}
-
-// enforceWallClock demotes a failed wall-clock ratio check to an
-// informational pass when the race detector is instrumenting the build (see
-// race_on.go); structural and virtual-time checks are never demoted.
-func enforceWallClock(pass bool, note string) (bool, string) {
-	if raceEnabled && !pass {
-		if note != "" {
-			note += "; "
-		}
-		return true, note + "not enforced under -race (instrumentation skews wall-clock ratios)"
-	}
-	return pass, note
 }
 
 // decodeCounts tallies decode-window span counts by name (dequant/quant
