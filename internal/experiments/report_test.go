@@ -16,8 +16,8 @@ func syntheticChunked() *ChunkedResult {
 		Model: model.Tiny(), PromptLen: 2048, Streams: 3, DecodeLen: 96,
 		TokenExact: true, P99Speedup: 24.5,
 		Arms: []ChunkedArm{
-			{ChunkTokens: 0, TPOTP50: time.Millisecond, TPOTP99: 2450 * time.Millisecond, TPOTMax: 2500 * time.Millisecond, LongTTFT: 2500 * time.Millisecond, Gaps: 280, TPOTQErrP95: 1.4, TPOTQErrMax: 2.1, TPOTQErrN: 200},
-			{ChunkTokens: 32, TPOTP50: time.Millisecond, TPOTP99: 100 * time.Millisecond, TPOTMax: 120 * time.Millisecond, LongTTFT: 2800 * time.Millisecond, During: 150, Gaps: 280, TPOTQErrP95: 1.3, TPOTQErrMax: 1.9, TPOTQErrN: 200},
+			{ChunkTokens: 0, TPOTP50: time.Millisecond, TPOTP99: 2450 * time.Millisecond, TPOTMax: 2500 * time.Millisecond, LongTTFT: 2500 * time.Millisecond, InFlight: 3, Gaps: 280, TPOTQErrP95: 1.4, TPOTQErrMax: 2.1, TPOTQErrN: 200},
+			{ChunkTokens: 32, TPOTP50: time.Millisecond, TPOTP99: 100 * time.Millisecond, TPOTMax: 120 * time.Millisecond, LongTTFT: 2800 * time.Millisecond, During: 150, InFlight: 3, Gaps: 280, TPOTQErrP95: 1.3, TPOTQErrMax: 1.9, TPOTQErrN: 200},
 		},
 	}
 }
@@ -97,8 +97,9 @@ func checkReport(t *testing.T, name string, rep *Report) {
 	}
 }
 
-// TestChunkedGates: the synthetic passing result fails no gate, and a
-// token-inexact arm fails the Exact gate.
+// TestChunkedGates: the synthetic passing result fails no gate, a
+// token-inexact arm fails one Exact gate, and so does an arm whose long
+// prompt arrived with no background stream in flight.
 func TestChunkedGates(t *testing.T) {
 	r := syntheticChunked()
 	if failed := r.Report().Failed(Exact, Model, WallClock); len(failed) != 0 {
@@ -107,5 +108,10 @@ func TestChunkedGates(t *testing.T) {
 	r.TokenExact = false
 	if failed := r.Report().Failed(Exact); len(failed) != 1 {
 		t.Errorf("token-inexact result failed Exact gates %v, want one", failed)
+	}
+	r = syntheticChunked()
+	r.Arms[1].InFlight = 0
+	if failed := r.Report().Failed(Exact); len(failed) != 1 {
+		t.Errorf("result with no stream in flight failed Exact gates %v, want one", failed)
 	}
 }

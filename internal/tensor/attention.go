@@ -29,9 +29,10 @@ func grown(buf []float32, n int) []float32 {
 // The query rows go four at a time through a 4×T block of s: their scores
 // over the keys the group's last row sees (Q·Kᵀ through the dense kernel,
 // which forms each score exactly as the full product would), the softmax
-// row by row, then scoresV over those same keys. A row's masked columns
-// inside the group are written as 0·inv, as CausalSoftmaxRows writes them;
-// the columns past the group's bound are left out. That drops products
+// row by row, then scores·V over those same keys, through the same kernel.
+// A row's masked columns inside the group are written as 0·inv, as
+// CausalSoftmaxRows writes them; the columns past the group's bound are
+// left out. That drops products
 // score·value whose score is 0·inv and whose value row is finite. With a
 // finite inv each such product is ±0, and adding ±0 to a sum that started
 // at +0 — which is never -0, since only -0 + -0 gives -0 — does not change
@@ -59,12 +60,8 @@ func AttentionHead(s *HeadScratch, q, keys, values, ctx Cols, scale float32) {
 	for r0 := 0; r0 < t; r0 += 4 {
 		g := min(4, t-r0)
 		bound := base + r0 + g // keys the group's last row sees
-		for i := 0; i < g; i++ {
-			clear(blk.row(i, bound))
-		}
-		scores := newProduct(qw.from(r0), keysT, blk, g, dk, bound)
-		scores.rows(0, g)
-		n := bound // keys scoresV sums over
+		mulRows(blk, qw.from(r0), keysT, g, dk, bound)
+		n := bound // keys scores·V sums over
 		if lastBad >= bound {
 			n = T
 		}
@@ -76,7 +73,7 @@ func AttentionHead(s *HeadScratch, q, keys, values, ctx Cols, scale float32) {
 				row[j] = masked
 			}
 		}
-		scoresV(cw.from(r0), blk, vw, g, n, dk)
+		mulRows(cw.from(r0), blk, vw, g, n, dk)
 	}
 }
 
@@ -89,66 +86,4 @@ func lastNonFinite(v window, lo, hi, w int) int {
 		}
 	}
 	return -1
-}
-
-// scoresV sets the m×dk window out to S·V, S being the m×n window s and V
-// the n×dk window v: each element a sum started at +0 that adds its
-// products, each rounded, in ascending p. There is no zero-skip, so a zero
-// score against a NaN or ±Inf value gives NaN, as IEEE 754 says.
-//
-// With AVX2 and dk a multiple of 16, four rows at a time keep their sixteen
-// sums per column block in registers across all n keys (scoresV4AVX2), and
-// the last one to three rows take the one-row kernel; each lane performs
-// the Go loop's operations. The Go loop is the reference and the path for
-// every other dk.
-func scoresV(out, s, v window, m, n, dk int) {
-	if useAVX2 && dk%16 == 0 {
-		// Every row the kernels read or write.
-		_ = out.row(m-1, dk)
-		_ = s.row(m-1, n)
-		_ = v.row(n-1, dk)
-		for c := 0; c < dk; c += 16 {
-			vp := &v.data[v.off+c]
-			i := 0
-			for ; i+4 <= m; i += 4 {
-				scoresV4AVX2(&out.data[out.off+i*out.stride+c], out.stride, &s.data[s.off+i*s.stride], s.stride, vp, v.stride, n)
-			}
-			for ; i < m; i++ {
-				scoresV1AVX2(&out.data[out.off+i*out.stride+c], &s.data[s.off+i*s.stride], vp, v.stride, n)
-			}
-		}
-		return
-	}
-	// Eight keys per pass, each output element held in a register across
-	// them, as in accumRow; every element still takes its products one at a
-	// time in ascending p.
-	for i := 0; i < m; i++ {
-		o := out.row(i, dk)
-		clear(o)
-		srow := s.row(i, n)
-		p := 0
-		for ; p+8 <= n; p += 8 {
-			a := srow[p : p+8 : p+8]
-			v0, v1, v2, v3 := v.row(p, dk)[:len(o)], v.row(p+1, dk)[:len(o)], v.row(p+2, dk)[:len(o)], v.row(p+3, dk)[:len(o)]
-			v4, v5, v6, v7 := v.row(p+4, dk)[:len(o)], v.row(p+5, dk)[:len(o)], v.row(p+6, dk)[:len(o)], v.row(p+7, dk)[:len(o)]
-			for c := range o {
-				sum := o[c]
-				sum += a[0] * v0[c]
-				sum += a[1] * v1[c]
-				sum += a[2] * v2[c]
-				sum += a[3] * v3[c]
-				sum += a[4] * v4[c]
-				sum += a[5] * v5[c]
-				sum += a[6] * v6[c]
-				sum += a[7] * v7[c]
-				o[c] = sum
-			}
-		}
-		for ; p < n; p++ {
-			a, vr := srow[p], v.row(p, dk)[:len(o)]
-			for c := range o {
-				o[c] += a * vr[c]
-			}
-		}
-	}
 }

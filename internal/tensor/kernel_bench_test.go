@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/threadpool"
 )
 
 // benchPaths runs f as a "simd" and a "portable" sub-benchmark of name, the
@@ -32,13 +33,30 @@ func benchPaths(b *testing.B, name string, needFMA bool, elems int, f func()) {
 	}
 }
 
-// BenchmarkMatMulShapes times the serial kernel on the Small model's decode
-// and prefill shapes, per inner-loop path, and reports ns per multiply-add:
+// BenchmarkMatMulShapes times the product on the Small model's shapes and
+// reports ns per multiply-add: serially per inner-loop path at the one-row
+// decode shapes, four- and 64-row blocks and 128-row prefill chunks; then,
+// on the default path, small-M products at width 1 and 2 on a two-worker
+// pool with the grain zeroed, so that width 2 always splits — the rows
+// parallelGrain is read from:
 //
 //	go test ./internal/tensor -run '^$' -bench MatMulShapes
 func BenchmarkMatMulShapes(b *testing.B) {
-	for _, sh := range [][3]int{{1, 128, 512}, {4, 128, 128}, {64, 128, 128}, {64, 512, 128}} {
-		m, k, n := sh[0], sh[1], sh[2]
+	bench := func(b *testing.B, pool *threadpool.Pool, width, m, k, n int) {
+		rng := rand.New(rand.NewSource(1))
+		a, w := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+		c := New(m, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMulInto(pool, width, a, w, c)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*k*n), "ns/madd")
+	}
+	for _, sh := range [][3]int{
+		{1, 128, 128}, {1, 128, 384}, {1, 128, 512}, {1, 512, 128},
+		{4, 128, 128}, {64, 128, 128}, {64, 512, 128},
+		{128, 128, 384}, {128, 128, 512}, {128, 512, 128},
+	} {
 		for _, path := range []struct {
 			name string
 			simd bool
@@ -46,17 +64,18 @@ func BenchmarkMatMulShapes(b *testing.B) {
 			if path.simd && !cpufeat.AVX2 {
 				continue
 			}
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, path.name), func(b *testing.B) {
-				defer func(old bool) { useAVX2 = old }(useAVX2)
-				useAVX2 = path.simd
-				rng := rand.New(rand.NewSource(1))
-				a, w := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-				c := New(m, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulInto(nil, 1, a, w, c)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*k*n), "ns/madd")
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh[0], sh[1], sh[2], path.name), func(b *testing.B) {
+				OnPath(path.simd, func() { bench(b, nil, 1, sh[0], sh[1], sh[2]) })
+			})
+		}
+	}
+	defer func(old int) { parallelGrain = old }(parallelGrain)
+	parallelGrain = 0
+	pool := threadpool.MustNew(2)
+	for _, sh := range [][3]int{{8, 128, 384}, {16, 128, 384}, {32, 128, 384}, {64, 128, 512}} {
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%dx%d/w%d", sh[0], sh[1], sh[2], width), func(b *testing.B) {
+				bench(b, pool, width, sh[0], sh[1], sh[2])
 			})
 		}
 	}

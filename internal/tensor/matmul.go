@@ -7,7 +7,7 @@ import (
 	"repro/internal/threadpool"
 )
 
-// useAVX2 selects the assembly inner loops of accumRow and accumOne
+// useAVX2 selects the assembly kernels of mulRows and transposeCols
 // (matmul_amd64.s). It is set once from CPUID; tests flip it to compare the
 // two paths. The Go loops are the reference and the path on every other CPU
 // and architecture.
@@ -17,14 +17,13 @@ var useAVX2 = cpufeat.AVX2
 // tensor, parallelizing over rows of A with `width` workers from pool. Pass
 // pool == nil (or width <= 1) for a serial computation.
 //
-// The kernel is an ikj loop order with the inner j loop over contiguous rows
-// of B, which keeps accesses streaming — the same memory-bandwidth-bound
-// profile that makes the paper's AddmmBackward saturate around eight
-// threads. See accumRow for the register blocking.
+// Each element is a sum started at +0 that adds its products in ascending
+// p, over contiguous rows of B. See mulRows for the register blocking and
+// product.run for when the pool is used.
 func MatMul(pool *threadpool.Pool, width int, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulShapes(a, b)
 	c := New(m, n)
-	newProduct(dense(a), dense(b), dense(c), m, k, n).run(pool, width)
+	product{dense(a), dense(b), dense(c), m, k, n}.run(pool, width)
 	return c
 }
 
@@ -35,8 +34,7 @@ func MatMulInto(pool *threadpool.Pool, width int, a, b, c *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulInto destination shape %v, want [%d %d]", c.Shape(), m, n))
 	}
-	clear(c.data)
-	newProduct(dense(a), dense(b), dense(c), m, k, n).run(pool, width)
+	product{dense(a), dense(b), dense(c), m, k, n}.run(pool, width)
 }
 
 func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
@@ -69,23 +67,18 @@ func (c Cols) window() (w window, rows int) {
 // MatMulACols writes A·B into c (m×n), overwriting it, where A is the m×k
 // column window a and B the k×n tensor b — attention scores Q_h·K_hᵀ read
 // out of Q in place, against one head's keys transposed by TransposeCols.
-// Every element is computed exactly as MatMul computes it, zero-skip
-// included.
+// Every element is computed exactly as MatMul computes it.
 //
 // Each element is then also exactly the dot product MatMulT forms: both
 // kernels start it from +0 and add the products in ascending p, each
-// product and each sum rounded once. The zero-skip drops only ±0 products
-// against finite rows of B, and an accumulator that starts at +0 is never
-// -0, so adding them would not change it (see skipFlags).
+// product and each sum rounded once.
 func MatMulACols(pool *threadpool.Pool, width int, a Cols, b, c *Tensor) {
 	aw, m := a.window()
 	k := a.Width
 	if b.Rank() != 2 || b.Dim(0) != k || c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != b.Dim(1) {
 		panic(fmt.Sprintf("tensor: MatMulACols shapes [%d %d] · %v -> %v", m, k, b.Shape(), c.Shape()))
 	}
-	n := b.Dim(1)
-	clear(c.data)
-	newProduct(aw, dense(b), dense(c), m, k, n).run(pool, width)
+	product{aw, dense(b), dense(c), m, k, b.Dim(1)}.run(pool, width)
 }
 
 // TransposeCols writes the transpose of the rows×w column window src into
@@ -156,75 +149,108 @@ func (w window) from(i int) window {
 // dense addresses the whole of the rank-2 tensor t.
 func dense(t *Tensor) window { return window{data: t.data, stride: t.Dim(1)} }
 
-// product is one C += A·B over windows: A is m×k, B is k×n, C is m×n.
+// at returns the address of element (i, j).
+func (w window) at(i, j int) *float32 { return &w.data[w.off+i*w.stride+j] }
+
+// product is one C = A·B over windows: A is m×k, B is k×n, C is m×n and is
+// overwritten.
 type product struct {
 	a, b, c window
 	m, k, n int
-	nf      []bool // zero-skip flags, see skipFlags
 }
 
-// newProduct sets up C += A·B.
-func newProduct(a, b, c window, m, k, n int) product {
-	return product{a: a, b: b, c: c, m: m, k: k, n: n, nf: skipFlags(a, m, b, k, n)}
-}
+// parallelGrain is the fewest multiply-adds a product must hold before run
+// splits it over the pool. Below it a second worker saves less than the
+// dispatch costs, and on a busy host its goroutine can wait a scheduler
+// time slice. BenchmarkMatMulShapes' width rows put width 2 at 1.17× the
+// serial time for 8×128×384 (0.39M multiply-adds), 0.95× at 16×128×384
+// (0.79M), 0.84× at 32×128×384 (1.6M) and 0.68× at 64×128×512 (4.2M) on
+// an idle 2-vCPU Xeon. Tests zero it to split every product.
+var parallelGrain = 1 << 20
 
-// run computes the product serially, or split by rows of A over width pool
-// workers; rows are independent, so the split never changes a result.
+// run computes the product serially, or split over width pool workers in
+// blocks of four rows, so that every worker runs whole register tiles; rows
+// are independent, so the split never changes a result.
 func (g product) run(pool *threadpool.Pool, width int) {
-	if pool == nil || width <= 1 || g.m <= 1 {
-		g.rows(0, g.m)
+	tiles := (g.m + 3) / 4
+	if pool == nil || width <= 1 || tiles <= 1 || g.m*g.k*g.n < parallelGrain {
+		mulRows(g.c, g.a, g.b, g.m, g.k, g.n)
 		return
 	}
 	par := g // only the parallel path's copy escapes to the heap
-	pool.ParallelRange(g.m, width, par.rows)
+	pool.ParallelRange(tiles, width, par.tiles)
 }
 
-func (g *product) rows(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		accumRow(g.c.row(i, g.n), g.a.row(i, g.k), g.b, g.nf)
+// tiles computes rows [4·lo, 4·hi) of C, the last block cut at m.
+func (g *product) tiles(lo, hi int) {
+	lo, hi = 4*lo, min(4*hi, g.m)
+	mulRows(g.c.from(lo), g.a.from(lo), g.b, hi-lo, g.k, g.n)
+}
+
+// mulRows sets the m×n window c to A·B, A being the m×k window a and B the
+// k×n window b: each element a sum started at +0 that adds its products,
+// each rounded, in ascending p. There is no zero-skip, so a zero in A
+// against a NaN or ±Inf in B gives NaN, as IEEE 754 says.
+//
+// With AVX2 and n ≥ 16, each block of four rows × 16 columns keeps its
+// sums in registers across all of k (tile4x16AVX2), and the last one to
+// three rows take the one-row kernels, 64 columns at a time when n ≥ 64
+// (row1x64AVX2) and 16 otherwise (row1x16AVX2). When the block width does
+// not divide n, the last block ends at column n and overlaps the one
+// before it; the overlapped elements are computed again, to the same bits.
+// Each lane performs mulRowGo's operations. The Go loop is the reference,
+// and the path for products narrower than 16 columns.
+func mulRows(c, a, b window, m, k, n int) {
+	if !useAVX2 || m == 0 || k == 0 || n < 16 {
+		for i := 0; i < m; i++ {
+			mulRowGo(c.row(i, n), a.row(i, k), b)
+		}
+		return
+	}
+	// Every row the kernels read or write.
+	_ = c.row(m-1, n)
+	_ = a.row(m-1, k)
+	_ = b.row(k-1, n)
+	full := m &^ 3 // rows the four-row tiles cover
+	for j := 0; j < n; j += 16 {
+		j := min(j, n-16)
+		for i := 0; i < full; i += 4 {
+			tile4x16AVX2(c.at(i, j), c.stride, a.at(i, 0), a.stride, b.at(0, j), b.stride, k)
+		}
+	}
+	w := 16 // the one-row kernels' block width
+	if n >= 64 {
+		w = 64
+	}
+	for i := full; i < m; i++ {
+		for j := 0; j < n; j += w {
+			j := min(j, n-w)
+			if w == 64 {
+				row1x64AVX2(c.at(i, j), a.at(i, 0), b.at(0, j), b.stride, k)
+			} else {
+				row1x16AVX2(c.at(i, j), a.at(i, 0), b.at(0, j), b.stride, k)
+			}
+		}
 	}
 }
 
-// accumRow adds Σ_p arow[p]·B[p] to crow in ascending p, B[p] being the
-// first len(crow) elements of row p of b. It takes eight rows of B per pass
-// and holds each output element in a register across them: every element
-// still receives its products one at a time in ascending p — the additions
-// and their order are those of a one-row-at-a-time loop — but crow[j] is
-// loaded and stored once per eight products instead of once per product. A
-// pass whose eight A values include a zero runs one row at a time, where
-// the zero-skip applies.
-//
-// With AVX2, whole eight-element runs of crow take the assembly loop, which
-// performs each lane's multiplies and adds, separately rounded and in the
-// same order; the Go loop finishes the tail.
-func accumRow(crow, arow []float32, b window, nf []bool) {
-	n := len(crow)
+// mulRowGo sets o to arow·B, B being the first len(o) columns of the rows
+// of b. It takes eight rows of B per pass and holds each output element in
+// a register across them: every element still starts at +0 and receives
+// its products one at a time in ascending p — the additions and their
+// order are those of a one-row-at-a-time loop — but o[j] is loaded and
+// stored once per eight products instead of once per product.
+func mulRowGo(o, arow []float32, b window) {
+	n := len(o)
+	clear(o)
 	p := 0
 	for ; p+8 <= len(arow); p += 8 {
 		a := arow[p : p+8 : p+8]
-		if a[0] == 0 || a[1] == 0 || a[2] == 0 || a[3] == 0 ||
-			a[4] == 0 || a[5] == 0 || a[6] == 0 || a[7] == 0 {
-			for q := p; q < p+8; q++ {
-				accumOne(crow, arow[q], b.row(q, n), nf, q)
-			}
-			continue
-		}
 		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-		b0 := b.row(p, n)[:len(crow)]
-		b1 := b.row(p+1, n)[:len(crow)]
-		b2 := b.row(p+2, n)[:len(crow)]
-		b3 := b.row(p+3, n)[:len(crow)]
-		b4 := b.row(p+4, n)[:len(crow)]
-		b5 := b.row(p+5, n)[:len(crow)]
-		b6 := b.row(p+6, n)[:len(crow)]
-		b7 := b.row(p+7, n)[:len(crow)]
-		v := 0 // elements the assembly loop covers
-		if useAVX2 && n >= 8 {
-			v = n &^ 7
-			accumRow8AVX2(&crow[0], (*[8]float32)(a), &b0[0], b.stride, v)
-		}
-		for j := uint(v); j < uint(len(crow)); j++ {
-			s := crow[j]
+		b0, b1, b2, b3 := b.row(p, n)[:n], b.row(p+1, n)[:n], b.row(p+2, n)[:n], b.row(p+3, n)[:n]
+		b4, b5, b6, b7 := b.row(p+4, n)[:n], b.row(p+5, n)[:n], b.row(p+6, n)[:n], b.row(p+7, n)[:n]
+		for j := range o {
+			s := o[j]
 			s += a0 * b0[j]
 			s += a1 * b1[j]
 			s += a2 * b2[j]
@@ -233,42 +259,20 @@ func accumRow(crow, arow []float32, b window, nf []bool) {
 			s += a5 * b5[j]
 			s += a6 * b6[j]
 			s += a7 * b7[j]
-			crow[j] = s
+			o[j] = s
 		}
 	}
 	for ; p < len(arow); p++ {
-		accumOne(crow, arow[p], b.row(p, n), nf, p)
-	}
-}
-
-// accumOne adds av·brow to crow unless the zero-skip drops row p.
-func accumOne(crow []float32, av float32, brow []float32, nf []bool, p int) {
-	if av == 0 && (nf == nil || !nf[p]) {
-		return
-	}
-	brow = brow[:len(crow)]
-	v := 0 // elements the assembly loop covers
-	if useAVX2 && len(crow) >= 8 {
-		v = len(crow) &^ 7
-		accumOneAVX2(&crow[0], &brow[0], av, v)
-	}
-	for j := uint(v); j < uint(len(crow)); j++ {
-		crow[j] += av * brow[j]
+		av, br := arow[p], b.row(p, n)[:n]
+		for j := range o {
+			o[j] += av * br[j]
+		}
 	}
 }
 
 // isNonFinite reports NaN or ±Inf: v-v is zero for every finite v and NaN
 // otherwise, and a NaN comparison against zero is unequal.
 func isNonFinite(v float32) bool { return v-v != 0 }
-
-func hasZero(xs []float32) bool {
-	for _, v := range xs {
-		if v == 0 {
-			return true
-		}
-	}
-	return false
-}
 
 func hasNonFinite(xs []float32) bool {
 	for _, v := range xs {
@@ -277,35 +281,6 @@ func hasNonFinite(xs []float32) bool {
 		}
 	}
 	return false
-}
-
-// skipFlags decides when the kernel's zero-skip is allowed to drop a
-// product. Skipping av == 0 is only value-preserving when row p of B is
-// finite: the skipped products are then ±0, and an accumulator that starts
-// at +0 and never adds two -0 terms in a row stays bit-identical whether or
-// not ±0 terms are added. With a non-finite row, 0×NaN and 0×Inf must
-// produce NaN, so the row cannot be skipped. The scan costs O(m·k) when A
-// has no zeros (the common dense case) and one pass over B otherwise; it
-// returns nil — "always skip" — when A has no zeros or B is entirely
-// finite.
-func skipFlags(a window, m int, b window, k, n int) []bool {
-	zero := false
-	for i := 0; i < m && !zero; i++ {
-		zero = hasZero(a.row(i, k))
-	}
-	if !zero {
-		return nil
-	}
-	var nf []bool
-	for p := 0; p < k; p++ {
-		if hasNonFinite(b.row(p, n)) {
-			if nf == nil {
-				nf = make([]bool, k)
-			}
-			nf[p] = true
-		}
-	}
-	return nf
 }
 
 // MatMulT computes C = A·Bᵀ for A (m×k) and B (n×k). This is the natural

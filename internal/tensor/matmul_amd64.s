@@ -1,78 +1,7 @@
 #include "textflag.h"
 
-// Neither kernel uses FMA: every lane rounds the product, then rounds the
+// No kernel here uses FMA: every lane rounds the product, then rounds the
 // sum, exactly as the Go loops do, so the results are bit-identical.
-
-// func accumRow8AVX2(c *float32, a *[8]float32, b *float32, stride, n int)
-TEXT ·accumRow8AVX2(SB), NOSPLIT, $0-40
-	MOVQ a+8(FP), AX
-	VBROADCASTSS 0(AX), Y8
-	VBROADCASTSS 4(AX), Y9
-	VBROADCASTSS 8(AX), Y10
-	VBROADCASTSS 12(AX), Y11
-	VBROADCASTSS 16(AX), Y12
-	VBROADCASTSS 20(AX), Y13
-	VBROADCASTSS 24(AX), Y14
-	VBROADCASTSS 28(AX), Y15
-	MOVQ c+0(FP), DI
-	MOVQ b+16(FP), SI
-	MOVQ stride+24(FP), DX
-	SHLQ $2, DX
-	LEAQ (SI)(DX*1), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
-	LEAQ (R13)(DX*1), BX
-	MOVQ n+32(FP), CX
-	SHLQ $2, CX
-	XORQ AX, AX
-
-loop8:
-	VMOVUPS (DI)(AX*1), Y0
-	VMULPS  (SI)(AX*1), Y8, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R8)(AX*1), Y9, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R9)(AX*1), Y10, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R10)(AX*1), Y11, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R11)(AX*1), Y12, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R12)(AX*1), Y13, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (R13)(AX*1), Y14, Y1
-	VADDPS  Y1, Y0, Y0
-	VMULPS  (BX)(AX*1), Y15, Y1
-	VADDPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	CMPQ AX, CX
-	JB   loop8
-	VZEROUPPER
-	RET
-
-// func accumOneAVX2(c, b *float32, a float32, n int)
-TEXT ·accumOneAVX2(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ b+8(FP), SI
-	VBROADCASTSS a+16(FP), Y8
-	MOVQ n+24(FP), CX
-	SHLQ $2, CX
-	XORQ AX, AX
-
-loop1:
-	VMOVUPS (DI)(AX*1), Y0
-	VMULPS  (SI)(AX*1), Y8, Y1
-	VADDPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	CMPQ AX, CX
-	JB   loop1
-	VZEROUPPER
-	RET
 
 // func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride, rows int)
 //
@@ -145,24 +74,24 @@ tile:
 	VZEROUPPER
 	RET
 
-// func scoresV4AVX2(out *float32, outStride int, s *float32, sStride int, v *float32, vStride, n int)
+// func tile4x16AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride, k int)
 //
-// Four rows of out[r][0:16] = Σ_p s[r][p]·v[p][0:16] over keys p in
-// [0, n), n ≥ 1: the four rows' sixteen sums stay in Y0–Y7 across the keys,
-// each starting at +0 and taking its products in ascending p, the product
-// (score first) and the sum (accumulator first) each rounded — accumRow8AVX2's
+// Four rows of c[r][0:16] = Σ_p a[r][p]·b[p][0:16] over p in [0, k),
+// k ≥ 1: the four rows' sixteen sums stay in Y0–Y7 across all of k, each
+// starting at +0 and taking its products in ascending p, the product (A's
+// element first) and the sum (accumulator first) each rounded — mulRowGo's
 // operations and operand order, lane by lane.
-TEXT ·scoresV4AVX2(SB), NOSPLIT, $0-56
-	MOVQ s+16(FP), SI
-	MOVQ sStride+24(FP), BX
+TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-56
+	MOVQ a+16(FP), SI
+	MOVQ aStride+24(FP), BX
 	SHLQ $2, BX
-	LEAQ (SI)(BX*1), R8  // score row 1
-	LEAQ (SI)(BX*2), R9  // score row 2
-	LEAQ (R8)(BX*2), R10 // score row 3
-	MOVQ v+32(FP), DX
-	MOVQ vStride+40(FP), R11
+	LEAQ (SI)(BX*1), R8  // row 1 of A
+	LEAQ (SI)(BX*2), R9  // row 2
+	LEAQ (R8)(BX*2), R10 // row 3
+	MOVQ b+32(FP), DX
+	MOVQ bStride+40(FP), R11
 	SHLQ $2, R11
-	MOVQ n+48(FP), CX
+	MOVQ k+48(FP), CX
 	SHLQ $2, CX
 	XORQ AX, AX
 	VXORPS Y0, Y0, Y0
@@ -174,7 +103,7 @@ TEXT ·scoresV4AVX2(SB), NOSPLIT, $0-56
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 
-keys4:
+k4:
 	VMOVUPS      (DX), Y8
 	VMOVUPS      32(DX), Y9
 	VBROADCASTSS (SI)(AX*1), Y10
@@ -200,10 +129,10 @@ keys4:
 	ADDQ         R11, DX
 	ADDQ         $4, AX
 	CMPQ         AX, CX
-	JB           keys4
+	JB           k4
 
-	MOVQ    out+0(FP), DI
-	MOVQ    outStride+8(FP), BX
+	MOVQ    c+0(FP), DI
+	MOVQ    cStride+8(FP), BX
 	SHLQ    $2, BX
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
@@ -219,21 +148,79 @@ keys4:
 	VZEROUPPER
 	RET
 
-// func scoresV1AVX2(out, s, v *float32, vStride, n int)
+// func row1x64AVX2(c, a, b *float32, bStride, k int)
 //
-// scoresV4AVX2 for one row: out[0:16] = Σ_p s[p]·v[p][0:16], p in [0, n).
-TEXT ·scoresV1AVX2(SB), NOSPLIT, $0-40
-	MOVQ s+8(FP), SI
-	MOVQ v+16(FP), DX
-	MOVQ vStride+24(FP), R11
+// tile4x16AVX2's operations for one row of 64 columns: c[0:64] =
+// Σ_p a[p]·b[p][0:64], p in [0, k), the eight sums in Y0–Y7 across all of
+// k. Eight independent sums keep the adds' latency hidden, which the
+// two-sum row1x16AVX2 cannot.
+TEXT ·row1x64AVX2(SB), NOSPLIT, $0-40
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bStride+24(FP), R11
 	SHLQ $2, R11
-	MOVQ n+32(FP), CX
+	MOVQ k+32(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+k64:
+	VBROADCASTSS (SI)(AX*1), Y8
+	VMULPS       (DX), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	VMULPS       32(DX), Y8, Y10
+	VADDPS       Y10, Y1, Y1
+	VMULPS       64(DX), Y8, Y11
+	VADDPS       Y11, Y2, Y2
+	VMULPS       96(DX), Y8, Y12
+	VADDPS       Y12, Y3, Y3
+	VMULPS       128(DX), Y8, Y13
+	VADDPS       Y13, Y4, Y4
+	VMULPS       160(DX), Y8, Y14
+	VADDPS       Y14, Y5, Y5
+	VMULPS       192(DX), Y8, Y15
+	VADDPS       Y15, Y6, Y6
+	VMULPS       224(DX), Y8, Y9
+	VADDPS       Y9, Y7, Y7
+	ADDQ         R11, DX
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JB           k64
+
+	MOVQ    c+0(FP), DI
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func row1x16AVX2(c, a, b *float32, bStride, k int)
+//
+// tile4x16AVX2 for one row: c[0:16] = Σ_p a[p]·b[p][0:16], p in [0, k).
+TEXT ·row1x16AVX2(SB), NOSPLIT, $0-40
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bStride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ k+32(FP), CX
 	SHLQ $2, CX
 	XORQ AX, AX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 
-keys1:
+k16:
 	VBROADCASTSS (SI)(AX*1), Y10
 	VMULPS       (DX), Y10, Y11
 	VADDPS       Y11, Y0, Y0
@@ -242,9 +229,9 @@ keys1:
 	ADDQ         R11, DX
 	ADDQ         $4, AX
 	CMPQ         AX, CX
-	JB           keys1
+	JB           k16
 
-	MOVQ    out+0(FP), DI
+	MOVQ    c+0(FP), DI
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VZEROUPPER

@@ -32,16 +32,23 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 // returns its first operand's payload), which no kernel contract can pin.
 func bitsEqual(t *testing.T, label string, got, want *Tensor) {
 	t.Helper()
+	if i := mismatch(got, want); i >= 0 {
+		g, w := got.data[i], want.data[i]
+		t.Fatalf("%s: element %d = %x (%g), want %x (%g)",
+			label, i, math.Float32bits(g), g, math.Float32bits(w), w)
+	}
+}
+
+// mismatch returns the first element where got and want differ bit for bit
+// (NaN matching any NaN), or -1.
+func mismatch(got, want *Tensor) int {
 	for i, w := range want.data {
 		g := got.data[i]
-		if math.IsNaN(float64(w)) && math.IsNaN(float64(g)) {
-			continue
-		}
-		if math.Float32bits(g) != math.Float32bits(w) {
-			t.Fatalf("%s: element %d = %x (%g), want %x (%g)",
-				label, i, math.Float32bits(g), g, math.Float32bits(w), w)
+		if math.Float32bits(g) != math.Float32bits(w) && !(math.IsNaN(float64(w)) && math.IsNaN(float64(g))) {
+			return i
 		}
 	}
+	return -1
 }
 
 // TestMatMulZeroTimesNonFinite pins the zero-skip bugfix: a zero in A must
@@ -79,10 +86,11 @@ func TestMatMulZeroTimesNonFinite(t *testing.T) {
 	}
 }
 
-// TestMatMulSkipPreservesSignedZero: the skip path can only be taken when B's
-// row is finite, and then skipping a ±0 product is bitwise identical to
-// adding it — because the accumulator starts at +0 and +0 + ±0 = +0, while a
-// nonzero accumulator absorbs ±0 unchanged.
+// TestMatMulSkipPreservesSignedZero: the kernel adds every product, ±0 ones
+// included, and the result keeps the naive loop's signs — the accumulator
+// starts at +0 and +0 + ±0 = +0, while a nonzero accumulator absorbs ±0
+// unchanged. The same facts made the retired zero-skip, which dropped ±0
+// products against finite rows of B, a no-op.
 func TestMatMulSkipPreservesSignedZero(t *testing.T) {
 	negz := float32(math.Copysign(0, -1))
 	pool := threadpool.MustNew(2)
@@ -122,30 +130,87 @@ func injectSpecials(rng *rand.Rand, xs []float32, frac float64) {
 	}
 }
 
+// specialOperands returns a random m×k A and k×n B with IEEE specials at
+// density frac (half that in B), and with ±0 in A against a NaN or ±Inf row
+// of B — the products the retired zero-skip had to keep.
+func specialOperands(rng *rand.Rand, m, k, n int, frac float64) (a, b *Tensor) {
+	a, b = RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+	injectSpecials(rng, a.data, frac)
+	injectSpecials(rng, b.data, frac/2)
+	p := rng.Intn(k)
+	row := b.Row(p)
+	row[rng.Intn(n)] = []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[rng.Intn(3)]
+	for i := 0; i < m; i++ {
+		if rng.Intn(2) == 0 {
+			a.Set(float32(math.Copysign(0, float64(1-2*rng.Intn(2)))), i, p)
+		}
+	}
+	return a, b
+}
+
+// widened copies t into the columns [off, off+cols) of a wider random
+// tensor, off ≥ 1.
+func widened(rng *rand.Rand, t *Tensor) (wide *Tensor, off int) {
+	rows, cols := t.Dim(0), t.Dim(1)
+	off = 1 + rng.Intn(9)
+	wide = RandN(rng, 1, rows, off+cols+rng.Intn(5))
+	for i := 0; i < rows; i++ {
+		copy(wide.Row(i)[off:], t.Row(i))
+	}
+	return wide, off
+}
+
+// productNames labels products' results.
+var productNames = []string{"MatMul serial", "MatMul", "MatMulInto", "MatMulACols", "windows"}
+
+// products computes A·B on one path in every form a caller uses: MatMul
+// serial and at width, MatMulInto, MatMulACols with A a column window at a
+// non-zero offset, and the kernel with A, B and C all such windows (as
+// AttentionHead reads and writes them), C's window copied out. It fails
+// t if the last wrote outside C's window.
+func products(t testing.TB, rng *rand.Rand, pool *threadpool.Pool, width int, a, b *Tensor, simd bool) []*Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	wideA, aoff := widened(rng, a)
+	wideB, boff := widened(rng, b)
+	wideC, coff := widened(rng, RandN(rng, 1, m, n))
+	into, acols, win := RandN(rng, 1, m, n), RandN(rng, 1, m, n), wideC.Clone()
+	var out []*Tensor
+	OnPath(simd, func() {
+		out = append(out, MatMul(nil, 1, a, b), MatMul(pool, width, a, b))
+		MatMulInto(pool, width, a, b, into)
+		MatMulACols(pool, width, Cols{wideA, aoff, k}, b, acols)
+		aw, _ := Cols{wideA, aoff, k}.window()
+		bw, _ := Cols{wideB, boff, n}.window()
+		cw, _ := Cols{win, coff, n}.window()
+		product{aw, bw, cw, m, k, n}.run(pool, width)
+	})
+	for i := 0; i < m; i++ {
+		for j, v := range wideC.Row(i) {
+			if (j < coff || j >= coff+n) && math.Float32bits(win.At(i, j)) != math.Float32bits(v) {
+				t.Fatalf("kernel wrote column %d outside its window [%d, %d)", j, coff, coff+n)
+			}
+		}
+	}
+	return append(out, into, acols, copiedCols(win, coff, n))
+}
+
 // TestPropertyMatMulNonFiniteEquivalence: for random shapes seeded with
-// NaN/±Inf/±0, serial and parallel kernels are bit-identical to the
-// skip-free naive reference. k spans up to five of the kernel's eight-row
-// passes plus a tail, and the special density varies per case so passes
-// both with and without a zero in A occur.
+// NaN/±Inf/±0, every form of the product (see products) is bit-identical
+// to the skip-free naive reference at widths 1–4 with the grain zeroed.
+// m reaches 13 and n 72, so every m % 4 and n % 16 occurs; k spans up to
+// five of the Go loop's eight-row passes plus a tail.
 func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
+	defer func(old int) { parallelGrain = old }(parallelGrain)
+	parallelGrain = 0
 	pool := threadpool.MustNew(4)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(5), 1+rng.Intn(40), 1+rng.Intn(24)
-		a, b := RandN(rng, 2, m, k), RandN(rng, 2, k, n)
-		injectSpecials(rng, a.data, []float64{0, 0.02, 0.1, 0.3}[rng.Intn(4)])
-		injectSpecials(rng, b.data, 0.15)
+		m, k, n := 1+rng.Intn(13), 1+rng.Intn(40), 1+rng.Intn(72)
+		a, b := specialOperands(rng, m, k, n, []float64{0, 0.02, 0.1, 0.3}[rng.Intn(4)])
 		want := naiveMatMul(a, b)
-		for _, w := range []int{1, 4} {
-			got := MatMul(pool, w, a, b)
-			for i := range want.data {
-				wv, gv := want.data[i], got.data[i]
-				if math.IsNaN(float64(wv)) && math.IsNaN(float64(gv)) {
-					continue
-				}
-				if math.Float32bits(gv) != math.Float32bits(wv) {
-					return false
-				}
+		for _, got := range products(t, rng, pool, 1+rng.Intn(4), a, b, true) {
+			if mismatch(got, want) >= 0 {
+				return false
 			}
 		}
 		return true
@@ -155,23 +220,25 @@ func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzMatMulNonFinite drives the same equivalence from fuzzed bytes: each
-// byte pair selects an element value, including the IEEE specials.
+// FuzzMatMulNonFinite drives the same equivalence from fuzzed shapes and
+// seeds, m up to 13, n up to 72 and widths 1–4 with the grain zeroed.
 func FuzzMatMulNonFinite(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(2))
 	f.Add(int64(99), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(7), uint8(2), uint8(36), uint8(9))
 	f.Add(int64(5), uint8(1), uint8(17), uint8(70))
-	pool := threadpool.MustNew(3)
+	f.Add(int64(3), uint8(12), uint8(9), uint8(67))
+	defer func(old int) { parallelGrain = old }(parallelGrain)
+	parallelGrain = 0
+	pool := threadpool.MustNew(4)
 	f.Fuzz(func(t *testing.T, seed int64, mr, kr, nr uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+int(mr%4), 1+int(kr%40), 1+int(nr%72)
-		a, b := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-		injectSpecials(rng, a.data, []float64{0.02, 0.1, 0.4}[int(kr)%3])
-		injectSpecials(rng, b.data, 0.25)
+		m, k, n := 1+int(mr%13), 1+int(kr%40), 1+int(nr%72)
+		a, b := specialOperands(rng, m, k, n, []float64{0.02, 0.1, 0.4}[int(kr)%3])
 		want := naiveMatMul(a, b)
-		bitsEqual(t, "serial", MatMul(nil, 1, a, b), want)
-		bitsEqual(t, "parallel", MatMul(pool, 3, a, b), want)
+		for i, got := range products(t, rng, pool, 1+int(mr/13)%4, a, b, true) {
+			bitsEqual(t, productNames[i], got, want)
+		}
 	})
 }
 
@@ -203,9 +270,9 @@ func copiedCols(t *Tensor, off, w int) *Tensor {
 
 // TestColumnWindowKernelsMatchReferences: the attention scores Q·Kᵀ as
 // MatMulACols over a column window of Q and TransposeCols of K's window, and
-// scores·V as scoresV over column windows — with NaN/±Inf/±0 in both
+// scores·V as mulRows over column windows — with NaN/±Inf/±0 in both
 // operands — are bit-identical to the naive references on the copied-out
-// columns, serial and parallel; MatMulT is too. scoresV writes only its
+// columns, serial and parallel; MatMulT is too. mulRows writes only its
 // window's columns.
 func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 	pool := threadpool.MustNew(2)
@@ -233,12 +300,12 @@ func TestColumnWindowKernelsMatchReferences(t *testing.T) {
 			before := out.Clone()
 			vw, _ := Cols{kv, off, w}.window()
 			ow, _ := Cols{out, off, w}.window()
-			scoresV(ow, dense(scores), vw, m, n, w)
-			bitsEqual(t, "scoresV", copiedCols(out, off, w), naiveMatMul(scores, kh))
+			mulRows(ow, dense(scores), vw, m, n, w)
+			bitsEqual(t, "mulRows", copiedCols(out, off, w), naiveMatMul(scores, kh))
 			for i := 0; i < m; i++ {
 				for j := 0; j < cols; j++ {
 					if (j < off || j >= off+w) && math.Float32bits(out.At(i, j)) != math.Float32bits(before.At(i, j)) {
-						t.Fatalf("scoresV wrote column %d outside its window [%d, %d)", j, off, off+w)
+						t.Fatalf("mulRows wrote column %d outside its window [%d, %d)", j, off, off+w)
 					}
 				}
 			}

@@ -77,9 +77,9 @@ func TestMatMulQMatchesDequantReference(t *testing.T) {
 	}
 }
 
-// TestMatMulQNonFiniteA: the fused kernel inherits the fixed zero-skip
-// semantics — zeros and NaN/Inf in the activation operand propagate exactly
-// as in the dense reference.
+// TestMatMulQNonFiniteA: MatMulQ inherits the dense kernel's semantics —
+// zeros and NaN/Inf in the activation operand propagate exactly as in the
+// dense reference.
 func TestMatMulQNonFiniteA(t *testing.T) {
 	pool := threadpool.MustNew(2)
 	rng := rand.New(rand.NewSource(15))

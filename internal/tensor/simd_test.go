@@ -16,51 +16,36 @@ func requireFMAKernels(t testing.TB) {
 	}
 }
 
-// TestSIMDMatchesPortable: with the AVX2 inner loops selected, MatMul,
-// MatMulInto and scoresV (column windows at non-zero offsets) are
-// bit-identical to the Go loops, NaN matching any NaN. n sweeps 1..72,
-// so rows hold zero to nine vector bodies and every tail length; the
-// special density varies, so passes with and without a zero in A (the
-// zero-skip) occur, with ±Inf, NaN, ±0 and subnormals in both operands.
+// TestSIMDMatchesPortable: with the AVX2 kernels selected, MatMul,
+// MatMulInto, MatMulACols and the kernel over column windows of A, B and C
+// at non-zero offsets are bit-identical to the Go loops and to naiveMatMul,
+// NaN matching any NaN, and write nothing outside C's window. m sweeps
+// 1..13, so every m % 4 occurs with zero to three whole four-row tiles; n
+// sweeps 1..72, so every n % 16 occurs with zero to four whole 16-column
+// blocks, and one-row blocks of 64 with and without an overlapping last
+// one. The grain is zeroed, so every product splits over its width (1–4).
+// The special density varies, with ±Inf, NaN, ±0 and subnormals in both
+// operands and ±0 in A against a NaN or ±Inf row of B.
 func TestSIMDMatchesPortable(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("processor lacks AVX2")
 	}
-	pool := threadpool.MustNew(2)
+	defer func(old int) { parallelGrain = old }(parallelGrain)
+	parallelGrain = 0
+	pool := threadpool.MustNew(4)
 	rng := rand.New(rand.NewSource(21))
 	for n := 1; n <= 72; n++ {
-		for trial, frac := range []float64{0, 0.03, 0.15, 0.5} {
-			label := fmt.Sprintf("n=%d/trial=%d", n, trial)
-			m, k := 1+rng.Intn(5), 1+rng.Intn(40)
-			a, b := RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-			injectSpecials(rng, a.data, frac)
-			injectSpecials(rng, b.data, frac/2)
-			// B and C as column windows of wider tensors.
-			boff, coff := 1+rng.Intn(9), 1+rng.Intn(9)
-			wideB := RandN(rng, 1, k, boff+n+rng.Intn(5))
-			for p := 0; p < k; p++ {
-				copy(wideB.data[p*wideB.Dim(1)+boff:], b.Row(p))
+		for m := 1; m <= 13; m++ {
+			width := 1 + (n+2*m)%4
+			label := fmt.Sprintf("m=%d/n=%d/width=%d", m, n, width)
+			a, b := specialOperands(rng, m, 1+rng.Intn(40), n, []float64{0, 0.03, 0.15, 0.5}[(n+m)%4])
+			ref := naiveMatMul(a, b)
+			want := products(t, rng, pool, width, a, b, false)
+			got := products(t, rng, pool, width, a, b, true)
+			for i := range got {
+				bitsEqual(t, fmt.Sprintf("%s/%s/portable", label, productNames[i]), want[i], ref)
+				bitsEqual(t, fmt.Sprintf("%s/%s", label, productNames[i]), got[i], ref)
 			}
-			wideC := RandN(rng, 1, m, coff+n+rng.Intn(5))
-
-			type result struct{ mm, mm2, into, cols *Tensor }
-			run := func(simd bool) (r result) {
-				OnPath(simd, func() {
-					r.mm, r.mm2 = MatMul(nil, 1, a, b), MatMul(pool, 2, a, b)
-					r.into = RandN(rng, 1, m, n)
-					MatMulInto(pool, 2, a, b, r.into)
-					r.cols = wideC.Clone()
-					bw, _ := Cols{wideB, boff, n}.window()
-					cw, _ := Cols{r.cols, coff, n}.window()
-					scoresV(cw, dense(a), bw, m, k, n)
-				})
-				return r
-			}
-			want, got := run(false), run(true)
-			bitsEqual(t, label+"/MatMul", got.mm, want.mm)
-			bitsEqual(t, label+"/MatMul parallel", got.mm2, want.mm)
-			bitsEqual(t, label+"/MatMulInto", got.into, want.mm)
-			bitsEqual(t, label+"/scoresV", got.cols, want.cols)
 		}
 	}
 }

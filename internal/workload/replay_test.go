@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -176,5 +177,50 @@ func TestReplayEdgeTraces(t *testing.T) {
 		if len(o.Tokens) != trace[i].MaxNewTokens {
 			t.Errorf("request %d: %d tokens, want %d", i, len(o.Tokens), trace[i].MaxNewTokens)
 		}
+	}
+}
+
+// TestReplayTriggers checks event arrivals: a request triggered by another's
+// k-th token is submitted after that token arrived and never before, a
+// trigger past a stream's last token fires when the stream ends, and one on
+// a rejected request fires at the rejection. Trigger fields appear in
+// Encode only on triggered requests.
+func TestReplayTriggers(t *testing.T) {
+	trace := replayTrace(6, 0)
+	trace[0].MaxNewTokens = 5
+	trace[2].After = &Trigger{Index: 0, Tokens: 3}
+	trace[3].After = &Trigger{Index: 1, Tokens: 9} // request 1 delivers 2
+	trace[4].At = time.Hour
+	trace[4].After = &Trigger{Index: 2, Tokens: 1} // rejected
+	trace[5].After = &Trigger{Index: 4, Tokens: 1}
+	start := time.Now()
+	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+		if i == 2 {
+			return nil, errors.New("rejected")
+		}
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	if elapsed := time.Since(start); elapsed > time.Minute {
+		t.Fatalf("replay took %v: a triggered request waited for its At", elapsed)
+	}
+	if got := outs[2].Submitted; got.Before(outs[0].TokenTimes[2]) {
+		t.Errorf("request 2 submitted at %v, before request 0's third token at %v", got, outs[0].TokenTimes[2])
+	}
+	if last := outs[1].TokenTimes[len(outs[1].TokenTimes)-1]; !outs[3].Submitted.After(last) {
+		t.Errorf("request 3 submitted before request 1 ended")
+	}
+	for i, o := range outs {
+		if i != 2 && len(o.Tokens) != trace[i].MaxNewTokens {
+			t.Errorf("request %d: %d tokens, want %d", i, len(o.Tokens), trace[i].MaxNewTokens)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(trace.Encode(), "\n"), "\n")
+	for i, line := range lines {
+		if has := strings.Contains(line, "after="); has != (trace[i].After != nil) {
+			t.Errorf("encoded request %d %q: trigger field present %v", i, line, has)
+		}
+	}
+	if !strings.HasSuffix(lines[2], "\tafter=0@3") {
+		t.Errorf("encoded request 2 %q, want its trigger after=0@3", lines[2])
 	}
 }

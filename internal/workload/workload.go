@@ -26,6 +26,10 @@ import (
 type Request struct {
 	// At is the arrival time relative to the trace start.
 	At time.Duration
+	// After, when set, makes the request's arrival an event instead:
+	// Replay submits it once an earlier request has delivered some tokens,
+	// and At is ignored.
+	After *Trigger
 	// Tenant is the billing tenant ("" until AssignTenants or a tenant-tagged
 	// spec fills it in).
 	Tenant string
@@ -40,6 +44,13 @@ type Request struct {
 	MaxNewTokens int
 	// Kind names the generator that produced the request.
 	Kind string
+}
+
+// Trigger is a request's arrival on another request's progress: once
+// request Index of the same trace, which must come earlier, has delivered
+// its Tokens-th token, Tokens ≥ 1 (or has ended with fewer).
+type Trigger struct {
+	Index, Tokens int
 }
 
 // Trace is a time-ordered request sequence.
@@ -93,9 +104,13 @@ func (t Trace) Encode() string {
 		if tenant == "" {
 			tenant = "-"
 		}
-		fmt.Fprintf(&b, "%d\t%dus\t%s\t%s\tsess=%d\tturn=%d\tplen=%d\tnew=%d\tph=%08x\n",
+		fmt.Fprintf(&b, "%d\t%dus\t%s\t%s\tsess=%d\tturn=%d\tplen=%d\tnew=%d\tph=%08x",
 			i, r.At.Microseconds(), r.Kind, tenant, r.Session, r.Turn,
 			len(r.Prompt), r.MaxNewTokens, promptHash(r.Prompt))
+		if r.After != nil {
+			fmt.Fprintf(&b, "\tafter=%d@%d", r.After.Index, r.After.Tokens)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

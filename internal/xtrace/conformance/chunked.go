@@ -67,8 +67,15 @@ func ChunkedSimVsModel() (*Report, error) {
 					Pass: re <= SimRelTol,
 				})
 			}
+			// Summed in key order, so that the row repeats bit for bit.
+			names := make([]string, 0, len(res.TaskBusy))
+			for name := range res.TaskBusy {
+				names = append(names, name)
+			}
+			sort.Strings(names)
 			maxKind, sum := 0.0, 0.0
-			for _, b := range res.TaskBusy {
+			for _, name := range names {
+				b := res.TaskBusy[name]
 				sum += b
 				if b > maxKind {
 					maxKind = b

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"testing"
 )
 
@@ -103,4 +104,33 @@ func TestServeBounds(t *testing.T) {
 		t.Fatalf("serve-bounds produced %d rows, want >= 2", len(rep.Rows))
 	}
 	failuresText(t, rep)
+}
+
+// TestModelRowsRepeatBitForBit: the suites whose predictions come from the
+// model alone — the sim-vs-model grids and the chunked engine's structural
+// bounds — give every row the same Predicted value, bit for bit, on a
+// second run. (Engine-vs-model predictions are calibrated from measured
+// rates, and serve-bounds' from live steps, so they are left out.)
+func TestModelRowsRepeatBitForBit(t *testing.T) {
+	runs := [2][]Row{}
+	for i := range runs {
+		for _, suite := range []func() (*Report, error){SimVsModel, ChunkedSimVsModel, ChunkedEngineBound} {
+			rep, err := suite()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = append(runs[i], rep.Rows...)
+		}
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("%d rows, then %d", len(runs[0]), len(runs[1]))
+	}
+	for i, r := range runs[0] {
+		s := runs[1][i]
+		if r.Suite != s.Suite || r.Case != s.Case || r.Check != s.Check || r.Task != s.Task ||
+			math.Float64bits(r.Predicted) != math.Float64bits(s.Predicted) {
+			t.Errorf("%s/%s %s %s predicted %v, then %s/%s %s %s %v",
+				r.Suite, r.Case, r.Check, r.Task, r.Predicted, s.Suite, s.Case, s.Check, s.Task, s.Predicted)
+		}
+	}
 }
