@@ -162,9 +162,9 @@ type product struct {
 // parallelGrain is the fewest multiply-adds a product must hold before run
 // splits it over the pool. Below it a second worker saves less than the
 // dispatch costs, and on a busy host its goroutine can wait a scheduler
-// time slice. BenchmarkMatMulShapes' width rows put width 2 at 1.17× the
-// serial time for 8×128×384 (0.39M multiply-adds), 0.95× at 16×128×384
-// (0.79M), 0.84× at 32×128×384 (1.6M) and 0.68× at 64×128×512 (4.2M) on
+// time slice. BenchmarkMatMulShapes' width rows put width 2 at 1.18× the
+// serial time for 8×128×384 (0.39M multiply-adds), 0.99× at 16×128×384
+// (0.79M), 0.84× at 32×128×384 (1.6M) and 0.69× at 64×128×512 (4.2M) on
 // an idle 2-vCPU Xeon. Tests zero it to split every product.
 var parallelGrain = 1 << 20
 
