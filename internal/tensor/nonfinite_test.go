@@ -132,7 +132,7 @@ func injectSpecials(rng *rand.Rand, xs []float32, frac float64) {
 
 // specialOperands returns a random m×k A and k×n B with IEEE specials at
 // density frac (half that in B), and with ±0 in A against a NaN or ±Inf row
-// of B — the products the retired zero-skip had to keep.
+// of B — products that must give NaN rather than be skipped as zeros.
 func specialOperands(rng *rand.Rand, m, k, n int, frac float64) (a, b *Tensor) {
 	a, b = RandN(rng, 1, m, k), RandN(rng, 1, k, n)
 	injectSpecials(rng, a.data, frac)
@@ -196,7 +196,7 @@ func products(t testing.TB, rng *rand.Rand, pool *threadpool.Pool, width int, a,
 
 // TestPropertyMatMulNonFiniteEquivalence: for random shapes seeded with
 // NaN/±Inf/±0, every form of the product (see products) is bit-identical
-// to the skip-free naive reference at widths 1–4 with the grain zeroed.
+// to the skip-free naive reference at widths 1–4 with parallelGrain zeroed.
 // m reaches 13 and n 72, so every m % 4 and n % 16 occurs; k spans up to
 // five of the Go loop's eight-row passes plus a tail.
 func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
@@ -221,7 +221,7 @@ func TestPropertyMatMulNonFiniteEquivalence(t *testing.T) {
 }
 
 // FuzzMatMulNonFinite drives the same equivalence from fuzzed shapes and
-// seeds, m up to 13, n up to 72 and widths 1–4 with the grain zeroed.
+// seeds, m up to 13, n up to 72 and widths 1–4 with parallelGrain zeroed.
 func FuzzMatMulNonFinite(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(2))
 	f.Add(int64(99), uint8(1), uint8(1), uint8(1))

@@ -23,7 +23,8 @@ func requireFMAKernels(t testing.TB) {
 // 1..13, so every m % 4 occurs with zero to three whole four-row tiles; n
 // sweeps 1..72, so every n % 16 occurs with zero to four whole 16-column
 // blocks, and one-row blocks of 64 with and without an overlapping last
-// one. The grain is zeroed, so every product splits over its width (1–4).
+// one. parallelGrain is zeroed, so every product splits over its width
+// (1–4).
 // The special density varies, with ±Inf, NaN, ±0 and subnormals in both
 // operands and ±0 in A against a NaN or ±Inf row of B.
 func TestSIMDMatchesPortable(t *testing.T) {

@@ -39,11 +39,10 @@ type Outcome struct {
 // request's At (a request whose instant has already passed is submitted at
 // once); a request with a trigger (Request.After) waits for it instead, and
 // holds back the requests after it meanwhile. Each accepted stream is
-// drained by its own goroutine, and Replay
-// returns when every stream has finished, with one Outcome per request,
-// indexed like t. The submit hook is the only place a caller acts at an
-// arrival: it can change fault windows or record that the last request is
-// in.
+// drained by its own goroutine, and Replay returns when every stream has
+// finished, with one Outcome per request, indexed like t. The submit hook
+// is the only place a caller acts at an arrival: it can change fault
+// windows or record that the last request is in.
 func Replay(t Trace, submit func(i int, r Request) (Stream, error)) []Outcome {
 	out := make([]Outcome, len(t))
 	// fired[i] closes when request i's trigger fires; waits[p] lists the
