@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -135,7 +136,7 @@ func runChunkedArm(cfg model.Config, chunk, promptLen, streams, decodeLen int, s
 	}
 	defer sched.Close()
 
-	outs := workload.Replay(trace, submitTo(sched))
+	outs := workload.Replay(context.Background(), trace, submitTo(sched))
 	if err := replayErr(outs); err != nil {
 		return arm, nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // ClusterRow is one scenario of the cluster robustness bench.
@@ -57,9 +57,9 @@ type clusterLive struct {
 
 const clusterSeed = 424242
 
-// clusterLiveKill drives n Poisson requests at three live replicas, kills
-// replica 0 a third of the way through the trace, and restarts it at two
-// thirds. Every request must end with a definite status; availability is the
+// clusterLiveKill replays n Poisson requests at three live replicas, kills
+// the replica that request n/3 routed to, and restarts it at request 2n/3.
+// Every request must end with a definite status; availability is the
 // completed fraction. A sample of completed outputs is verified token-exact
 // against solo replays.
 func clusterLiveKill(n int) (ClusterRow, clusterLive, error) {
@@ -100,92 +100,54 @@ func clusterLiveKill(n int) (ClusterRow, clusterLive, error) {
 		return row, live, err
 	}
 
-	type outcome struct {
-		prompt []int
-		budget int
-		out    []int
-		ttft   time.Duration
-		ok     bool
-	}
-	results := make([]outcome, n)
 	rng := rand.New(rand.NewSource(clusterSeed + 1))
-	var rejected int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	consume := func(i int, t0 time.Time, st *cluster.Stream, err error) {
-		defer wg.Done()
-		if err == nil {
-			var ttft time.Duration
-			for range st.Tokens() {
-				if ttft == 0 {
-					ttft = time.Since(t0)
-				}
-			}
-			var out []int
-			out, err = st.Wait()
-			if err == nil {
-				results[i].out = out
-				results[i].ttft = ttft
-				results[i].ok = true
-				return
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		var ovl *serve.OverloadError
-		switch {
-		case errors.As(err, &ovl), errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrClosed):
-			rejected++
-		default:
-			live.Indefinite++
-		}
+	trace := make(workload.Trace, n)
+	var at time.Duration
+	for i := range trace {
+		prompt := randTokens(rng, 4+rng.Intn(10), vocab)
+		trace[i] = workload.Request{At: at, Session: -1, Prompt: prompt, MaxNewTokens: 6 + rng.Intn(8), Kind: "cluster"}
+		at += time.Duration(rng.ExpFloat64() * float64(3*time.Millisecond))
 	}
 	victim := 0
-	for i := 0; i < n; i++ {
-		prompt := make([]int, 4+rng.Intn(10))
-		for j := range prompt {
-			prompt[j] = rng.Intn(vocab)
+	outs := workload.Replay(context.Background(), trace, func(i int, r workload.Request) (workload.Stream, error) {
+		if i == 2*n/3 {
+			c.Restart(victim)
 		}
-		budget := 6 + rng.Intn(8)
-		results[i] = outcome{prompt: prompt, budget: budget}
-		wg.Add(1)
+		st, err := c.Submit(context.Background(), serve.Request{Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens})
 		if i == n/3 {
-			// The kill: submit this request synchronously, then take down
-			// whichever replica it routed to while it is still in flight —
-			// the failover path, not scheduling luck, is under test.
-			t0 := time.Now()
-			st, err := c.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNewTokens: budget})
+			// The kill: take down whichever replica this request routed to
+			// while it is still in flight — the failover path, not
+			// scheduling luck, is under test.
 			if err == nil && len(st.Replicas()) > 0 {
 				victim = st.Replicas()[0]
 			}
-			go consume(i, t0, st, err)
 			c.Kill(victim)
-		} else {
-			if i == 2*n/3 {
-				c.Restart(victim)
-			}
-			go func(i int) {
-				t0 := time.Now()
-				st, err := c.Submit(context.Background(), serve.Request{Prompt: results[i].prompt, MaxNewTokens: results[i].budget})
-				consume(i, t0, st, err)
-			}(i)
 		}
-		time.Sleep(time.Duration(rng.ExpFloat64() * float64(3*time.Millisecond)))
-	}
-	wg.Wait()
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	})
 	c.Wait()
 
 	var ttfts []float64
-	for i := range results {
-		if !results[i].ok {
+	rejected := 0
+	for i, o := range outs {
+		if err := outcomeErr(o); err != nil {
+			var ovl *serve.OverloadError
+			if errors.As(err, &ovl) || errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrClosed) {
+				rejected++
+			} else {
+				live.Indefinite++
+			}
 			continue
 		}
 		row.Completed++
-		ttfts = append(ttfts, results[i].ttft.Seconds())
+		ttfts = append(ttfts, o.TokenTimes[0].Sub(o.Submitted).Seconds())
 		// Verify a spread sample token-exact against solo replays (replays
 		// build a fresh engine each, so bound the count).
 		if live.ExactChecked < 6 && i%(n/6+1) == 0 {
-			ok, err := matchesSolo(clusterSeed, model.Tiny(), results[i].prompt, results[i].budget, nil, results[i].out)
+			ok, err := matchesSolo(clusterSeed, model.Tiny(), trace[i].Prompt, trace[i].MaxNewTokens, nil, o.Tokens)
 			if err != nil {
 				return row, live, err
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adapt"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // DriftRunRow is one run of the online-adaptation experiment.
@@ -73,20 +72,46 @@ func (s fixedSearcher) Search(factor float64, cur runtime.ExecPolicy) (adapt.Can
 	return adapt.Candidate{Policy: next, PredictedGain: s.gain, Profile: "drift-exp"}, nil
 }
 
-// driftStack is one live serving stack wired for adaptation experiments.
+// driftStack is one live serving stack wired for adaptation experiments,
+// with its closed-loop traffic replaying in the background until closeStack.
 type driftStack struct {
 	sched  *serve.Scheduler
 	col    *perfmodel.EstCollector
 	inj    *faults.Injector
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	served atomic.Int64
+	cancel context.CancelFunc
+	done   chan struct{}
+}
+
+// driftRequests bounds a stack's trace. The four users think 8 ms on
+// average, so they ask at most ~500 req/s; a run serves under a hundred
+// requests in about a second, and the trace lasts over 30 s.
+const driftRequests = 1 << 14
+
+// driftTrace is the traffic of users closed-loop clients: client w, drawing
+// from seed*31+w, asks for a 2-5-token prompt and a 4-11-token budget, and
+// after each answer thinks for an Exp(8 ms) time before asking again.
+func driftTrace(seed int64, users, vocab int) workload.Trace {
+	rngs := make([]*rand.Rand, users)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(seed*31 + int64(w)))
+	}
+	trace := make(workload.Trace, driftRequests)
+	think := make([]time.Duration, len(trace))
+	for i := range trace {
+		rng := rngs[i%users]
+		prompt := randTokens(rng, 2+rng.Intn(4), vocab)
+		trace[i] = workload.Request{Session: -1, Prompt: prompt, MaxNewTokens: 4 + rng.Intn(8), Kind: "drift"}
+		if i+users < len(think) {
+			think[i+users] = time.Duration(rng.ExpFloat64() * float64(8*time.Millisecond))
+		}
+	}
+	return workload.ClosedLoop(trace, users, think)
 }
 
 // newDriftStack builds a tiny engine (2-worker pool) behind a scheduler with
-// admission control and the TPOT estimator collector attached, then starts
-// `workers` background submitters.
-func newDriftStack(seed int64, startIntra, workers int) (*driftStack, error) {
+// admission control and the TPOT estimator collector attached, then replays
+// the closed-loop traffic of `users` clients against it in the background.
+func newDriftStack(seed int64, startIntra, users int) (*driftStack, error) {
 	cfg := model.Tiny()
 	eng, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: startIntra, Prefetch: true}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
@@ -108,40 +133,18 @@ func newDriftStack(seed int64, startIntra, workers int) (*driftStack, error) {
 		return nil, err
 	}
 
-	st := &driftStack{sched: sched, col: col, inj: inj, stop: make(chan struct{})}
-	for w := 0; w < workers; w++ {
-		st.wg.Add(1)
-		go func(seed int64) {
-			defer st.wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-st.stop:
-					return
-				default:
-				}
-				prompt := make([]int, 2+rng.Intn(4))
-				for j := range prompt {
-					prompt[j] = rng.Intn(cfg.Vocab)
-				}
-				h, err := sched.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNewTokens: 4 + rng.Intn(8)})
-				if err == nil {
-					if _, werr := h.Wait(); werr == nil {
-						st.served.Add(1)
-					}
-				} else {
-					time.Sleep(10 * time.Millisecond)
-				}
-				time.Sleep(time.Duration(rng.ExpFloat64() * float64(8*time.Millisecond)))
-			}
-		}(seed*31 + int64(w))
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	st := &driftStack{sched: sched, col: col, inj: inj, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(st.done)
+		workload.Replay(ctx, driftTrace(seed, users, cfg.Vocab), submitTo(sched))
+	}()
 	return st, nil
 }
 
 func (st *driftStack) closeStack() {
-	close(st.stop)
-	st.wg.Wait()
+	st.cancel()
+	<-st.done
 	st.sched.Close()
 }
 
@@ -149,17 +152,12 @@ func (st *driftStack) closeStack() {
 // a regime-pure measurement of the stack's current operating point.
 func (st *driftStack) settleTPOT(minSamples int, deadline time.Duration) (float64, error) {
 	st.col.ResetWindow(perfmodel.EstTPOT)
-	end := time.Now().Add(deadline)
-	for {
-		ws := st.col.WindowStats(perfmodel.EstTPOT)
-		if ws.Count >= minSamples {
-			return ws.ActualMedian, nil
-		}
-		if time.Now().After(end) {
-			return 0, fmt.Errorf("experiments: drift: TPOT window never filled (%d/%d samples)", ws.Count, minSamples)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	var ws perfmodel.EstWindowStats
+	err := driftWait(fmt.Sprintf("TPOT window fill to %d samples", minSamples), deadline, func() bool {
+		ws = st.col.WindowStats(perfmodel.EstTPOT)
+		return ws.Count >= minSamples
+	})
+	return ws.ActualMedian, err
 }
 
 // driftWait polls cond until it holds or the deadline passes.
@@ -276,7 +274,7 @@ func driftAdaptiveRun(seed int64, slowdown float64) (DriftRunRow, runtime.ExecPo
 	row.Swaps = status.SwapsConfirmed
 	row.Commits = status.Commits
 	row.Rollbacks = status.Rollbacks
-	row.Served = st.served.Load()
+	row.Served = st.sched.Metrics().Serve.Completed
 	return row, committed, nil
 }
 
@@ -299,7 +297,7 @@ func driftFreshRun(seed int64, slowdown float64, policy runtime.ExecPolicy) (Dri
 		return row, err
 	}
 	row.FinalTPOT = final
-	row.Served = st.served.Load()
+	row.Served = st.sched.Metrics().Serve.Completed
 	return row, nil
 }
 
@@ -354,7 +352,7 @@ func driftPoisonedRun(seed int64, slowdown float64) (DriftRunRow, bool, error) {
 	row.Swaps = status.SwapsConfirmed
 	row.Commits = status.Commits
 	row.Rollbacks = status.Rollbacks
-	row.Served = st.served.Load()
+	row.Served = st.sched.Metrics().Serve.Completed
 	return row, restored, nil
 }
 

@@ -23,6 +23,15 @@ func seededModel(seed int64, cfg model.Config) (*model.Model, error) {
 	return model.NewModel(rand.New(rand.NewSource(seed)), cfg)
 }
 
+// randTokens draws n tokens uniformly from [0, vocab).
+func randTokens(rng *rand.Rand, n, vocab int) []int {
+	toks := make([]int, n)
+	for i := range toks {
+		toks[i] = rng.Intn(vocab)
+	}
+	return toks
+}
+
 // seededEngine builds an engine over seededModel(seed, cfg).
 func seededEngine(seed int64, cfg model.Config, pol runtime.Policy, capacity int64, pool *threadpool.Pool) (*runtime.Engine, error) {
 	m, err := seededModel(seed, cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -77,10 +78,7 @@ func overloadSoakTrace(seed int64, n, vocab int) workload.Trace {
 			gap = 6 * time.Millisecond
 		}
 		at += time.Duration(rng.ExpFloat64() * float64(gap))
-		prompt := make([]int, 4+rng.Intn(28))
-		for j := range prompt {
-			prompt[j] = rng.Intn(vocab)
-		}
+		prompt := randTokens(rng, 4+rng.Intn(28), vocab)
 		out = append(out, workload.Request{
 			At: at, Session: -1, Kind: overloadPhases[phase],
 			Prompt: prompt, MaxNewTokens: 8 + rng.Intn(56),
@@ -135,7 +133,7 @@ func Overload(s Scale) (*OverloadResult, error) {
 
 	trace := overloadSoakTrace(seed, n, cfg.Vocab)
 	submit := submitTo(sched)
-	outs := workload.Replay(trace, func(i int, r workload.Request) (workload.Stream, error) {
+	outs := workload.Replay(context.Background(), trace, func(i int, r workload.Request) (workload.Stream, error) {
 		// The fault window tracks the burst: chaos arrives with the storm.
 		inj.SetActive(r.Kind == overloadPhases[1])
 		return submit(i, r)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // PrefixRow is one overlap level of the shared-prefix reuse experiment: the
@@ -66,72 +68,52 @@ var prefixOverlaps = []float64{0, 0.5, 0.75}
 // prefixSpeedupBar is the TTFT speedup the cache must buy at >= 50% overlap.
 const prefixSpeedupBar = 1.5
 
-// prefixTrace builds n prompts of promptLen tokens sharing the first
-// sharedLen tokens, plus Poisson inter-arrival gaps.
-func prefixTrace(rng *rand.Rand, n, promptLen, sharedLen, vocab int) (prompts [][]int, gaps []time.Duration) {
-	shared := make([]int, sharedLen)
-	for i := range shared {
-		shared[i] = rng.Intn(vocab)
+// prefixTrace is one closed-loop user sending n prompts of promptLen tokens
+// that share their first sharedLen tokens: each request waits for the
+// previous to end, then thinks for a Poisson gap, so TTFT isolates prefill
+// cost from queueing.
+func prefixTrace(rng *rand.Rand, n, promptLen, sharedLen, vocab, budget int) workload.Trace {
+	shared := randTokens(rng, sharedLen, vocab)
+	trace := make(workload.Trace, n)
+	think := make([]time.Duration, n)
+	for i := range trace {
+		p := append(slices.Clip(shared), randTokens(rng, promptLen-sharedLen, vocab)...)
+		trace[i] = workload.Request{Session: -1, Prompt: p, MaxNewTokens: budget, Kind: "prefix"}
+		think[i] = time.Duration(rng.ExpFloat64() * float64(time.Millisecond))
 	}
-	for i := 0; i < n; i++ {
-		p := make([]int, promptLen)
-		copy(p, shared)
-		for j := sharedLen; j < promptLen; j++ {
-			p[j] = rng.Intn(vocab)
-		}
-		prompts = append(prompts, p)
-		gaps = append(gaps, time.Duration(rng.ExpFloat64()*float64(time.Millisecond)))
-	}
-	return prompts, gaps
+	return workload.ClosedLoop(trace, 1, think)
 }
 
-// prefixServeRun serves the trace closed-loop (each request waits for the
-// previous, spaced by the Poisson gaps) so TTFT isolates prefill cost from
-// queueing, and returns the per-request TTFTs, outputs, and final metrics.
-func prefixServeRun(seed int64, cfg model.Config, prompts [][]int, gaps []time.Duration, budget int, cacheBytes int64) ([]time.Duration, [][]int, serve.Metrics, error) {
+// prefixServeRun replays the trace and returns its outcomes and the final
+// metrics.
+func prefixServeRun(seed int64, cfg model.Config, trace workload.Trace, cacheBytes int64) ([]workload.Outcome, serve.Metrics, error) {
 	eng, err := seededEngine(seed, cfg, runtime.Policy{IntraOp: 2, Prefetch: true}, 1<<30, threadpool.MustNew(2))
 	if err != nil {
-		return nil, nil, serve.Metrics{}, err
+		return nil, serve.Metrics{}, err
 	}
 	scfg := serve.DefaultConfig(cfg.Vocab)
 	scfg.PrefixCacheBytes = cacheBytes
 	sched, err := serve.New(eng, scfg)
 	if err != nil {
-		return nil, nil, serve.Metrics{}, err
+		return nil, serve.Metrics{}, err
 	}
 	defer sched.Close()
 
-	ttfts := make([]time.Duration, len(prompts))
-	outs := make([][]int, len(prompts))
-	ctx := context.Background()
-	for i, prompt := range prompts {
-		time.Sleep(gaps[i])
-		t0 := time.Now()
-		st, err := sched.Submit(ctx, serve.Request{Prompt: prompt, MaxNewTokens: budget})
-		if err != nil {
-			return nil, nil, serve.Metrics{}, fmt.Errorf("experiments: prefix: submit %d: %w", i, err)
-		}
-		if _, ok := <-st.Tokens(); ok {
-			ttfts[i] = time.Since(t0)
-		}
-		outs[i], err = st.Wait()
-		if err != nil {
-			return nil, nil, serve.Metrics{}, fmt.Errorf("experiments: prefix: request %d: %w", i, err)
-		}
+	outs := workload.Replay(context.Background(), trace, submitTo(sched))
+	if err := replayErr(outs); err != nil {
+		return nil, serve.Metrics{}, fmt.Errorf("experiments: prefix: %w", err)
 	}
-	met := sched.Metrics()
-	return ttfts, outs, met, nil
+	return outs, sched.Metrics(), nil
 }
 
-// minEnvelope folds one repetition's per-request TTFTs into the running
-// elementwise minimum.
-func minEnvelope(env, ds []time.Duration) []time.Duration {
-	if env == nil {
-		return append([]time.Duration(nil), ds...)
-	}
-	for i, d := range ds {
-		if d < env[i] {
-			env[i] = d
+// minEnvelope folds one repetition's per-request submit-to-first-token
+// latencies into the running elementwise minimum.
+func minEnvelope(env []time.Duration, outs []workload.Outcome) []time.Duration {
+	for i, o := range outs {
+		if ttft := o.TokenTimes[0].Sub(o.Submitted); i == len(env) {
+			env = append(env, ttft)
+		} else if ttft < env[i] {
+			env[i] = ttft
 		}
 	}
 	return env
@@ -179,11 +161,11 @@ func PrefixReuse(s Scale) (*PrefixResult, error) {
 
 	for _, overlap := range prefixOverlaps {
 		rng := rand.New(rand.NewSource(seed + int64(overlap*100)))
-		prompts, gaps := prefixTrace(rng, n, prefixPromptLen, int(overlap*prefixPromptLen), cfg.Vocab)
+		trace := prefixTrace(rng, n, prefixPromptLen, int(overlap*prefixPromptLen), cfg.Vocab, budget)
 
 		var (
 			row    PrefixRow
-			onOuts [][]int
+			onOuts []workload.Outcome
 		)
 		for attempt := 1; ; attempt++ {
 			var (
@@ -191,17 +173,17 @@ func PrefixReuse(s Scale) (*PrefixResult, error) {
 				met           serve.Metrics
 			)
 			for rep := 0; rep < reps; rep++ {
-				offTTFT, _, _, err := prefixServeRun(seed, cfg, prompts, gaps, budget, 0)
+				offOuts, _, err := prefixServeRun(seed, cfg, trace, 0)
 				if err != nil {
 					return nil, err
 				}
-				onTTFT, repOuts, repMet, err := prefixServeRun(seed, cfg, prompts, gaps, budget, cacheBytes)
+				repOuts, repMet, err := prefixServeRun(seed, cfg, trace, cacheBytes)
 				if err != nil {
 					return nil, err
 				}
 				out.MinEstimateRatio = math.Min(out.MinEstimateRatio, float64(repMet.PredictedPeakBytes)/float64(repMet.ArenaPeak))
-				offEnv = minEnvelope(offEnv, offTTFT)
-				onEnv = minEnvelope(onEnv, onTTFT)
+				offEnv = minEnvelope(offEnv, offOuts)
+				onEnv = minEnvelope(onEnv, repOuts)
 				onOuts, met = repOuts, repMet
 			}
 
@@ -225,8 +207,8 @@ func PrefixReuse(s Scale) (*PrefixResult, error) {
 
 		// Sampled exactness: reuse must not change a single served token.
 		if overlap >= 0.5 {
-			for i := 0; i < len(prompts) && out.ExactChecked < 4; i += len(prompts) / 2 {
-				ok, err := matchesSolo(seed, cfg, prompts[i], budget, nil, onOuts[i])
+			for i := 0; i < n && out.ExactChecked < 4; i += n / 2 {
+				ok, err := matchesSolo(seed, cfg, trace[i].Prompt, budget, nil, onOuts[i].Tokens)
 				if err != nil {
 					return nil, err
 				}

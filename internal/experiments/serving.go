@@ -52,10 +52,7 @@ func servingTrace(seed int64, n, vocab int, meanGap time.Duration) workload.Trac
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		at += time.Duration(rng.ExpFloat64() * float64(meanGap))
-		prompt := make([]int, 2+rng.Intn(6))
-		for j := range prompt {
-			prompt[j] = rng.Intn(vocab)
-		}
+		prompt := randTokens(rng, 2+rng.Intn(6), vocab)
 		// Heavily ragged budgets: most requests are short, a few are long —
 		// the distribution that makes wave draining expensive.
 		budget := 2 + rng.Intn(8)
@@ -181,7 +178,7 @@ func runServingContinuous(eng *runtime.Engine, slots int, trace workload.Trace) 
 		return nil, err
 	}
 	start := time.Now()
-	outs := workload.Replay(trace, submitTo(sched))
+	outs := workload.Replay(context.Background(), trace, submitTo(sched))
 	wall := time.Since(start)
 	m := sched.Metrics()
 	sched.Close()

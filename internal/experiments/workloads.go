@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -174,7 +175,7 @@ func runWorkloadCell(cfg model.Config, kind, policy, profile string, perCell, sl
 	}()
 
 	submit := submitTo(sched)
-	outs := workload.Replay(trace, func(i int, r workload.Request) (workload.Stream, error) {
+	outs := workload.Replay(context.Background(), trace, func(i int, r workload.Request) (workload.Stream, error) {
 		st, err := submit(i, r)
 		if i == len(trace)-1 {
 			allSubmitted.Store(true)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/runtime"
+	"repro/internal/workload"
 )
 
 // TestDifferentialChunkedTrace: chunked admission must be invisible in the
@@ -27,13 +28,12 @@ func TestDifferentialChunkedTrace(t *testing.T) {
 			cfg.ChunkTokens = chunk
 			trace := poissonTrace(19, 10, model.Tiny().Vocab, 40, 8, 2*time.Millisecond)
 			eng := tinyEngine(t, runtime.Policy{IntraOp: 2, Prefetch: true}, 2)
-			outs, errs := runTrace(t, eng, cfg, trace)
-			for i := range trace {
-				if errs[i] != nil {
-					t.Fatalf("request %d: %v", i, errs[i])
+			for i, o := range replayTrace(t, eng, cfg, trace) {
+				if err := errors.Join(o.SubmitErr, o.Err); err != nil {
+					t.Fatalf("request %d: %v", i, err)
 				}
-				want := soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
-				assertTokensEqual(t, fmt.Sprintf("request %d", i), outs[i], want)
+				want := soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
+				assertTokensEqual(t, fmt.Sprintf("request %d", i), o.Tokens, want)
 			}
 		})
 	}
@@ -53,13 +53,10 @@ func TestDifferentialChunkedPrefixReuse(t *testing.T) {
 	for i := range shared {
 		shared[i] = (i * 13) % model.Tiny().Vocab
 	}
-	var trace []arrival
+	var trace workload.Trace
 	for i := 0; i < 6; i++ {
 		prompt := append(append([]int{}, shared...), i%model.Tiny().Vocab)
-		trace = append(trace, arrival{
-			delay: time.Duration(i) * time.Millisecond,
-			req:   Request{Prompt: prompt, MaxNewTokens: 6},
-		})
+		trace = append(trace, workload.Request{At: time.Duration(i) * time.Millisecond, Session: -1, Prompt: prompt, MaxNewTokens: 6})
 	}
 	eng := tinyEngine(t, runtime.Policy{IntraOp: 2, Prefetch: true}, 2)
 	sched, err := New(eng, cfg)
@@ -68,8 +65,8 @@ func TestDifferentialChunkedPrefixReuse(t *testing.T) {
 	}
 	defer sched.Close()
 	for i, a := range trace {
-		time.Sleep(a.delay)
-		st, err := sched.Submit(context.Background(), a.req)
+		time.Sleep(a.At)
+		st, err := sched.Submit(context.Background(), serveRequest(a))
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -77,7 +74,7 @@ func TestDifferentialChunkedPrefixReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		want := soloReference(t, a.req.Prompt, a.req.MaxNewTokens, cfg.EOS)
+		want := soloReference(t, a.Prompt, a.MaxNewTokens, cfg.EOS)
 		assertTokensEqual(t, fmt.Sprintf("request %d", i), out, want)
 	}
 	if hits := sched.Metrics().Serve.PrefixHits; hits == 0 {

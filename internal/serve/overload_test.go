@@ -13,6 +13,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/runtime"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 // smallArenaEngine builds a Tiny engine whose arena leaves exactly kvHeadroom
@@ -75,9 +76,9 @@ func soloSessionReference(t *testing.T, prompt []int, genLen int, quantized bool
 // overloadTrace is a seeded bursty arrival process: calm stretches at a
 // sustainable pace interleaved with bursts arriving ~4x faster than the
 // server drains, with ragged prompt lengths and budgets.
-func overloadTrace(seed int64, n, vocab int) []arrival {
+func overloadTrace(seed int64, n, vocab int) workload.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	var out []arrival
+	var out workload.Trace
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		burst := (i/8)%2 == 1
@@ -91,7 +92,7 @@ func overloadTrace(seed int64, n, vocab int) []arrival {
 		for j := range prompt {
 			prompt[j] = rng.Intn(vocab)
 		}
-		out = append(out, arrival{delay: at, req: Request{Prompt: prompt, MaxNewTokens: 8 + rng.Intn(56)}})
+		out = append(out, workload.Request{At: at, Session: -1, Prompt: prompt, MaxNewTokens: 8 + rng.Intn(56)})
 	}
 	return out
 }
@@ -157,10 +158,10 @@ func TestOverloadSoak(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, a := range trace {
 		wg.Add(1)
-		go func(i int, a arrival) {
+		go func(i int, a workload.Request) {
 			defer wg.Done()
-			time.Sleep(a.delay)
-			st, err := sched.Submit(context.Background(), a.req)
+			time.Sleep(a.At)
+			st, err := sched.Submit(context.Background(), serveRequest(a))
 			if err != nil {
 				errs[i] = err
 				return
@@ -197,9 +198,9 @@ func TestOverloadSoak(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, LadderKV())
+			want = soloSessionReference(t, trace[i].Prompt, trace[i].MaxNewTokens, true, LadderKV())
 		} else {
-			want = soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
+			want = soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
 		}
 		assertTokensEqual(t, "soak request", outs[i], want)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/runtime"
+	"repro/internal/workload"
 )
 
 // TestPrefixDifferentialSharedPrefixTrace: concurrent requests sharing a
@@ -81,14 +82,14 @@ func TestPrefixDifferentialSharedPrefixTrace(t *testing.T) {
 // prefixSoakTrace is a bursty shared-prefix arrival process: every prompt
 // extends one of two common prefixes, so cache hits interleave with the
 // pressure ladder's spills and evictions.
-func prefixSoakTrace(seed int64, n, vocab int) []arrival {
+func prefixSoakTrace(seed int64, n, vocab int) workload.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	prefixes := [][]int{make([]int, 16), make([]int, 16)}
 	for i := range prefixes[0] {
 		prefixes[0][i] = rng.Intn(vocab)
 		prefixes[1][i] = rng.Intn(vocab)
 	}
-	var out []arrival
+	var out workload.Trace
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		if (i/8)%2 == 1 {
@@ -100,7 +101,7 @@ func prefixSoakTrace(seed int64, n, vocab int) []arrival {
 		for j := 0; j < 4+rng.Intn(16); j++ {
 			prompt = append(prompt, rng.Intn(vocab))
 		}
-		out = append(out, arrival{delay: at, req: Request{Prompt: prompt, MaxNewTokens: 8 + rng.Intn(40)}})
+		out = append(out, workload.Request{At: at, Session: -1, Prompt: prompt, MaxNewTokens: 8 + rng.Intn(40)})
 	}
 	return out
 }
@@ -165,10 +166,10 @@ func TestPrefixSoak(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, a := range trace {
 		wg.Add(1)
-		go func(i int, a arrival) {
+		go func(i int, a workload.Request) {
 			defer wg.Done()
-			time.Sleep(a.delay)
-			st, err := sched.Submit(context.Background(), a.req)
+			time.Sleep(a.At)
+			st, err := sched.Submit(context.Background(), serveRequest(a))
 			if err != nil {
 				errs[i] = err
 				return
@@ -206,9 +207,9 @@ func TestPrefixSoak(t *testing.T) {
 		}
 		var want []int
 		if kvq[i] {
-			want = soloSessionReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, true, LadderKV())
+			want = soloSessionReference(t, trace[i].Prompt, trace[i].MaxNewTokens, true, LadderKV())
 		} else {
-			want = soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
+			want = soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
 		}
 		assertTokensEqual(t, "prefix soak request", outs[i], want)
 	}

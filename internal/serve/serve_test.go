@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/runtime"
 	"repro/internal/threadpool"
+	"repro/internal/workload"
 )
 
 const modelSeed = 42
@@ -72,46 +73,30 @@ func assertTokensEqual(t *testing.T, label string, got, want []int) {
 	}
 }
 
-// arrival is one trace entry: a request submitted after a delay.
-type arrival struct {
-	delay time.Duration
-	req   Request
+// serveRequest is the scheduler request for a trace entry.
+func serveRequest(r workload.Request) Request {
+	return Request{Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens}
 }
 
-// runTrace submits the arrivals on schedule against a fresh scheduler,
-// waits for every stream, closes the scheduler, and returns the outputs.
-func runTrace(t *testing.T, eng *runtime.Engine, cfg Config, trace []arrival) ([][]int, []error) {
+// replayTrace replays the trace against a fresh scheduler, which it closes
+// once every stream has drained.
+func replayTrace(t *testing.T, eng *runtime.Engine, cfg Config, trace workload.Trace) []workload.Outcome {
 	t.Helper()
 	sched, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := make([][]int, len(trace))
-	errs := make([]error, len(trace))
-	var wg sync.WaitGroup
-	for i, a := range trace {
-		wg.Add(1)
-		go func(i int, a arrival) {
-			defer wg.Done()
-			time.Sleep(a.delay)
-			st, err := sched.Submit(context.Background(), a.req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i], errs[i] = st.Wait()
-		}(i, a)
-	}
-	wg.Wait()
-	sched.Close()
-	return outs, errs
+	defer sched.Close()
+	return workload.Replay(context.Background(), trace, func(_ int, r workload.Request) (workload.Stream, error) {
+		return sched.Submit(context.Background(), serveRequest(r))
+	})
 }
 
 // poissonTrace builds a deterministic Poisson-ish arrival trace: seeded
 // exponential inter-arrival gaps, random prompt lengths and budgets.
-func poissonTrace(seed int64, n, vocab, maxPrompt, maxNew int, meanGap time.Duration) []arrival {
+func poissonTrace(seed int64, n, vocab, maxPrompt, maxNew int, meanGap time.Duration) workload.Trace {
 	rng := rand.New(rand.NewSource(seed))
-	var out []arrival
+	var out workload.Trace
 	at := time.Duration(0)
 	for i := 0; i < n; i++ {
 		at += time.Duration(rng.ExpFloat64() * float64(meanGap))
@@ -120,7 +105,7 @@ func poissonTrace(seed int64, n, vocab, maxPrompt, maxNew int, meanGap time.Dura
 		for j := range prompt {
 			prompt[j] = rng.Intn(vocab)
 		}
-		out = append(out, arrival{delay: at, req: Request{Prompt: prompt, MaxNewTokens: 1 + rng.Intn(maxNew)}})
+		out = append(out, workload.Request{At: at, Session: -1, Prompt: prompt, MaxNewTokens: 1 + rng.Intn(maxNew)})
 	}
 	return out
 }
@@ -131,19 +116,18 @@ func poissonTrace(seed int64, n, vocab, maxPrompt, maxNew int, meanGap time.Dura
 func TestDifferentialUniformTrace(t *testing.T) {
 	cfg := DefaultConfig(model.Tiny().Vocab)
 	cfg.Slots = 2
-	var trace []arrival
+	var trace workload.Trace
 	for i := 0; i < 6; i++ {
 		prompt := []int{1 + i, 2 + i, 3 + i, 4 + i}
-		trace = append(trace, arrival{req: Request{Prompt: prompt, MaxNewTokens: 6}})
+		trace = append(trace, workload.Request{Session: -1, Prompt: prompt, MaxNewTokens: 6})
 	}
 	eng := tinyEngine(t, runtime.Policy{IntraOp: 2, Prefetch: true}, 2)
-	outs, errs := runTrace(t, eng, cfg, trace)
-	for i := range trace {
-		if errs[i] != nil {
-			t.Fatalf("request %d failed: %v", i, errs[i])
+	for i, o := range replayTrace(t, eng, cfg, trace) {
+		if err := errors.Join(o.SubmitErr, o.Err); err != nil {
+			t.Fatalf("request %d failed: %v", i, err)
 		}
-		want := soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
-		assertTokensEqual(t, "uniform trace", outs[i], want)
+		want := soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
+		assertTokensEqual(t, "uniform trace", o.Tokens, want)
 	}
 	if used := eng.ArenaUsed(); used != 0 {
 		t.Errorf("arena leak after drain: %d bytes", used)
@@ -157,13 +141,12 @@ func TestDifferentialPoissonTrace(t *testing.T) {
 	cfg.Slots = 3
 	trace := poissonTrace(7, 10, model.Tiny().Vocab, 6, 8, 2*time.Millisecond)
 	eng := tinyEngine(t, runtime.Policy{IntraOp: 2, Prefetch: true}, 2)
-	outs, errs := runTrace(t, eng, cfg, trace)
-	for i := range trace {
-		if errs[i] != nil {
-			t.Fatalf("request %d failed: %v", i, errs[i])
+	for i, o := range replayTrace(t, eng, cfg, trace) {
+		if err := errors.Join(o.SubmitErr, o.Err); err != nil {
+			t.Fatalf("request %d failed: %v", i, err)
 		}
-		want := soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
-		assertTokensEqual(t, "poisson trace", outs[i], want)
+		want := soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
+		assertTokensEqual(t, "poisson trace", o.Tokens, want)
 	}
 }
 
@@ -184,13 +167,12 @@ func TestDifferentialFaultedTrace(t *testing.T) {
 	})
 	eng.SetFaultInjector(inj)
 	eng.SetRetryConfig(runtime.RetryConfig{MaxAttempts: 4})
-	outs, errs := runTrace(t, eng, cfg, trace)
-	for i := range trace {
-		if errs[i] != nil {
-			t.Fatalf("request %d did not survive the chaos: %v (injector %s)", i, errs[i], inj)
+	for i, o := range replayTrace(t, eng, cfg, trace) {
+		if err := errors.Join(o.SubmitErr, o.Err); err != nil {
+			t.Fatalf("request %d did not survive the chaos: %v (injector %s)", i, err, inj)
 		}
-		want := soloReference(t, trace[i].req.Prompt, trace[i].req.MaxNewTokens, cfg.EOS)
-		assertTokensEqual(t, "faulted trace", outs[i], want)
+		want := soloReference(t, trace[i].Prompt, trace[i].MaxNewTokens, cfg.EOS)
+		assertTokensEqual(t, "faulted trace", o.Tokens, want)
 	}
 	if len(inj.Counts()) == 0 {
 		t.Error("no faults fired; chaos differential is vacuous")
@@ -217,11 +199,11 @@ func TestEOSTerminatesStream(t *testing.T) {
 	cfg.Slots = 1
 	cfg.EOS = eos
 	eng := tinyEngine(t, runtime.Policy{IntraOp: 1}, 1)
-	outs, errs := runTrace(t, eng, cfg, []arrival{{req: Request{Prompt: prompt, MaxNewTokens: budget}}})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	o := replayTrace(t, eng, cfg, workload.Trace{{Session: -1, Prompt: prompt, MaxNewTokens: budget}})[0]
+	if err := errors.Join(o.SubmitErr, o.Err); err != nil {
+		t.Fatal(err)
 	}
-	assertTokensEqual(t, "eos stream", outs[0], want)
+	assertTokensEqual(t, "eos stream", o.Tokens, want)
 }
 
 // TestQueueBackpressure: with a single busy slot and a depth-2 queue, extra

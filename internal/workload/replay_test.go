@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,8 +19,20 @@ type fakeStream struct {
 }
 
 func newFakeStream(toks []int, err error) *fakeStream {
+	return heldStream(nil, toks, err)
+}
+
+// heldStream is a fakeStream that starts emitting once hold is closed, or
+// after two seconds.
+func heldStream(hold <-chan struct{}, toks []int, err error) *fakeStream {
 	st := &fakeStream{ch: make(chan int), done: make(chan struct{}), toks: toks, err: err}
 	go func() {
+		if hold != nil {
+			select {
+			case <-hold:
+			case <-time.After(2 * time.Second):
+			}
+		}
 		for _, tok := range toks {
 			time.Sleep(200 * time.Microsecond)
 			st.ch <- tok
@@ -56,7 +70,7 @@ func TestReplaySubmitsInOrderNotEarly(t *testing.T) {
 		at    []time.Time
 	)
 	before := time.Now()
-	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
 		order = append(order, i)
 		at = append(at, time.Now())
 		if r.Prompt[0] != i {
@@ -93,7 +107,7 @@ func TestReplayDrainsEveryStream(t *testing.T) {
 	errReject := errors.New("rejected")
 	errStream := errors.New("stream failed")
 	streams := make([]*fakeStream, len(trace))
-	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
 		if i == 2 {
 			return nil, errReject
 		}
@@ -153,7 +167,7 @@ func TestReplayDrainsEveryStream(t *testing.T) {
 // back to back in trace order.
 func TestReplayEdgeTraces(t *testing.T) {
 	calls := 0
-	outs := Replay(nil, func(int, Request) (Stream, error) {
+	outs := Replay(context.Background(), nil, func(int, Request) (Stream, error) {
 		calls++
 		return nil, nil
 	})
@@ -163,7 +177,7 @@ func TestReplayEdgeTraces(t *testing.T) {
 
 	trace := replayTrace(8, 0)
 	var order []int
-	outs = Replay(trace, func(i int, r Request) (Stream, error) {
+	outs = Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
 		order = append(order, i)
 		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
 	})
@@ -194,7 +208,7 @@ func TestReplayTriggers(t *testing.T) {
 	trace[4].After = &Trigger{Index: 2, Tokens: 1} // request 2 is rejected
 	trace[5].After = &Trigger{Index: 4, Tokens: 1}
 	start := time.Now()
-	outs := Replay(trace, func(i int, r Request) (Stream, error) {
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
 		if i == 2 {
 			return nil, errors.New("rejected")
 		}
@@ -222,5 +236,132 @@ func TestReplayTriggers(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[2], "\tafter=0@3") {
 		t.Errorf("encoded request 2 %q, want its trigger after=0@3", lines[2])
+	}
+}
+
+// TestReplayFiresTriggerOnce is the regression for a trigger on exactly the
+// predecessor's last token: it must fire at that token and not again when
+// the stream ends.
+func TestReplayFiresTriggerOnce(t *testing.T) {
+	trace := replayTrace(2, 0)
+	trace[0].MaxNewTokens = 2
+	trace[1].After = &Trigger{Index: 0, Tokens: 2}
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	if got := outs[1].Submitted; got.Before(outs[0].TokenTimes[1]) {
+		t.Errorf("request 1 submitted at %v, before request 0's second token at %v", got, outs[0].TokenTimes[1])
+	}
+	if len(outs[1].Tokens) != trace[1].MaxNewTokens {
+		t.Errorf("request 1: %d tokens, want %d", len(outs[1].Tokens), trace[1].MaxNewTokens)
+	}
+}
+
+// TestReplayClosedLoopNoHeadOfLine checks that triggered requests do not
+// queue behind each other: with two closed-loop users, user 1's second
+// request is submitted while user 0's first request, which only starts
+// emitting once that submit happened, is still running.
+func TestReplayClosedLoopNoHeadOfLine(t *testing.T) {
+	trace := ClosedLoop(replayTrace(4, 0), 2, make([]time.Duration, 4))
+	trace[0].MaxNewTokens = 40
+	if a := trace[3].After; a == nil || a.Index != 1 || a.Delay != 0 {
+		t.Fatalf("request 3 trigger %+v, want the end of request 1", a)
+	}
+	hold := make(chan struct{})
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
+		if i == 0 {
+			return heldStream(hold, make([]int, r.MaxNewTokens), nil), nil
+		}
+		if i == 3 {
+			close(hold)
+		}
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	end0 := outs[0].TokenTimes[len(outs[0].TokenTimes)-1]
+	if !outs[3].Submitted.Before(end0) {
+		t.Errorf("user 1's second request submitted %v after user 0's first ended", outs[3].Submitted.Sub(end0))
+	}
+	if last := outs[1].TokenTimes[len(outs[1].TokenTimes)-1]; outs[3].Submitted.Before(last) {
+		t.Errorf("request 3 submitted before its predecessor, request 1, ended")
+	}
+	if outs[2].Submitted.Before(end0) {
+		t.Errorf("request 2 submitted before its predecessor, request 0, ended")
+	}
+}
+
+// TestReplayTriggerDelay checks that a triggered request is submitted no
+// earlier than its trigger plus Delay, and that Encode writes the delay.
+func TestReplayTriggerDelay(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	trace := replayTrace(2, 0)
+	trace[1].After = &Trigger{Index: 0, Tokens: 1, Delay: delay}
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
+		return newFakeStream(make([]int, r.MaxNewTokens), nil), nil
+	})
+	if got := outs[1].Submitted.Sub(outs[0].TokenTimes[0]); got < delay {
+		t.Errorf("request 1 submitted %v after its trigger, want at least %v", got, delay)
+	}
+	if outs[1].Submitted.Before(outs[1].Scheduled) {
+		t.Errorf("request 1 submitted before its scheduled instant")
+	}
+	if enc := trace.Encode(); !strings.Contains(enc, "\tafter=0@1+20000us\n") {
+		t.Errorf("encoded trace %q lacks the delayed trigger after=0@1+20000us", enc)
+	}
+}
+
+// TestReplayCancel checks that a cancelled context stops submissions at
+// once, records the context's error on every request not yet submitted, and
+// still drains the accepted stream before Replay returns.
+func TestReplayCancel(t *testing.T) {
+	trace := replayTrace(5, time.Second)
+	trace[4].After = &Trigger{Index: 3, Tokens: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(30*time.Millisecond, cancel)
+	start := time.Now()
+	var st *fakeStream
+	outs := Replay(ctx, trace, func(i int, r Request) (Stream, error) {
+		if i != 0 {
+			t.Errorf("request %d submitted after the cancel", i)
+		}
+		st = heldStream(ctx.Done(), []int{7}, nil)
+		return st, nil
+	})
+	if elapsed := time.Since(start); elapsed > 900*time.Millisecond {
+		t.Errorf("cancelled replay took %v to return", elapsed)
+	}
+	if _, open := <-st.ch; open || len(outs[0].Tokens) != 1 || outs[0].SubmitErr != nil {
+		t.Errorf("accepted request not drained: %+v", outs[0])
+	}
+	for i, o := range outs[1:] {
+		if !errors.Is(o.SubmitErr, context.Canceled) || o.Stream != nil || !o.Submitted.IsZero() {
+			t.Errorf("request %d: submit error %v, stream %v, submitted %v; want only context.Canceled", i+1, o.SubmitErr, o.Stream, o.Submitted)
+		}
+	}
+}
+
+// TestReplayHookSerial checks that the submit hook is never entered
+// concurrently, with timed arrivals and many triggers firing at once.
+func TestReplayHookSerial(t *testing.T) {
+	const users, n = 4, 32
+	trace := ClosedLoop(replayTrace(n, 0), users, make([]time.Duration, n))
+	trace = append(trace, replayTrace(8, 100*time.Microsecond)...)
+	var inHook, calls atomic.Int32
+	outs := Replay(context.Background(), trace, func(i int, r Request) (Stream, error) {
+		if inHook.Add(1) > 1 {
+			t.Errorf("hook entered concurrently at request %d", i)
+		}
+		calls.Add(1)
+		time.Sleep(50 * time.Microsecond)
+		inHook.Add(-1)
+		return newFakeStream(make([]int, 1+i%3), nil), nil
+	})
+	if int(calls.Load()) != len(trace) {
+		t.Errorf("%d hook calls for %d requests", calls.Load(), len(trace))
+	}
+	for i, o := range outs {
+		if o.SubmitErr != nil || len(o.Tokens) != 1+i%3 {
+			t.Errorf("request %d: submit error %v, %d tokens", i, o.SubmitErr, len(o.Tokens))
+		}
 	}
 }

@@ -27,8 +27,8 @@ type Request struct {
 	// At is the arrival time relative to the trace start.
 	At time.Duration
 	// After, when set, makes the request's arrival an event instead:
-	// Replay submits it once an earlier request has delivered some tokens,
-	// and At is ignored.
+	// Replay submits it once an earlier request has delivered some tokens
+	// (and the trigger's Delay has passed), and At is ignored.
 	After *Trigger
 	// Tenant is the billing tenant ("" until AssignTenants or a tenant-tagged
 	// spec fills it in).
@@ -46,11 +46,12 @@ type Request struct {
 	Kind string
 }
 
-// Trigger is a request's arrival on another request's progress: once
-// request Index of the same trace, which must come earlier, has delivered
-// its Tokens-th token, Tokens ≥ 1 (or has ended with fewer).
+// Trigger is a request's arrival on another request's progress: Delay
+// after request Index of the same trace, which must come earlier, has
+// delivered its Tokens-th token, Tokens ≥ 1 (or has ended with fewer).
 type Trigger struct {
 	Index, Tokens int
+	Delay         time.Duration
 }
 
 // Trace is a time-ordered request sequence.
@@ -109,6 +110,9 @@ func (t Trace) Encode() string {
 			len(r.Prompt), r.MaxNewTokens, promptHash(r.Prompt))
 		if r.After != nil {
 			fmt.Fprintf(&b, "\tafter=%d@%d", r.After.Index, r.After.Tokens)
+			if r.After.Delay != 0 {
+				fmt.Fprintf(&b, "+%dus", r.After.Delay.Microseconds())
+			}
 		}
 		b.WriteByte('\n')
 	}

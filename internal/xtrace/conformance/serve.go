@@ -142,7 +142,7 @@ func tinyEngine(seed int64, pol runtime.Policy, pool *threadpool.Pool) (*runtime
 
 // replayOn replays t against sched and returns the first request error.
 func replayOn(sched *serve.Scheduler, t workload.Trace) error {
-	outs := workload.Replay(t, func(_ int, r workload.Request) (workload.Stream, error) {
+	outs := workload.Replay(context.Background(), t, func(_ int, r workload.Request) (workload.Stream, error) {
 		return sched.Submit(context.Background(), serve.Request{Prompt: r.Prompt, MaxNewTokens: r.MaxNewTokens})
 	})
 	for i, o := range outs {
