@@ -15,7 +15,7 @@
 //
 //	lmo-cluster [-addr :8080] [-replicas 3] [-model tiny|small] [-slots 4]
 //	            [-queue 64] [-max-new 64] [-default-new 16] [-eos -1]
-//	            [-workers 4] [-seed 42] [-arena-mb 2048] [-admission]
+//	            [-workers 4] [-seed 42] [-arena-mb 2048]
 //	            [-prefix-cache-mb 0] [-faults spec] [-hedge]
 //	            [-hedge-factor 3] [-max-attempts 0] [-trace file]
 //
@@ -58,7 +58,6 @@ func main() {
 	workers := flag.Int("workers", 4, "compute pool width per replica")
 	seed := flag.Int64("seed", 42, "weights seed (shared: every replica is the identical deployment)")
 	arenaMB := flag.Int64("arena-mb", 2048, "GPU arena capacity per replica in MiB")
-	admission := flag.Bool("admission", true, "performance-model-guided admission control per replica")
 	prefixMB := flag.Int64("prefix-cache-mb", 0, "shared-prefix KV cache budget per replica in MiB (0 = off); routing favors the replica holding the longest cached prefix")
 	faultSpec := flag.String("faults", "", `per-replica fault injection rules, e.g. "weight-transfer:p=0.1"`)
 	hedge := flag.Bool("hedge", false, "hedge slow or degraded primaries with a second attempt (first token wins)")
@@ -88,7 +87,6 @@ func main() {
 	scfg.MaxNewTokens = *maxNew
 	scfg.DefaultNewTokens = *defaultNew
 	scfg.EOS = *eos
-	scfg.AdmissionControl = *admission
 	scfg.PrefixCacheBytes = *prefixMB << 20
 
 	var rules map[faults.Site]faults.Rule

@@ -28,7 +28,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/runtime"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -77,7 +77,7 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	work := trace.Workload{PromptLen: *prompt, GenLen: *gen, GPUBatch: *batch, NumBatches: 1}
+	work := workload.Job{PromptLen: *prompt, GenLen: *gen, GPUBatch: *batch, NumBatches: 1}
 	if err := work.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "lmo-infer:", err)
 		os.Exit(2)

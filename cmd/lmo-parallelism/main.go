@@ -16,7 +16,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/parallelism"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 		os.Exit(2)
 	}
 	plat := hw.SingleGPUA100()
-	work := trace.Workload{PromptLen: 64, GenLen: *gen, GPUBatch: 64, NumBatches: 10}
+	work := workload.Job{PromptLen: 64, GenLen: *gen, GPUBatch: 64, NumBatches: 10}
 	machine, err := parallelism.NewMachineModel(plat.CPU)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lmo-parallelism:", err)

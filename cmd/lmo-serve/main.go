@@ -7,16 +7,16 @@
 // TTFT/TPOT latency quantiles, tokens/s, and the overload-protection
 // counters (spills, evictions, structured 429s, pressure level).
 //
-// With admission control on (the default), the server estimates each
-// request's peak arena footprint before admitting it and sheds load with
-// structured 429/503 responses carrying Retry-After instead of OOMing.
+// The server estimates each request's peak arena footprint before admitting
+// it and sheds load with structured 429/503 responses carrying Retry-After
+// instead of OOMing.
 //
 // Usage:
 //
 //	lmo-serve [-addr :8080] [-model tiny|small] [-slots 4] [-queue 64]
 //	          [-max-new 64] [-eos -1] [-kvbits 0|2|4|8] [-cpu-attn]
 //	          [-workers 4] [-seed 42] [-faults spec] [-step-timeout dur]
-//	          [-arena-mb 2048] [-admission] [-hwm 0.85] [-lwm 0.65]
+//	          [-arena-mb 2048] [-hwm 0.85] [-lwm 0.65]
 //	          [-tpot-budget dur] [-host-kv-mb 0] [-prefix-cache-mb 0]
 //	          [-chunk-tokens 0] [-tenants "free=1,pro=2/3"]
 //	          [-latency-samples 4096] [-adapt]
@@ -33,7 +33,7 @@
 // hot-swaps the execution policy at a decode-step boundary — canarying the
 // swap and rolling it back automatically if measured TPOT regresses. /stats
 // gains an "adapt" block (state, drift factor, swap/commit/rollback
-// counters). Requires -admission (the TPOT estimator feeds the detector).
+// counters).
 //
 // A non-empty -tenants enables weighted fair-share scheduling: it declares
 // per-tenant active-slot quotas, queue depths, and weighted-round-robin
@@ -87,7 +87,6 @@ func main() {
 	faultSpec := flag.String("faults", "", `fault injection rules, e.g. "weight-transfer:p=0.1,kv-corruption:p=0.05"`)
 	stepTimeout := flag.Duration("step-timeout", 0, "per-step deadline (0 = none)")
 	arenaMB := flag.Int64("arena-mb", 2048, "GPU arena capacity in MiB")
-	admission := flag.Bool("admission", true, "performance-model-guided admission control and KV-pressure ladder")
 	hwm := flag.Float64("hwm", 0.85, "high watermark as a fraction of the arena's KV headroom")
 	lwm := flag.Float64("lwm", 0.65, "low watermark (hysteresis floor) as a fraction of KV headroom")
 	tpotBudget := flag.Duration("tpot-budget", 0, "reject admissions predicted to push TPOT past this (0 = off)")
@@ -97,13 +96,8 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the serving run to this file on shutdown")
 	tenants := flag.String("tenants", "", `enable weighted fair-share scheduling over tenants given as name=slots[/weight[/depth]] entries, e.g. "free=1,pro=2/3,batch=1/1/16" (slots 0 = suspended; requests tagged "tenant" bill per-tenant, untagged ones bill to "default")`)
 	latencySamples := flag.Int("latency-samples", 0, "TTFT/TPOT latency reservoir capacity per ring (0 = default 4096)")
-	adaptOn := flag.Bool("adapt", false, "online self-tuning: drift detection, background re-search, guarded policy hot-swap with canary rollback (requires -admission)")
+	adaptOn := flag.Bool("adapt", false, "online self-tuning: drift detection, background re-search, guarded policy hot-swap with canary rollback")
 	flag.Parse()
-
-	if *adaptOn && !*admission {
-		fmt.Fprintln(os.Stderr, "lmo-serve: -adapt requires -admission (the TPOT estimator feeds the drift detector)")
-		os.Exit(2)
-	}
 
 	var cfg model.Config
 	switch *modelName {
@@ -154,7 +148,6 @@ func main() {
 	scfg.MaxNewTokens = *maxNew
 	scfg.DefaultNewTokens = *defaultNew
 	scfg.EOS = *eos
-	scfg.AdmissionControl = *admission
 	scfg.ArenaHighWater = *hwm
 	scfg.ArenaLowWater = *lwm
 	scfg.TPOTBudget = *tpotBudget

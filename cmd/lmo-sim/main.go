@@ -22,7 +22,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -78,7 +78,7 @@ func main() {
 		strat.WeightBits = *wBits
 	}
 
-	work := trace.Workload{PromptLen: 64, GenLen: *gen, GPUBatch: 64, NumBatches: 10}
+	work := workload.Job{PromptLen: 64, GenLen: *gen, GPUBatch: 64, NumBatches: 10}
 	est, err := perfmodel.New(hw.SingleGPUA100(), mod, work, strat, exec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lmo-sim:", err)

@@ -22,13 +22,13 @@ import (
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // System bundles a policy result with the execution profile it runs under.
 type System struct {
 	Name     string
-	Work     trace.Workload
+	Work     workload.Job
 	Strategy perfmodel.Strategy
 	Exec     perfmodel.ExecProfile
 	// Estimator evaluates the system.
@@ -77,7 +77,7 @@ func ZeRO(plat *hw.Platform, mod model.Config, promptLen, genLen int) (*System, 
 	weightsOnGPU := weightBytesQ <= gpuMem
 
 	build := func(bsz int) (*System, error) {
-		work := trace.Workload{PromptLen: promptLen, GenLen: genLen, GPUBatch: bsz, NumBatches: 1}
+		work := workload.Job{PromptLen: promptLen, GenLen: genLen, GPUBatch: bsz, NumBatches: 1}
 		s := zeroStrategy(weightsOnGPU, bits)
 		est, err := perfmodel.New(plat, mod, work, s, exec)
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestFlexGenMatchesPublishedPolicyShape(t *testing.T) {
@@ -218,7 +218,7 @@ func TestWorkloadsMatchAcrossSystems(t *testing.T) {
 	if fg.Work != lm.Work {
 		t.Errorf("workloads differ: FlexGen %v vs LM-Offload %v", fg.Work, lm.Work)
 	}
-	if fg.Work != (trace.Workload{}) && fg.Work.GPUBatch != 64 {
+	if fg.Work != (workload.Job{}) && fg.Work.GPUBatch != 64 {
 		t.Errorf("GPU batch = %d, want 64", fg.Work.GPUBatch)
 	}
 }

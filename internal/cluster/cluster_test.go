@@ -168,7 +168,6 @@ func (b *fakeBackend) request(i int) serve.Request {
 
 func testConfig() serve.Config {
 	cfg := serve.DefaultConfig(64)
-	cfg.AdmissionControl = false
 	return cfg
 }
 

@@ -74,7 +74,6 @@ func clusterLiveKill(n int) (ClusterRow, clusterLive, error) {
 	cfg.QueueDepth = 2 * n // the kill, not queue pressure, is the variable
 	cfg.MaxNewTokens = 16
 	cfg.DefaultNewTokens = 6
-	cfg.AdmissionControl = false
 
 	reps := make([]*cluster.Replica, 3)
 	scheds := make([]*serve.Scheduler, 3)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // a100 returns the single-GPU evaluation platform (Table 4).
@@ -24,8 +24,8 @@ func v100s() *hw.Platform { return hw.MultiGPUV100() }
 
 // motivationWorkload is the §3.1 setup: OPT-30B, s=64, n=128, bsz=64,
 // bls=640.
-func motivationWorkload() (model.Config, trace.Workload) {
-	return model.OPT30B, trace.PaperDefault()
+func motivationWorkload() (model.Config, workload.Job) {
+	return model.OPT30B, workload.PaperDefault()
 }
 
 // estimate builds an estimator for the motivation setup, panicking on

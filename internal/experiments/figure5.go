@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/parallelism"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Figure5Result reproduces Figure 5: inference performance under varying
@@ -21,7 +21,7 @@ type Figure5Result struct {
 // figure5Setup builds the §4.1 controller and operator graph.
 func figure5Setup() (*parallelism.Controller, *parallelism.OpGraph, []parallelism.TransferTask, error) {
 	mod, _ := motivationWorkload()
-	work := trace.ParallelismStudy()
+	work := workload.ParallelismStudy()
 	ctrl, err := parallelism.NewController(parallelism.Xeon6330(), a100().Link.BandwidthPerDir*0.5)
 	if err != nil {
 		return nil, nil, nil, err
@@ -37,7 +37,7 @@ func figure5Setup() (*parallelism.Controller, *parallelism.OpGraph, []parallelis
 
 // figure5Transfers approximates the five load/store tasks' per-layer-step
 // volumes for the study configuration (attention offloaded, wg=55%).
-func figure5Transfers(work trace.Workload) []parallelism.TransferTask {
+func figure5Transfers(work workload.Job) []parallelism.TransferTask {
 	mod, _ := motivationWorkload()
 	actBytes := float64(mod.ActivationBytes(work))
 	return []parallelism.TransferTask{

@@ -4,7 +4,7 @@ import (
 	"repro/internal/parallelism"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Figure8Result reproduces Figure 8: the execution time of the six decode
@@ -72,7 +72,7 @@ func Figure8() (*Figure8Result, error) {
 	// End-to-end with asynchrony: run the analytical model under the two
 	// execution profiles for the same strategy.
 	mod, _ := motivationWorkload()
-	work := trace.ParallelismStudy()
+	work := workload.ParallelismStudy()
 	strat := perfmodel.Strategy{AttnOnCPU: true, WeightsGPUPct: 0.55}
 	defProf := perfmodel.FlexGenProfile()
 	tunedProf := perfmodel.LMOffloadProfile()

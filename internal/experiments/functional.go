@@ -11,7 +11,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/stats"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // FunctionalRow is one real engine run.
@@ -33,7 +33,7 @@ type FunctionalRow struct {
 // actual byte counts instead of modeled ones.
 type FunctionalResult struct {
 	Model model.Config
-	Work  trace.Workload
+	Work  workload.Job
 	Rows  []FunctionalRow
 }
 
@@ -44,7 +44,7 @@ func FunctionalCheck(s Scale) (*FunctionalResult, error) {
 	if s == Smoke {
 		cfg = model.Tiny()
 	}
-	work := trace.Workload{PromptLen: 8, GenLen: 8, GPUBatch: 2, NumBatches: 2}
+	work := workload.Job{PromptLen: 8, GenLen: 8, GPUBatch: 2, NumBatches: 2}
 	out := &FunctionalResult{Model: cfg, Work: work}
 
 	const seed = 424242

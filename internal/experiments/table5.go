@@ -4,7 +4,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/parallelism"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Table5Result reproduces Table 5: CPU last-level-cache misses during
@@ -27,7 +27,7 @@ type Table5Result struct {
 // slice through an eighth of the LLC.
 func Table5(s Scale) (*Table5Result, error) {
 	mod, _ := motivationWorkload()
-	work := trace.ParallelismStudy()
+	work := workload.ParallelismStudy()
 	m := parallelism.Xeon6330()
 	seq := work.PromptLen + work.GenLen/2
 	og, err := parallelism.BuildAttentionGraph(mod, work, seq, parallelism.DefaultHeadGroups)

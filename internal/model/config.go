@@ -7,7 +7,7 @@ package model
 import (
 	"fmt"
 
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Config describes a decoder-only transformer's geometry. The analytical
@@ -72,7 +72,7 @@ func (c Config) KVElemsPerTokenLayer() int64 { return 2 * int64(c.Hidden) }
 
 // KVCacheBytes returns the peak KV-cache footprint for a workload: all
 // layers, the full block, prompt plus all generated tokens.
-func (c Config) KVCacheBytes(w trace.Workload) int64 {
+func (c Config) KVCacheBytes(w workload.Job) int64 {
 	seq := int64(w.PromptLen + w.GenLen)
 	return int64(c.Layers) * c.KVElemsPerTokenLayer() * seq * int64(w.BlockSize()) * int64(c.BytesPerElem)
 }
@@ -80,28 +80,28 @@ func (c Config) KVCacheBytes(w trace.Workload) int64 {
 // KVCacheBytesAtToken returns the per-layer KV-cache footprint when the
 // sequence holds the prompt plus `generated` tokens (Eq. 18's instantaneous
 // size before averaging).
-func (c Config) KVCacheBytesAtToken(w trace.Workload, generated int) int64 {
+func (c Config) KVCacheBytesAtToken(w workload.Job, generated int) int64 {
 	seq := int64(w.PromptLen + generated)
 	return c.KVElemsPerTokenLayer() * seq * int64(w.BlockSize()) * int64(c.BytesPerElem)
 }
 
 // ActivationBytes returns the per-layer activation (hidden state) size for a
 // decode step: one h1 vector per sequence in the block.
-func (c Config) ActivationBytes(w trace.Workload) int64 {
+func (c Config) ActivationBytes(w workload.Job) int64 {
 	return int64(c.Hidden) * int64(w.BlockSize()) * int64(c.BytesPerElem)
 }
 
 // AttnFlopsDecode returns the FLOPs of one decode-step attention for the
 // whole block at sequence length seq: Q·Kᵀ and scores·V dominate at
 // 2 · 2 · seq · h1 per sequence, plus the four h1×h1 projections.
-func (c Config) AttnFlopsDecode(w trace.Workload, seq int) float64 {
+func (c Config) AttnFlopsDecode(w workload.Job, seq int) float64 {
 	perSeq := 4*float64(seq)*float64(c.Hidden) + 8*float64(c.Hidden)*float64(c.Hidden)
 	return perSeq * float64(w.BlockSize())
 }
 
 // MLPFlopsDecode returns the FLOPs of one decode-step MLP for the block:
 // two h1×h2 GEMVs per sequence.
-func (c Config) MLPFlopsDecode(w trace.Workload) float64 {
+func (c Config) MLPFlopsDecode(w workload.Job) float64 {
 	return 4 * float64(c.Hidden) * float64(c.FFN) * float64(w.BlockSize())
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestBuiltinConfigsValidate(t *testing.T) {
@@ -32,7 +32,7 @@ func TestOPT30BFootprintsMatchPaper(t *testing.T) {
 	// §3.1: OPT-30B parameters take ~55 GB and the KV cache up to ~157 GB
 	// for s=64, n=128, bls=640 in FP16. Allow ±20% because the paper does
 	// not state exactly which matrices it counts.
-	w := trace.PaperDefault()
+	w := workload.PaperDefault()
 	gb := func(b int64) float64 { return float64(b) / (1 << 30) }
 	weights := gb(OPT30B.WeightBytes())
 	if weights < 44 || weights > 66 {
@@ -57,7 +57,7 @@ func TestWeightsPerLayerFormula(t *testing.T) {
 
 func TestKVCacheBytesGrowsLinearly(t *testing.T) {
 	c := Tiny()
-	w := trace.Workload{PromptLen: 4, GenLen: 8, GPUBatch: 2, NumBatches: 1}
+	w := workload.Job{PromptLen: 4, GenLen: 8, GPUBatch: 2, NumBatches: 1}
 	b0 := c.KVCacheBytesAtToken(w, 0)
 	b4 := c.KVCacheBytesAtToken(w, 4)
 	b8 := c.KVCacheBytesAtToken(w, 8)
@@ -254,7 +254,7 @@ func TestEmbedPanicsOnBadToken(t *testing.T) {
 }
 
 func TestAttnAndMLPFlopsPositiveAndScale(t *testing.T) {
-	w := trace.PaperDefault()
+	w := workload.PaperDefault()
 	f1 := OPT30B.AttnFlopsDecode(w, 64)
 	f2 := OPT30B.AttnFlopsDecode(w, 128)
 	if f1 <= 0 || f2 <= f1 {

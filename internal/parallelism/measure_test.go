@@ -5,13 +5,13 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestMeasureGraphProfileRecords(t *testing.T) {
 	p := NewProfile(Xeon6330())
 	pool := threadpool.MustNew(4)
-	og, err := BuildAttentionGraph(model.OPT30B, trace.ParallelismStudy(), 68, 4)
+	og, err := BuildAttentionGraph(model.OPT30B, workload.ParallelismStudy(), 68, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

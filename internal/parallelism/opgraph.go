@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Op is one node of the compute task's operator dependency graph (Fig. 6),
@@ -54,7 +54,7 @@ const cpuAttnPasses = 20
 // Every operator is memory-bandwidth-bound (the per-head reduction dk is
 // small), which is why intra-op scaling saturates around eight threads
 // (Fig. 5, §4.1).
-func BuildAttentionGraph(cfg model.Config, work trace.Workload, seqLen, headGroups int) (*OpGraph, error) {
+func BuildAttentionGraph(cfg model.Config, work workload.Job, seqLen, headGroups int) (*OpGraph, error) {
 	if seqLen <= 0 {
 		return nil, fmt.Errorf("parallelism: sequence length must be positive, got %d", seqLen)
 	}

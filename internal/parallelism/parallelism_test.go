@@ -5,12 +5,12 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func testGraph(t *testing.T) *OpGraph {
 	t.Helper()
-	og, err := BuildAttentionGraph(model.OPT30B, trace.ParallelismStudy(), 68, DefaultHeadGroups)
+	og, err := BuildAttentionGraph(model.OPT30B, workload.ParallelismStudy(), 68, DefaultHeadGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +83,13 @@ func TestAttentionGraphStructure(t *testing.T) {
 }
 
 func TestAttentionGraphErrors(t *testing.T) {
-	if _, err := BuildAttentionGraph(model.OPT30B, trace.ParallelismStudy(), 0, 12); err == nil {
+	if _, err := BuildAttentionGraph(model.OPT30B, workload.ParallelismStudy(), 0, 12); err == nil {
 		t.Error("zero sequence accepted")
 	}
-	if _, err := BuildAttentionGraph(model.OPT30B, trace.ParallelismStudy(), 68, 0); err == nil {
+	if _, err := BuildAttentionGraph(model.OPT30B, workload.ParallelismStudy(), 68, 0); err == nil {
 		t.Error("zero head groups accepted")
 	}
-	if _, err := BuildAttentionGraph(model.OPT30B, trace.ParallelismStudy(), 68, model.OPT30B.Heads+1); err == nil {
+	if _, err := BuildAttentionGraph(model.OPT30B, workload.ParallelismStudy(), 68, model.OPT30B.Heads+1); err == nil {
 		t.Error("too many head groups accepted")
 	}
 }

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestLatencyCurveGrowsWithKVCache(t *testing.T) {
@@ -68,7 +68,7 @@ func TestLatencyCurveCPUAttentionGrowsViaCompute(t *testing.T) {
 
 func TestCurveOnMultiGPUPlatformModel(t *testing.T) {
 	// Smoke the curve on the other platform/model pair.
-	e, err := New(hw.MultiGPUV100().WithGPUCount(1), model.OPT13B, trace.MultiGPU(1),
+	e, err := New(hw.MultiGPUV100().WithGPUCount(1), model.OPT13B, workload.MultiGPU(1),
 		Strategy{WeightsGPUPct: 0.2}, LMOffloadProfile())
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Strategy is one point in LM-Offload's decision space: where tensors live,
@@ -236,13 +236,13 @@ func LMOffloadNoParallelismControl() ExecProfile {
 type Estimator struct {
 	Plat  *hw.Platform
 	Mod   model.Config
-	Work  trace.Workload
+	Work  workload.Job
 	Strat Strategy
 	Exec  ExecProfile
 }
 
 // New constructs an estimator, validating all inputs.
-func New(p *hw.Platform, m model.Config, w trace.Workload, s Strategy, exec ExecProfile) (*Estimator, error) {
+func New(p *hw.Platform, m model.Config, w workload.Job, s Strategy, exec ExecProfile) (*Estimator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

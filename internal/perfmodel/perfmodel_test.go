@@ -7,14 +7,14 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // fixture returns the paper's §3.1 motivation setup: OPT-30B on the A100
 // platform, s=64, n=128, bsz=64, bls=640.
 func fixture(t *testing.T, s Strategy, exec ExecProfile) *Estimator {
 	t.Helper()
-	e, err := New(hw.SingleGPUA100(), model.OPT30B, trace.PaperDefault(), s, exec)
+	e, err := New(hw.SingleGPUA100(), model.OPT30B, workload.PaperDefault(), s, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEq2MaxLowerBoundsComposition(t *testing.T) {
 		}
 		exec := FlexGenProfile()
 		exec.OverlapBeta = rng.Float64()
-		e, err := New(hw.SingleGPUA100(), model.OPT30B, trace.PaperDefault(), s, exec)
+		e, err := New(hw.SingleGPUA100(), model.OPT30B, workload.PaperDefault(), s, exec)
 		if err != nil {
 			return false
 		}
@@ -244,11 +244,11 @@ func TestThroughputMonotonicInLinkEff(t *testing.T) {
 		lo.LinkEff = 0.2 + rng.Float64()*0.3
 		hi := lo
 		hi.LinkEff = lo.LinkEff + 0.2
-		el, err := New(hw.SingleGPUA100(), model.OPT30B, trace.PaperDefault(), s, lo)
+		el, err := New(hw.SingleGPUA100(), model.OPT30B, workload.PaperDefault(), s, lo)
 		if err != nil {
 			return false
 		}
-		eh, err := New(hw.SingleGPUA100(), model.OPT30B, trace.PaperDefault(), s, hi)
+		eh, err := New(hw.SingleGPUA100(), model.OPT30B, workload.PaperDefault(), s, hi)
 		if err != nil {
 			return false
 		}
@@ -372,18 +372,18 @@ func TestLMOffloadBeatsFlexGenOnPaperConfigs(t *testing.T) {
 
 func TestNewValidatesEverything(t *testing.T) {
 	plat := hw.SingleGPUA100()
-	if _, err := New(plat, model.OPT30B, trace.PaperDefault(), Strategy{WeightsGPUPct: 2}, FlexGenProfile()); err == nil {
+	if _, err := New(plat, model.OPT30B, workload.PaperDefault(), Strategy{WeightsGPUPct: 2}, FlexGenProfile()); err == nil {
 		t.Error("New accepted invalid strategy")
 	}
-	if _, err := New(plat, model.Config{}, trace.PaperDefault(), Strategy{}, FlexGenProfile()); err == nil {
+	if _, err := New(plat, model.Config{}, workload.PaperDefault(), Strategy{}, FlexGenProfile()); err == nil {
 		t.Error("New accepted invalid model")
 	}
-	if _, err := New(plat, model.OPT30B, trace.Workload{}, Strategy{}, FlexGenProfile()); err == nil {
+	if _, err := New(plat, model.OPT30B, workload.Job{}, Strategy{}, FlexGenProfile()); err == nil {
 		t.Error("New accepted invalid workload")
 	}
 	bad := FlexGenProfile()
 	bad.LinkEff = 0
-	if _, err := New(plat, model.OPT30B, trace.PaperDefault(), Strategy{}, bad); err == nil {
+	if _, err := New(plat, model.OPT30B, workload.PaperDefault(), Strategy{}, bad); err == nil {
 		t.Error("New accepted invalid profile")
 	}
 }

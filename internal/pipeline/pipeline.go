@@ -14,7 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Config selects the pipeline run.
@@ -85,7 +85,7 @@ func Simulate(plat *hw.Platform, mod model.Config, cfg Config) (Result, error) {
 	}
 
 	// Weak scaling: the batch grows with the GPU count.
-	work := trace.Workload{
+	work := workload.Job{
 		PromptLen:  cfg.PromptLen,
 		GenLen:     cfg.GenLen,
 		GPUBatch:   cfg.BaseBatch * cfg.GPUs,

@@ -21,7 +21,7 @@ import (
 	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Options tunes the search space.
@@ -68,7 +68,7 @@ type Result struct {
 }
 
 // Plan runs LM-Offload's policy search and returns the best strategy.
-func Plan(plat *hw.Platform, mod model.Config, work trace.Workload, exec perfmodel.ExecProfile, opts Options) (Result, error) {
+func Plan(plat *hw.Platform, mod model.Config, work workload.Job, exec perfmodel.ExecProfile, opts Options) (Result, error) {
 	if !opts.AllowCPUAttention && !opts.AllowGPUAttention {
 		return Result{}, fmt.Errorf("policy: no attention placement allowed")
 	}
@@ -135,7 +135,7 @@ func quantBlindThroughput(e *perfmodel.Estimator) float64 {
 
 // enumerate produces the candidate strategies: the cross product of
 // attention placement, quantization choices, and LP-optimized placements.
-func enumerate(plat *hw.Platform, mod model.Config, work trace.Workload, opts Options) []perfmodel.Strategy {
+func enumerate(plat *hw.Platform, mod model.Config, work workload.Job, opts Options) []perfmodel.Strategy {
 	type quantChoice struct {
 		qw, qkv  bool
 		wb, kb   int
@@ -196,7 +196,7 @@ func enumerate(plat *hw.Platform, mod model.Config, work trace.Workload, opts Op
 // maximize the link traffic avoided by GPU residency, subject to the GPU
 // capacity (CPU capacity constrains the complement). Variables are wg, cg,
 // hg ∈ [0, 1].
-func placeLP(plat *hw.Platform, mod model.Config, work trace.Workload, s perfmodel.Strategy, opts Options) (wg, cg, hg float64, ok bool) {
+func placeLP(plat *hw.Platform, mod model.Config, work workload.Job, s perfmodel.Strategy, opts Options) (wg, cg, hg float64, ok bool) {
 	wBytes := float64(mod.WeightBytes())
 	kvBytes := float64(mod.KVCacheBytes(work))
 	actBytes := float64(mod.ActivationBytes(work)) * 2
@@ -286,18 +286,18 @@ func clamp01(x float64) float64 {
 // batch whose KV cache (plus the weight complement) still fits in host
 // memory — how FlexGen and LM-Offload reach block sizes like 1792 at n=8 and
 // 640 at n=128 on the 240 GB host (Table 3).
-func ChooseBlock(plat *hw.Platform, mod model.Config, gpuBatch, promptLen, genLen int, kvQuantRatio float64) (trace.Workload, error) {
+func ChooseBlock(plat *hw.Platform, mod model.Config, gpuBatch, promptLen, genLen int, kvQuantRatio float64) (workload.Job, error) {
 	if gpuBatch <= 0 || promptLen <= 0 || genLen <= 0 {
-		return trace.Workload{}, fmt.Errorf("policy: invalid workload parameters %d/%d/%d", gpuBatch, promptLen, genLen)
+		return workload.Job{}, fmt.Errorf("policy: invalid workload parameters %d/%d/%d", gpuBatch, promptLen, genLen)
 	}
 	if kvQuantRatio <= 0 || kvQuantRatio > 1 {
-		return trace.Workload{}, fmt.Errorf("policy: KV quant ratio %g outside (0, 1]", kvQuantRatio)
+		return workload.Job{}, fmt.Errorf("policy: KV quant ratio %g outside (0, 1]", kvQuantRatio)
 	}
 	budget := float64(plat.CPU.MemBytes) * 0.92
 	// Weights likely live mostly on CPU; charge them fully (conservative).
 	budget -= float64(mod.WeightBytes())
 	if budget <= 0 {
-		return trace.Workload{}, fmt.Errorf("policy: %s weights alone exceed host memory", mod.Name)
+		return workload.Job{}, fmt.Errorf("policy: %s weights alone exceed host memory", mod.Name)
 	}
 	seq := float64(promptLen + genLen)
 	kvPerSeq := float64(mod.Layers) * 2 * seq * float64(mod.Hidden) * float64(mod.BytesPerElem) * kvQuantRatio
@@ -306,6 +306,6 @@ func ChooseBlock(plat *hw.Platform, mod model.Config, gpuBatch, promptLen, genLe
 	if numBatches < 1 {
 		numBatches = 1
 	}
-	w := trace.Workload{PromptLen: promptLen, GenLen: genLen, GPUBatch: gpuBatch, NumBatches: numBatches}
+	w := workload.Job{PromptLen: promptLen, GenLen: genLen, GPUBatch: gpuBatch, NumBatches: numBatches}
 	return w, w.Validate()
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestPlanFindsFeasibleStrategy(t *testing.T) {
 	plat := hw.SingleGPUA100()
-	res, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
+	res, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestQuantAwarePlanUsesKVQuantizationForLongGen(t *testing.T) {
 	// For the §3.1 workload, the quantization-aware search should land on
 	// GPU attention with KV quantization — the Figure 3 winner.
 	plat := hw.SingleGPUA100()
-	res, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
+	res, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestQuantAwarePlanUsesKVQuantizationForLongGen(t *testing.T) {
 func TestQuantAwareBeatsQuantBlind(t *testing.T) {
 	plat := hw.SingleGPUA100()
 	exec := perfmodel.LMOffloadProfile()
-	aware, err := Plan(plat, model.OPT30B, trace.PaperDefault(), exec, DefaultOptions())
+	aware, err := Plan(plat, model.OPT30B, workload.PaperDefault(), exec, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	blindOpts := DefaultOptions()
 	blindOpts.QuantAware = false
-	blind, err := Plan(plat, model.OPT30B, trace.PaperDefault(), exec, blindOpts)
+	blind, err := Plan(plat, model.OPT30B, workload.PaperDefault(), exec, blindOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPlanRespectsRestrictedSpaces(t *testing.T) {
 	plat := hw.SingleGPUA100()
 	opts := DefaultOptions()
 	opts.AllowGPUAttention = false
-	res, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.FlexGenProfile(), opts)
+	res, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.FlexGenProfile(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPlanRespectsRestrictedSpaces(t *testing.T) {
 	}
 	opts = DefaultOptions()
 	opts.Bits = nil
-	res, err = Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.FlexGenProfile(), opts)
+	res, err = Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.FlexGenProfile(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestPlanErrors(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AllowCPUAttention = false
 	opts.AllowGPUAttention = false
-	if _, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.FlexGenProfile(), opts); err == nil {
+	if _, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.FlexGenProfile(), opts); err == nil {
 		t.Error("empty search space did not error")
 	}
 	opts = DefaultOptions()
 	opts.GPUReserve = 1.5
-	if _, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.FlexGenProfile(), opts); err == nil {
+	if _, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.FlexGenProfile(), opts); err == nil {
 		t.Error("invalid reserve did not error")
 	}
 }
@@ -106,7 +106,7 @@ func TestPlanInfeasibleWorkload(t *testing.T) {
 	// A block so large its KV cache cannot fit host memory even fully
 	// offloaded and compressed.
 	plat := hw.SingleGPUA100()
-	work := trace.Workload{PromptLen: 2048, GenLen: 2048, GPUBatch: 512, NumBatches: 64}
+	work := workload.Job{PromptLen: 2048, GenLen: 2048, GPUBatch: 512, NumBatches: 64}
 	if _, err := Plan(plat, model.OPT66B, work, perfmodel.LMOffloadProfile(), DefaultOptions()); err == nil {
 		t.Error("grossly infeasible workload did not error")
 	}
@@ -116,7 +116,7 @@ func TestChooseBlockFillsHostMemory(t *testing.T) {
 	plat := hw.SingleGPUA100()
 	// Table 3 shape: the block size shrinks as the generation length grows.
 	var prev int
-	for i, n := range trace.GenLengthSweep() {
+	for i, n := range workload.GenLengthSweep() {
 		w, err := ChooseBlock(plat, model.OPT30B, 64, 64, n, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestChooseBlockErrors(t *testing.T) {
 func TestPlanOnMultiGPUPlatform(t *testing.T) {
 	// A 16 GB V100 with OPT-13B needs heavy offloading but must be feasible.
 	plat := hw.MultiGPUV100().WithGPUCount(1)
-	work := trace.MultiGPU(1)
+	work := workload.MultiGPU(1)
 	res, err := Plan(plat, model.OPT13B, work, perfmodel.LMOffloadProfile(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestPlanOnMultiGPUPlatform(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	plat := hw.SingleGPUA100()
-	res, err := Plan(plat, model.OPT30B, trace.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
+	res, err := Plan(plat, model.OPT30B, workload.PaperDefault(), perfmodel.LMOffloadProfile(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

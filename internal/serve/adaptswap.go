@@ -35,7 +35,7 @@ func (s *Scheduler) RequestSwap(p runtime.ExecPolicy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if s.cfg.AdmissionControl && s.brk.current() != Healthy {
+	if s.brk.current() != Healthy {
 		s.mu.Lock()
 		s.swapsRefused++
 		s.mu.Unlock()
@@ -66,7 +66,7 @@ func (s *Scheduler) applyPendingSwap() {
 	}
 	// Re-check the interlock: the breaker may have degraded since the request
 	// was accepted. Refusals drop the swap; the adapt controller re-requests.
-	if s.cfg.AdmissionControl && s.brk.current() != Healthy {
+	if s.brk.current() != Healthy {
 		s.mu.Lock()
 		s.swapsRefused++
 		s.mu.Unlock()
@@ -97,20 +97,14 @@ func (s *Scheduler) ExecPolicy() runtime.ExecPolicy {
 }
 
 // Stable reports whether the serving plant is in a state where policy
-// experiments are safe: breaker Healthy (vacuously true without admission
-// control) and not shutting down. The adapt controller treats false as a hard
-// interlock — no swap requests, canaries paused.
+// experiments are safe: breaker Healthy and not shutting down. The adapt
+// controller treats false as a hard interlock — no swap requests, canaries
+// paused.
 func (s *Scheduler) Stable() bool {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	if closed {
-		return false
-	}
-	if !s.cfg.AdmissionControl {
-		return true
-	}
-	return s.brk.current() == Healthy
+	return !closed && s.brk.current() == Healthy
 }
 
 // SetAdaptStatsFunc registers a closure that snapshots the adapt controller's

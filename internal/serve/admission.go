@@ -189,9 +189,8 @@ func (s *Scheduler) takeQueued(p *pending) {
 // its first token. The dispatch choice is the fair queue's: FIFO order in
 // single-tenant mode, weighted round-robin under per-tenant quotas
 // otherwise. Requests whose context already ended are dropped without
-// consuming a slot. Under admission control the dispatched candidate is
-// gated against the watermarks first — deferred requests stay queued in
-// place.
+// consuming a slot. The dispatched candidate is gated against the watermarks
+// first — deferred requests stay queued in place.
 func (s *Scheduler) admit() {
 	for {
 		slot := s.freeSlot()
@@ -209,30 +208,25 @@ func (s *Scheduler) admit() {
 			s.finishFailed(p, err)
 			continue
 		}
-		if s.cfg.AdmissionControl {
-			switch s.gateHead(p) {
-			case gateDefer:
-				return
-			case gateReject:
-				s.takeQueued(p)
-				p.stream.finish(&OverloadError{Reason: "never-fits", State: s.brk.current(), Permanent: true})
-				s.eng.Stats().RecordOverloadRejection()
-				s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Rejected++ })
-				continue
-			}
+		switch s.gateHead(p) {
+		case gateDefer:
+			return
+		case gateReject:
+			s.takeQueued(p)
+			p.stream.finish(&OverloadError{Reason: "never-fits", State: s.brk.current(), Permanent: true})
+			s.eng.Stats().RecordOverloadRejection()
+			s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Rejected++ })
+			continue
 		}
 		s.takeQueued(p)
 		prompt := p.effectivePrompt()
 		// queue_wait covers submission to the admission decision; an evicted
 		// request's resume admissions are not re-counted (its wait is the
-		// original one).
+		// original one). The KV storage mode is sticky per request too: a
+		// resumed request keeps the mode of its first admission so its tokens
+		// stay exact against one solo reference.
 		if !p.admittedOnce {
 			s.trace(xtrace.TaskQueueWait, p.submitted, xtrace.At(-1, -1, slot))
-		}
-		// The KV storage mode is sticky per request: a resumed request keeps
-		// the mode of its first admission so its tokens stay exact against one
-		// solo reference. Without admission control the ladder never engages.
-		if s.cfg.AdmissionControl && !p.admittedOnce {
 			p.kvQuant = s.sess.QuantizeNewSlots()
 		}
 		if s.cfg.ChunkTokens > 0 && len(prompt) > s.cfg.ChunkTokens {
@@ -279,10 +273,8 @@ func (s *Scheduler) admitted(p *pending, tok int, t0 time.Time, dur time.Duratio
 		s.eng.Stats().RecordAdmission(now.Sub(p.submitted))
 		s.bumpTenant(p.tenant, func(m *TenantMetrics) { m.Admitted++ })
 	}
-	if s.cfg.AdmissionControl {
-		s.observePrefill(tokens, dur)
-		s.recordEstimate(p)
-	}
+	s.observePrefill(tokens, dur)
+	s.recordEstimate(p)
 	s.deliver(p, tok)
 }
 
@@ -370,9 +362,7 @@ func (s *Scheduler) advanceChunk() {
 		s.release(p)
 		s.finishFailed(p, err)
 	case done < total:
-		if s.cfg.AdmissionControl {
-			s.observePrefill(done-prev, dur)
-		}
+		s.observePrefill(done-prev, dur)
 	default:
 		s.admitted(p, tok, t0, dur, done-prev)
 	}

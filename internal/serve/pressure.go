@@ -9,16 +9,12 @@ import (
 )
 
 // This file is the scheduler's pressure unit: the KV-pressure ladder the
-// loop runs each iteration under admission control, the breaker inputs it
-// feeds, and the pressure snapshot it publishes for Submit, Health and
-// Metrics.
+// loop runs each iteration, the breaker inputs it feeds, and the pressure
+// snapshot it publishes for Submit, Health and Metrics.
 
 // Health evaluates and returns the breaker state. Evaluating here (not just
 // in the loop) lets an idle server walk back to healthy between polls.
 func (s *Scheduler) Health() BreakerState {
-	if !s.cfg.AdmissionControl {
-		return Healthy
-	}
 	s.mu.Lock()
 	view := s.press
 	s.mu.Unlock()

@@ -109,22 +109,21 @@ type pressureView struct {
 // per-request streams, and retires finished or cancelled sequences so their
 // slots recycle immediately.
 //
-// With Config.AdmissionControl, the loop additionally closes the paper's
-// performance model back onto serving: footprint estimates gate admission,
-// a KV-pressure ladder (quantize new slots → spill → evict) sheds memory
-// before the arena OOMs, and a circuit breaker walks
-// healthy → degraded → shedding under sustained overload.
+// The loop also closes the paper's performance model back onto serving:
+// footprint estimates gate admission, a KV-pressure ladder (quantize new
+// slots → spill → evict) sheds memory before the arena OOMs, and a circuit
+// breaker walks healthy → degraded → shedding under sustained overload.
 type Scheduler struct {
 	eng   *runtime.Engine
 	sess  *runtime.Session
 	cfg   Config
 	start time.Time
 
-	// Admission-control machinery (zero-valued when disabled).
+	// Admission-control machinery.
 	adm         perfmodel.AdmissionModel
 	kvHeadroom  int64 // arena capacity minus the weight working set
-	cost        *perfmodel.StepCostModel
-	prefillCost *perfmodel.PrefillCostModel
+	cost        perfmodel.StepCostModel
+	prefillCost perfmodel.PrefillCostModel
 	brk         breaker
 
 	// prefixStore is the shared-prefix KV cache (nil when disabled).
@@ -177,10 +176,9 @@ type Scheduler struct {
 
 // New builds a scheduler over the engine and starts its loop. The engine
 // must be dedicated to this scheduler (sessions own the engine's arena and
-// stats) and its fault injector, if any, wired beforehand. With admission
-// control, the arena must leave positive KV headroom beyond the weight
-// working set, and the ladder's quantization groups must align to the
-// model's rows.
+// stats) and its fault injector, if any, wired beforehand. The arena must
+// leave positive KV headroom beyond the weight working set, and the ladder's
+// quantization groups must align to the model's rows.
 func New(eng *runtime.Engine, cfg Config) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -215,24 +213,20 @@ func New(eng *runtime.Engine, cfg Config) (*Scheduler, error) {
 		sess.UsePrefixStore(ps)
 		s.prefixStore = ps
 	}
-	s.prefillCost = &perfmodel.PrefillCostModel{}
-	if cfg.AdmissionControl {
-		s.adm = newAdmissionModel(eng)
-		if err := s.adm.Validate(); err != nil {
-			return nil, err
-		}
-		s.kvHeadroom = eng.ArenaCapacity() - s.adm.ResidentBase - int64(s.adm.WeightBuffers)*s.adm.LayerBytes
-		if s.kvHeadroom <= 0 {
-			return nil, fmt.Errorf("serve: arena capacity %d leaves no KV headroom beyond the weight working set (%d resident + %d buffered)",
-				eng.ArenaCapacity(), s.adm.ResidentBase, int64(s.adm.WeightBuffers)*s.adm.LayerBytes)
-		}
-		if eng.ModelConfig().Hidden%LadderKV().GroupSize != 0 {
-			return nil, fmt.Errorf("serve: ladder KV group size %d must divide the model hidden dimension %d",
-				LadderKV().GroupSize, eng.ModelConfig().Hidden)
-		}
-		s.cost = &perfmodel.StepCostModel{}
-		s.brk.needStreak = cfg.HealthyStreak
+	s.adm = newAdmissionModel(eng)
+	if err := s.adm.Validate(); err != nil {
+		return nil, err
 	}
+	s.kvHeadroom = eng.ArenaCapacity() - s.adm.ResidentBase - int64(s.adm.WeightBuffers)*s.adm.LayerBytes
+	if s.kvHeadroom <= 0 {
+		return nil, fmt.Errorf("serve: arena capacity %d leaves no KV headroom beyond the weight working set (%d resident + %d buffered)",
+			eng.ArenaCapacity(), s.adm.ResidentBase, int64(s.adm.WeightBuffers)*s.adm.LayerBytes)
+	}
+	if eng.ModelConfig().Hidden%LadderKV().GroupSize != 0 {
+		return nil, fmt.Errorf("serve: ladder KV group size %d must divide the model hidden dimension %d",
+			LadderKV().GroupSize, eng.ModelConfig().Hidden)
+	}
+	s.brk.needStreak = cfg.HealthyStreak
 	go s.loop()
 	return s, nil
 }
@@ -240,9 +234,9 @@ func New(eng *runtime.Engine, cfg Config) (*Scheduler, error) {
 // Submit validates and enqueues a request, returning its token stream. The
 // context governs the request's whole lifetime: cancellation or deadline
 // expiry removes it from the queue or retires its slot at the next step
-// boundary, with the stream finishing on ctx.Err(). Under admission control,
-// overloaded states reject with a structured *OverloadError instead of
-// queuing work the server cannot absorb.
+// boundary, with the stream finishing on ctx.Err(). Overloaded states reject
+// with a structured *OverloadError instead of queuing work the server cannot
+// absorb.
 func (s *Scheduler) Submit(ctx context.Context, req Request) (*Stream, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -263,12 +257,10 @@ func (s *Scheduler) Submit(ctx context.Context, req Request) (*Stream, error) {
 			return nil, &OverloadError{Reason: "tenant-suspended", State: s.brk.current(), Permanent: true}
 		}
 	}
-	if s.cfg.AdmissionControl {
-		if err := s.admitCheck(req); err != nil {
-			s.eng.Stats().RecordOverloadRejection()
-			s.bumpTenant(tenant, func(m *TenantMetrics) { m.Rejected++ })
-			return nil, err
-		}
+	if err := s.admitCheck(req); err != nil {
+		s.eng.Stats().RecordOverloadRejection()
+		s.bumpTenant(tenant, func(m *TenantMetrics) { m.Rejected++ })
+		return nil, err
 	}
 	p := &pending{req: req, tenant: tenant, ctx: ctx, stream: newStream(req.MaxNewTokens), submitted: time.Now()}
 	s.mu.Lock()
@@ -314,7 +306,7 @@ type Metrics struct {
 
 	Serve runtime.ServeSummary
 
-	// Overload protection (meaningful with Config.AdmissionControl).
+	// Overload protection.
 	Breaker            BreakerState
 	BreakerTransitions int64
 	PressureLevel      int
@@ -483,9 +475,7 @@ func (s *Scheduler) loop() {
 		s.checkSlots()
 		s.applyPendingSwap()
 		s.retireCancelled()
-		if s.cfg.AdmissionControl {
-			s.managePressure()
-		}
+		s.managePressure()
 		s.admit()
 		s.advanceChunk()
 		if s.sess.NumActive() == 0 {

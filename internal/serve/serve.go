@@ -67,12 +67,11 @@ type Config struct {
 	// either way.
 	ChunkTokens int
 
-	// AdmissionControl enables the performance-model-guided overload
-	// protection: footprint estimates gate admission (structured 429s with
-	// Retry-After), the KV-pressure ladder sheds memory before the arena
-	// OOMs, and the health circuit breaker trips to shedding under sustained
-	// faults. Off, the scheduler admits blindly (PR 2 behavior).
-	AdmissionControl bool
+	// Overload protection, guided by the performance model: footprint
+	// estimates gate admission (structured 429s with Retry-After), the
+	// KV-pressure ladder sheds memory before the arena OOMs, and the health
+	// circuit breaker trips to shedding under sustained faults.
+	//
 	// ArenaHighWater and ArenaLowWater are fractions of the arena's KV
 	// headroom (capacity minus the weight working set). Predicted pressure
 	// above the high watermark stops admissions and escalates the ladder;
@@ -130,7 +129,6 @@ func DefaultConfig(vocab int) Config {
 		DefaultNewTokens: 32,
 		EOS:              -1,
 		Vocab:            vocab,
-		AdmissionControl: true,
 		ArenaHighWater:   0.85,
 		ArenaLowWater:    0.65,
 		HealthyStreak:    3,
@@ -160,20 +158,18 @@ func (c Config) Validate() error {
 	if c.ChunkTokens < 0 {
 		return fmt.Errorf("serve: negative chunk tokens %d", c.ChunkTokens)
 	}
-	if c.AdmissionControl {
-		if !(c.ArenaLowWater > 0 && c.ArenaLowWater < c.ArenaHighWater && c.ArenaHighWater <= 1) {
-			return fmt.Errorf("serve: watermarks must satisfy 0 < low (%g) < high (%g) <= 1",
-				c.ArenaLowWater, c.ArenaHighWater)
-		}
-		if c.TPOTBudget < 0 {
-			return fmt.Errorf("serve: negative TPOT budget %v", c.TPOTBudget)
-		}
-		if c.HostKVBudget < 0 {
-			return fmt.Errorf("serve: negative host KV budget %d", c.HostKVBudget)
-		}
-		if c.HealthyStreak <= 0 {
-			return fmt.Errorf("serve: healthy streak must be positive, got %d", c.HealthyStreak)
-		}
+	if !(c.ArenaLowWater > 0 && c.ArenaLowWater < c.ArenaHighWater && c.ArenaHighWater <= 1) {
+		return fmt.Errorf("serve: watermarks must satisfy 0 < low (%g) < high (%g) <= 1",
+			c.ArenaLowWater, c.ArenaHighWater)
+	}
+	if c.TPOTBudget < 0 {
+		return fmt.Errorf("serve: negative TPOT budget %v", c.TPOTBudget)
+	}
+	if c.HostKVBudget < 0 {
+		return fmt.Errorf("serve: negative host KV budget %d", c.HostKVBudget)
+	}
+	if c.HealthyStreak <= 0 {
+		return fmt.Errorf("serve: healthy streak must be positive, got %d", c.HealthyStreak)
 	}
 	if c.PrefixCacheBytes < 0 {
 		return fmt.Errorf("serve: negative prefix cache budget %d", c.PrefixCacheBytes)

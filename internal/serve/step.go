@@ -77,16 +77,14 @@ func (s *Scheduler) stepBatch() {
 		}
 		return
 	}
-	if s.cfg.AdmissionControl {
-		// Score the TPOT prediction this step would have been quoted before
-		// folding the measurement into the fit.
-		if obs := s.cfg.EstObserver; obs != nil {
-			if pred := s.cost.PredictTPOT(len(toks)); pred > 0 {
-				obs.ObserveEstimate(perfmodel.EstTPOT, pred.Seconds(), stepDur.Seconds())
-			}
+	// Score the TPOT prediction this step would have been quoted before
+	// folding the measurement into the fit.
+	if obs := s.cfg.EstObserver; obs != nil {
+		if pred := s.cost.PredictTPOT(len(toks)); pred > 0 {
+			obs.ObserveEstimate(perfmodel.EstTPOT, pred.Seconds(), stepDur.Seconds())
 		}
-		s.cost.Observe(len(toks), stepDur)
 	}
+	s.cost.Observe(len(toks), stepDur)
 	s.mu.Lock()
 	depth := s.queue.len()
 	s.mu.Unlock()

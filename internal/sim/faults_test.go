@@ -8,7 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestFaultOutagePushesCompletion(t *testing.T) {
@@ -290,7 +290,7 @@ func TestSimulateDecodeFaultRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := trace.Workload{PromptLen: 64, GenLen: 8, GPUBatch: 16, NumBatches: 4}
+	work := workload.Job{PromptLen: 64, GenLen: 8, GPUBatch: 16, NumBatches: 4}
 	strat := perfmodel.Strategy{WeightsGPUPct: 0.2, QuantKV: true, KVBits: 4, GroupSize: 64}
 	est, err := perfmodel.New(hw.SingleGPUA100(), mod, work, strat, perfmodel.FlexGenProfile())
 	if err != nil {

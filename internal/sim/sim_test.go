@@ -9,7 +9,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestKernelSerialChain(t *testing.T) {
@@ -169,7 +169,7 @@ func TestPropertyKernelBounds(t *testing.T) {
 
 func mkEstimator(t *testing.T, s perfmodel.Strategy, exec perfmodel.ExecProfile) *perfmodel.Estimator {
 	t.Helper()
-	e, err := perfmodel.New(hw.SingleGPUA100(), model.OPT30B, trace.PaperDefault(), s, exec)
+	e, err := perfmodel.New(hw.SingleGPUA100(), model.OPT30B, workload.PaperDefault(), s, exec)
 	if err != nil {
 		t.Fatal(err)
 	}

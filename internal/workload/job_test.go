@@ -1,4 +1,4 @@
-package trace
+package workload
 
 import (
 	"math/rand"
@@ -22,7 +22,7 @@ func TestPaperDefaultMatchesSection31(t *testing.T) {
 }
 
 func TestValidateRejectsBadWorkloads(t *testing.T) {
-	bad := []Workload{
+	bad := []Job{
 		{PromptLen: 0, GenLen: 1, GPUBatch: 1, NumBatches: 1},
 		{PromptLen: 1, GenLen: 0, GPUBatch: 1, NumBatches: 1},
 		{PromptLen: 1, GenLen: 1, GPUBatch: 0, NumBatches: 1},
@@ -59,7 +59,7 @@ func TestMultiGPUWeakScaling(t *testing.T) {
 }
 
 func TestPromptsShapeAndRange(t *testing.T) {
-	w := Workload{PromptLen: 5, GenLen: 2, GPUBatch: 3, NumBatches: 2}
+	w := Job{PromptLen: 5, GenLen: 2, GPUBatch: 3, NumBatches: 2}
 	prompts := w.Prompts(rand.New(rand.NewSource(1)), 11)
 	if len(prompts) != 6 {
 		t.Fatalf("prompt rows = %d, want 6", len(prompts))

@@ -10,6 +10,10 @@
 // estimator-accuracy grid (internal/experiments, `lmo-bench -run workload`)
 // replays these traces through the real scheduler and scores every
 // performance-model estimator against what actually happened.
+//
+// Job is the offline counterpart: the fixed geometry of one batch job
+// (prompt and generation lengths, batch shape, and the zig-zag block FlexGen
+// and LM-Offload schedule over), with synthetic prompts for the runtime.
 package workload
 
 import (

@@ -9,7 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/runtime"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -48,7 +48,7 @@ func benchEngine(b *testing.B, rec *xtrace.Recorder) (*runtime.Engine, [][]int, 
 		b.Fatal(err)
 	}
 	eng.SetTracer(rec)
-	w := trace.Workload{PromptLen: 8, GenLen: 4, GPUBatch: 2, NumBatches: 1}
+	w := workload.Job{PromptLen: 8, GenLen: 4, GPUBatch: 2, NumBatches: 1}
 	return eng, w.Prompts(rand.New(rand.NewSource(7)), cfg.Vocab), w.GenLen
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
@@ -34,7 +33,7 @@ func chunkGrid(promptLen int) []int {
 func ChunkedSimVsModel() (*Report, error) {
 	rep := &Report{}
 	mod := model.OPT30B
-	work := trace.Workload{PromptLen: 64, GenLen: 32, GPUBatch: 64, NumBatches: 10}
+	work := workload.Job{PromptLen: 64, GenLen: 32, GPUBatch: 64, NumBatches: 10}
 	kinds := []struct {
 		name string
 		pick func(perfmodel.TaskTimes) float64

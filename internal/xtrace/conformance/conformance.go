@@ -40,7 +40,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -176,7 +176,7 @@ func simExpected(e *perfmodel.Estimator) map[string]float64 {
 func SimVsModel() (*Report, error) {
 	rep := &Report{}
 	mod := model.OPT30B
-	work := trace.Workload{PromptLen: 64, GenLen: 32, GPUBatch: 64, NumBatches: 10}
+	work := workload.Job{PromptLen: 64, GenLen: 32, GPUBatch: 64, NumBatches: 10}
 	for _, c := range simGrid() {
 		est, err := perfmodel.New(hw.SingleGPUA100(), mod, work, c.strat, c.exec)
 		if err != nil {
@@ -235,7 +235,7 @@ func runEngine(pol runtime.Policy, batch, prompt, gen int) (*engineRun, error) {
 	}
 	rec := xtrace.NewRecorder(0)
 	eng.SetTracer(rec)
-	w := trace.Workload{PromptLen: prompt, GenLen: gen, GPUBatch: batch, NumBatches: 1}
+	w := workload.Job{PromptLen: prompt, GenLen: gen, GPUBatch: batch, NumBatches: 1}
 	prompts := w.Prompts(rand.New(rand.NewSource(seed)), cfg.Vocab)
 	// Start the traced run from a collected heap. Building the model and
 	// engine allocates enough to trigger a GC cycle, and one whose mark
@@ -357,7 +357,7 @@ func Calibrate() (*hw.Platform, error) {
 	}
 	linkBW := float64(cfg.LayerWeightBytes()) / wMed.Seconds()
 
-	w := trace.Workload{PromptLen: prompt, GenLen: gen, GPUBatch: batch, NumBatches: 1}
+	w := workload.Job{PromptLen: prompt, GenLen: gen, GPUBatch: batch, NumBatches: 1}
 	seqAvg := w.PromptLen + w.GenLen/2
 	flopsPerSpan := cfg.AttnFlopsDecode(w, seqAvg) + cfg.MLPFlopsDecode(w)
 	cMed := medianSpan(base, xtrace.TaskCompute, func(s xtrace.Span) bool { return s.Layer >= 0 })
@@ -551,7 +551,7 @@ func EngineVsModel() (*Report, error) {
 			return nil, fmt.Errorf("conformance: %s: %w", c.label, err)
 		}
 		meas := decodeTotals(run, cfg.Layers)
-		w := trace.Workload{PromptLen: c.prompt, GenLen: c.gen, GPUBatch: c.batch, NumBatches: 1}
+		w := workload.Job{PromptLen: c.prompt, GenLen: c.gen, GPUBatch: c.batch, NumBatches: 1}
 		est, err := perfmodel.New(plat, cfg, w, c.strat, conformanceProfile())
 		if err != nil {
 			return nil, fmt.Errorf("conformance: %s: %w", c.label, err)

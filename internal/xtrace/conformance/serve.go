@@ -44,7 +44,6 @@ func ServeBounds() (*Report, error) {
 	scfg.QueueDepth = requests
 	scfg.MaxNewTokens = genLen
 	scfg.DefaultNewTokens = genLen
-	scfg.AdmissionControl = true
 	sched, err := serve.New(eng, scfg)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
@@ -102,7 +102,7 @@ func TestGoldenEngineTrace(t *testing.T) {
 	}
 	rec := xtrace.NewRecorder(0)
 	eng.SetTracer(rec)
-	w := trace.Workload{PromptLen: 4, GenLen: 3, GPUBatch: 2, NumBatches: 1}
+	w := workload.Job{PromptLen: 4, GenLen: 3, GPUBatch: 2, NumBatches: 1}
 	prompts := w.Prompts(rand.New(rand.NewSource(7)), cfg.Vocab)
 	if _, err := eng.Generate(context.Background(), prompts, w.GenLen); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestGoldenGroupStagingTrace(t *testing.T) {
 	}
 	rec := xtrace.NewRecorder(0)
 	eng.SetTracer(rec)
-	w := trace.Workload{PromptLen: 4, GenLen: 3, GPUBatch: 4, NumBatches: 1}
+	w := workload.Job{PromptLen: 4, GenLen: 3, GPUBatch: 4, NumBatches: 1}
 	prompts := w.Prompts(rand.New(rand.NewSource(7)), cfg.Vocab)
 	if _, err := eng.Generate(context.Background(), prompts, w.GenLen); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestGoldenChunkedSessionTrace(t *testing.T) {
 func TestGoldenSimTrace(t *testing.T) {
 	est, err := perfmodel.New(
 		hw.SingleGPUA100(), model.Tiny(),
-		trace.Workload{PromptLen: 8, GenLen: 4, GPUBatch: 4, NumBatches: 2},
+		workload.Job{PromptLen: 8, GenLen: 4, GPUBatch: 4, NumBatches: 2},
 		perfmodel.Strategy{WeightsGPUPct: 0.5, QuantWeights: true, WeightBits: 4, QuantKV: true, KVBits: 4, GroupSize: 32},
 		perfmodel.LMOffloadProfile(),
 	)

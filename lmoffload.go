@@ -35,7 +35,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/threadpool"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Core re-exported types.
@@ -45,7 +45,7 @@ type (
 	// ModelConfig is a transformer geometry.
 	ModelConfig = model.Config
 	// Workload is a batch-inference job (prompt/generation lengths, block).
-	Workload = trace.Workload
+	Workload = workload.Job
 	// Strategy is an offloading + quantization decision.
 	Strategy = perfmodel.Strategy
 	// ExecProfile captures a runtime's execution quality.
@@ -128,7 +128,7 @@ func LoadModelConfig(r io.Reader) (ModelConfig, error) { return model.LoadConfig
 
 // NewWorkload builds and validates a workload.
 func NewWorkload(promptLen, genLen, gpuBatch, numBatches int) (Workload, error) {
-	w := trace.Workload{PromptLen: promptLen, GenLen: genLen, GPUBatch: gpuBatch, NumBatches: numBatches}
+	w := workload.Job{PromptLen: promptLen, GenLen: genLen, GPUBatch: gpuBatch, NumBatches: numBatches}
 	return w, w.Validate()
 }
 
